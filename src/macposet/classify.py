@@ -191,11 +191,6 @@ class GridReport:
         }
 
 
-def _search(poset, budget, level_cap):
-    res = find_macaulay_order(poset, budget=budget, level_cap=level_cap)
-    return res
-
-
 def _tally(report: GridReport, results):
     nodes = sum(r.get("nodes", 0) for r in results)
     subsets = sum(r.get("subsets", 0) for r in results)
@@ -210,7 +205,8 @@ def verify_heart_grid(spec: FamilySpec, threads: int = 1) -> GridReport:
         a0, a1, b0, b1 = t
         pred = heart_predicate(a0, a1, b0, b1)
         hp = build_heart(a0, a1, b0, b1)
-        sr = _search(hp, spec.budget, spec.level_cap)
+        sr = find_macaulay_order(hp, budget=spec.budget,
+                                 level_cap=spec.level_cap)
         row = {"params": list(t), "predicate": pred, "search": sr.status,
                "nodes": sr.stats.nodes, "subsets": sr.stats.subsets_enumerated}
         if sr.status == "budget-exceeded":
@@ -265,7 +261,8 @@ def verify_diamond_grid(spec: FamilySpec, threads: int = 1) -> GridReport:
         dp, dq = pair
         pred = diamond_box_predicate(dp, dq)
         res = diamond([box(*dp), box(*dq)])
-        sr = _search(res.poset, spec.budget, spec.level_cap)
+        sr = find_macaulay_order(res.poset, budget=spec.budget,
+                                 level_cap=spec.level_cap)
         row = {"params": [list(dp), list(dq)], "predicate": pred,
                "search": sr.status, "nodes": sr.stats.nodes,
                "subsets": sr.stats.subsets_enumerated}
@@ -312,7 +309,8 @@ def verify_wedge_grid(spec: FamilySpec, threads: int = 1,
         else:
             n, m2, n2 = params
             res = wedge([path(n - 1), box(m2, n2)])
-        sr = _search(res.poset, spec.budget, spec.level_cap)
+        sr = find_macaulay_order(res.poset, budget=spec.budget,
+                                 level_cap=spec.level_cap)
         row = {"kind": kind, "params": list(params), "predicate": pred,
                "search": sr.status, "nodes": sr.stats.nodes,
                "subsets": sr.stats.subsets_enumerated}

@@ -17,7 +17,6 @@ from .core import LevelSubset, PosetError, lower_shadow, upper_shadow
 from .expr import ParseError, evaluate, parse_expression, parse_order, print_expression, resolve_order
 from .ideals import (ideal_from_generators, ideal_intersection, parse_monomial,
                      pure_power_ideal, standard_monomial_poset)
-from .kernels import BackendUnavailable
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, LevelCapExceeded,
                        check_macaulay, find_macaulay_order, is_additive)
 from .orders import union_simplicial_order
@@ -62,10 +61,6 @@ def _parse_set(text, poset):
         except ValueError:
             raise PosetError(f"monomial {item!r} is not an element of this poset")
     return ids
-
-
-def _out(args, line):
-    print(line, file=args.stdout if hasattr(args, "stdout") else sys.stdout)
 
 
 # ------------------------------------------------------------------- commands
@@ -484,7 +479,7 @@ def run_command(argv) -> int:
     try:
         code, report = args.fn(args)
     except (ParseError, PosetError, FormatError, LevelCapExceeded,
-            BackendUnavailable, FileNotFoundError, ValueError) as e:
+            FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.report:

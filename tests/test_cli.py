@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import subprocess
 import sys
@@ -51,15 +50,6 @@ class TestExitCodes:
     def test_bad_order_file_is_input_error(self):
         assert run(["additive", "wedge(path(1), path(2))",
                     "--order", 'lists("/dev/null")']) == 2
-
-    @pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                        reason="numba is importable, so MACPOSET_BACKEND=numba is honoured")
-    def test_unavailable_backend_is_input_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("MACPOSET_BACKEND", "numba")
-        assert run(["check", "box(2,2)", "--order", "lex(x,y)"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "numba" in err
-        assert err.count("\n") == 1
 
     def test_verify_family_ok(self):
         assert run(["verify-family", "cartesian-counterexamples"]) == 0

@@ -1,12 +1,12 @@
-import importlib.util
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from macposet import (LevelSubset, PosetError, box, cartesian_product,
-                      check_macaulay, diamond, disjoint_union,
-                      find_macaulay_order, ideal_from_generators,
+from macposet import (LevelSubset, PosetError, RankedPoset, box,
+                      cartesian_product, check_macaulay, diamond,
+                      disjoint_union, find_macaulay_order, ideal_from_generators,
                       induced_subposet, is_additive, lex_order,
                       min_shadow_table, new_shadow, order_from_lists, path,
                       pure_power_ideal, restrict_order, spider,
@@ -107,70 +107,72 @@ def reference_min_shadows(masks):
     return mins, argm
 
 
-NUMBA_IMPORTABLE = importlib.util.find_spec("numba") is not None
-
-
 class TestKernelBackends:
-    def test_backends_agree(self):
-        pytest.importorskip("numba")
-        rng = np.random.default_rng(5)
-        for n, w in [(1, 1), (6, 1), (11, 1), (13, 2)]:
-            masks = rng.integers(0, 2**50, size=(n, w), dtype=np.uint64)
-            try:
-                kernels.set_backend("numba")
-                m1, a1 = kernels.level_min_shadows(masks)
-                kernels.set_backend("numpy")
-                m2, a2 = kernels.level_min_shadows(masks)
-            finally:
-                kernels.set_backend(None)
-            assert (m1 == m2).all() and (a1 == a2).all()
-
-    def test_selected_backend_matches_reference(self, monkeypatch):
-        # mins and argmins, one- and two-word masks, on whichever
-        # backend this machine selects by default
-        monkeypatch.delenv("MACPOSET_BACKEND", raising=False)
+    def test_selected_backend_matches_reference(self):
+        # mins and argmins against a plain-Python enumeration: one- and
+        # two-word masks, n = 0, and levels wide enough that the kernel
+        # walks more than one block of subsets
+        wide = kernels.BLOCK_SUBSETS.bit_length()
         rng = np.random.default_rng(5)
         levels = [rng.integers(0, 2**50, size=(n, w), dtype=np.uint64)
                   for n, w in [(1, 1), (6, 1), (11, 1), (13, 2)]]
-        for masks in levels + [np.zeros((0, 1), dtype=np.uint64)]:
+        # sparse masks over few bits, so sizes tie across blocks
+        levels += [rng.integers(0, 2**10, size=(wide, w), dtype=np.uint64)
+                   for w in (1, 2)]
+        # all-zero masks: every q-subset ties at an empty shadow, so the
+        # argmin is the low q bits, whichever block holds it
+        zeros = np.zeros((wide, 1), dtype=np.uint64)
+        assert reference_min_shadows(zeros)[1] == [(1 << q) - 1 for q in range(wide + 1)]
+        for masks in levels + [zeros, np.zeros((0, 1), dtype=np.uint64)]:
             mins, argm = kernels.level_min_shadows(masks)
             assert (list(mins), list(argm)) == reference_min_shadows(masks)
 
     def test_numpy_backend_table(self, small_corpus):
-        try:
-            kernels.set_backend("numpy")
-            for p in small_corpus[:3]:
-                t = min_shadow_table(p)
-                for d in range(p.max_rank + 1):
-                    assert list(t.mins[d]) == brute_min_shadow(p, d)
-        finally:
-            kernels.set_backend(None)
+        for p in small_corpus[:3]:
+            t = min_shadow_table(p)
+            for d in range(p.max_rank + 1):
+                assert list(t.mins[d]) == brute_min_shadow(p, d)
 
-    def test_set_backend_numba_only_where_importable(self, monkeypatch):
-        monkeypatch.delenv("MACPOSET_BACKEND", raising=False)
-        before = kernels.backend()
-        try:
-            if NUMBA_IMPORTABLE:
-                kernels.set_backend("numba")
-                assert kernels.backend() == "numba"
-            else:
-                with pytest.raises(RuntimeError, match="numba"):
-                    kernels.set_backend("numba")
-                assert kernels.backend() == before
-        finally:
-            kernels.set_backend(None)
 
-    def test_env_flag_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("MACPOSET_BACKEND", "numpy")
-        assert kernels.backend() == "numpy"
-        monkeypatch.setenv("MACPOSET_BACKEND", "numba")
-        if NUMBA_IMPORTABLE:
-            assert kernels.backend() == "numba"
-        else:
-            with pytest.raises(RuntimeError, match="numba"):
-                kernels.backend()
-        monkeypatch.delenv("MACPOSET_BACKEND")
-        assert kernels.backend() == ("numba" if NUMBA_IMPORTABLE else "numpy")
+# words drawn over a few bits tie often; full-range words rarely do
+_mask_words = st.one_of(st.integers(0, 15), st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def level_masks(draw):
+    n = draw(st.integers(0, 10))
+    w = draw(st.sampled_from([1, 2]))
+    rows = draw(st.lists(st.lists(_mask_words, min_size=w, max_size=w),
+                         min_size=n, max_size=n))
+    return np.array(rows, dtype=np.uint64).reshape(n, w)
+
+
+@st.composite
+def small_ranked_posets(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    starts = [sum(sizes[:d]) for d in range(len(sizes))]
+    ranks = [d for d, s in enumerate(sizes) for _ in range(s)]
+    covers = []
+    for d in range(len(sizes) - 1):
+        for i in range(sizes[d]):
+            ups = draw(st.sets(st.integers(0, sizes[d + 1] - 1)))
+            covers += [(starts[d] + i, starts[d + 1] + u) for u in sorted(ups)]
+    return RankedPoset(ranks, covers)
+
+
+class TestKernelProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(level_masks())
+    def test_kernel_matches_reference(self, masks):
+        mins, argm = kernels.level_min_shadows(masks)
+        assert (list(mins), list(argm)) == reference_min_shadows(masks)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_ranked_posets())
+    def test_table_matches_brute_force(self, p):
+        t = min_shadow_table(p)
+        for d in range(p.max_rank + 1):
+            assert list(t.mins[d]) == brute_min_shadow(p, d)
 
 
 class TestCheckMacaulay:
