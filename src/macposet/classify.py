@@ -11,13 +11,11 @@ from .construct import (adjoin_extreme, box, cartesian_product, diamond,
                         disjoint_union, fiber_product, path, relabel_swap_xy,
                         remove_extreme, spider, wedge)
 from .core import PosetError, RankedPoset
-from .ideals import (ideal_from_generators, ideal_intersection, ideal_sum,
-                     inclusion_map, pure_power_ideal, standard_monomial_poset)
+from .ideals import (ideal_from_generators, inclusion_map, pure_power_ideal,
+                     standard_monomial_poset)
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
                        find_macaulay_order, min_shadow_table)
-from .orders import (LevelOrderFamily, lex_order, twist_order,
-                     union_simplicial_order)
-from .util import parallel_map
+from .orders import LevelOrderFamily, lex_order, twist_order
 
 
 # ---------------------------------------------------------------- predicates
@@ -197,7 +195,7 @@ def _tally(report: GridReport, results):
     report.counters = {"search_nodes": nodes, "subsets_enumerated": subsets}
 
 
-def verify_heart_grid(spec: FamilySpec, threads: int = 1) -> GridReport:
+def verify_heart_grid(spec: FamilySpec) -> GridReport:
     lo, hi = spec.bounds.get("side", (1, 5))
     tuples = list(itertools.product(range(lo, hi + 1), repeat=4))
 
@@ -205,8 +203,8 @@ def verify_heart_grid(spec: FamilySpec, threads: int = 1) -> GridReport:
         a0, a1, b0, b1 = t
         pred = heart_predicate(a0, a1, b0, b1)
         hp = build_heart(a0, a1, b0, b1)
-        sr = find_macaulay_order(hp, budget=spec.budget,
-                                 level_cap=spec.level_cap)
+        table = min_shadow_table(hp, level_cap=spec.level_cap)
+        sr = find_macaulay_order(hp, budget=spec.budget, table=table)
         row = {"params": list(t), "predicate": pred, "search": sr.status,
                "nodes": sr.stats.nodes, "subsets": sr.stats.subsets_enumerated}
         if sr.status == "budget-exceeded":
@@ -217,14 +215,14 @@ def verify_heart_grid(spec: FamilySpec, threads: int = 1) -> GridReport:
             choice = heart_order_choice(a0, a1, b0, b1)
             fam = resolve_heart_order(hp, choice)
             row["recommended"] = choice.to_json()
-            row["recommended_ok"] = check_macaulay(hp, fam).ok
+            row["recommended_ok"] = check_macaulay(hp, fam, table=table).ok
             if not row["recommended_ok"]:
                 row["agree"] = False
         return row
 
     report = GridReport("heart")
-    for row in parallel_map(job, tuples, threads):
-        report.record(row)
+    for t in tuples:
+        report.record(job(t))
     _tally(report, report.rows)
     return report
 
@@ -238,7 +236,7 @@ def _boxes_up_to(side_lo, side_hi, max_dims):
     return out
 
 
-def verify_diamond_grid(spec: FamilySpec, threads: int = 1) -> GridReport:
+def verify_diamond_grid(spec: FamilySpec) -> GridReport:
     side_lo, side_hi = spec.bounds.get("side", (2, 5))
     max_dims = spec.bounds.get("dims", (1, 3))[1]
     max_elements = spec.bounds.get("elements", (0, 80))[1]
@@ -271,14 +269,13 @@ def verify_diamond_grid(spec: FamilySpec, threads: int = 1) -> GridReport:
         return row
 
     report = GridReport("diamond-box")
-    for row in parallel_map(job, pairs, threads):
-        report.record(row)
+    for pair in pairs:
+        report.record(job(pair))
     _tally(report, report.rows)
     return report
 
 
-def verify_wedge_grid(spec: FamilySpec, threads: int = 1,
-                      kinds=("2d", "path")) -> GridReport:
+def verify_wedge_grid(spec: FamilySpec, kinds=("2d", "path")) -> GridReport:
     """Wedge classifications: 2-D vs 2-D boxes and/or path vs 2-D box."""
     lo, hi = spec.bounds.get("side", (2, 5))
     n_hi = spec.bounds.get("path", (1, 6))[1]
@@ -318,8 +315,8 @@ def verify_wedge_grid(spec: FamilySpec, threads: int = 1,
                         else pred == (sr.status == "found"))
         return row
 
-    for row in parallel_map(job, jobs, threads):
-        report.record(row)
+    for item in jobs:
+        report.record(job(item))
     _tally(report, report.rows)
     return report
 
@@ -409,12 +406,14 @@ def _random_hat_corpus(count=50, max_elements=20, seed=20240511):
 
 
 def hat_preservation_report(count=50, max_elements=20, seed=20240511,
-                            budget=DEFAULT_BUDGET) -> GridReport:
+                            budget=DEFAULT_BUDGET,
+                            level_cap=DEFAULT_LEVEL_CAP) -> GridReport:
     """Order existence must be preserved by adjoining a top element."""
     report = GridReport("hat-preservation")
     for p in _random_hat_corpus(count, max_elements, seed):
-        base = find_macaulay_order(p, budget=budget)
-        hatted = find_macaulay_order(adjoin_extreme(p, "top"), budget=budget)
+        base = find_macaulay_order(p, budget=budget, level_cap=level_cap)
+        hatted = find_macaulay_order(adjoin_extreme(p, "top"), budget=budget,
+                                     level_cap=level_cap)
         row = {"poset": p.name, "elements": p.n,
                "base": base.status, "hat": hatted.status,
                "nodes": base.stats.nodes + hatted.stats.nodes,
@@ -424,7 +423,8 @@ def hat_preservation_report(count=50, max_elements=20, seed=20240511,
     return report
 
 
-def equivalence_suite(budget=DEFAULT_BUDGET) -> GridReport:
+def equivalence_suite(budget=DEFAULT_BUDGET,
+                      level_cap=DEFAULT_LEVEL_CAP) -> GridReport:
     """The named union/wedge/diamond instances plus the hat corpus."""
     report = GridReport("union-wedge-diamond-equiv")
     b22 = box(2, 2)
@@ -437,14 +437,15 @@ def equivalence_suite(budget=DEFAULT_BUDGET) -> GridReport:
         ("path1-path2", [path(1), path(2)]),
     ]
     for name, ps in instances:
-        res = union_simplicial_equivalence_check(ps, budget=budget)
+        res = union_simplicial_equivalence_check(ps, budget=budget,
+                                                 level_cap=level_cap)
         row = {"instance": name, "agree": res["agree"],
                "equivalent_forms_agree": res["equivalent_forms_agree"],
                "chain_holds": res["chain_holds"],
                "forms": {k: (v.get("search") if v["defined"] else "undefined")
                          for k, v in res["forms"].items()}}
         report.record(row)
-    hats = hat_preservation_report(budget=budget)
+    hats = hat_preservation_report(budget=budget, level_cap=level_cap)
     report.rows.extend(hats.rows)
     report.disagreements.extend(hats.disagreements)
     report.inconclusive.extend(hats.inconclusive)
@@ -473,7 +474,8 @@ def conj66_quotient_ideal():
     return ideal_from_generators([(3, 0), (2, 1), (1, 2), (0, 3)], ("y", "z"))
 
 
-def cartesian_counterexamples(budget=DEFAULT_BUDGET) -> GridReport:
+def cartesian_counterexamples(budget=DEFAULT_BUDGET,
+                              level_cap=DEFAULT_LEVEL_CAP) -> GridReport:
     """The named non-Macaulay cartesian products; all must lack orders."""
     report = GridReport("cartesian-counterexamples")
     items = [
@@ -485,7 +487,7 @@ def cartesian_counterexamples(budget=DEFAULT_BUDGET) -> GridReport:
          cartesian_product(ring_product_factor(), path(1)).poset, 10),
     ]
     for name, poset, expected_n in items:
-        sr = find_macaulay_order(poset, budget=budget)
+        sr = find_macaulay_order(poset, budget=budget, level_cap=level_cap)
         row = {"instance": name, "elements": poset.n,
                "expected_elements": expected_n,
                "search": sr.status, "nodes": sr.stats.nodes,
@@ -495,21 +497,22 @@ def cartesian_counterexamples(budget=DEFAULT_BUDGET) -> GridReport:
     return report
 
 
-def verify_family(spec: FamilySpec, threads: int = 1) -> GridReport:
+def verify_family(spec: FamilySpec) -> GridReport:
     if spec.family == "heart":
-        return verify_heart_grid(spec, threads)
+        return verify_heart_grid(spec)
     if spec.family == "diamond-box":
-        return verify_diamond_grid(spec, threads)
+        return verify_diamond_grid(spec)
     if spec.family == "wedge-2d-box":
-        return verify_wedge_grid(spec, threads, kinds=("2d",))
+        return verify_wedge_grid(spec, kinds=("2d",))
     if spec.family == "wedge-path-box":
-        return verify_wedge_grid(spec, threads, kinds=("path",))
+        return verify_wedge_grid(spec, kinds=("path",))
     if spec.family == "wedge-box":
-        return verify_wedge_grid(spec, threads)
+        return verify_wedge_grid(spec)
     if spec.family == "union-wedge-diamond-equiv":
-        return equivalence_suite(budget=spec.budget)
+        return equivalence_suite(budget=spec.budget, level_cap=spec.level_cap)
     if spec.family == "cartesian-counterexamples":
-        return cartesian_counterexamples(budget=spec.budget)
+        return cartesian_counterexamples(budget=spec.budget,
+                                         level_cap=spec.level_cap)
     raise PosetError(f"unknown family {spec.family!r}")
 
 
@@ -547,8 +550,7 @@ def staircase_ideal(heights):
 def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
                           include_special: bool = True,
                           budget: int | None = DEFAULT_BUDGET,
-                          level_cap: int = DEFAULT_LEVEL_CAP,
-                          threads: int = 1) -> GridReport:
+                          level_cap: int = DEFAULT_LEVEL_CAP) -> GridReport:
     """Scan products of Macaulay quotient posets with paths.
 
     For each quotient S with an order and each n above S's top degree,
@@ -592,9 +594,8 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
                                    else not counterexample)})
         return rows
 
-    all_rows = parallel_map(job, ideals, threads)
-    for rows in all_rows:
-        for row in rows:
+    for item in ideals:
+        for row in job(item):
             report.record(row)
 
     if include_special:

@@ -2,27 +2,29 @@
 
 Exit codes: 0 = ok / all agree, 1 = violation or disagreement found
 (scientifically meaningful), 2 = usage or input error, 3 = node budget
-exceeded (inconclusive).
+exceeded (inconclusive), 4 = internal error (a defect in macposet, never
+a verdict).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import __version__, classify
 from .construct import (adjoin_extreme, box, cartesian_product, diamond,
                         disjoint_union, path, spider, wedge)
 from .core import LevelSubset, PosetError, lower_shadow, upper_shadow
-from .expr import ParseError, evaluate, parse_expression, parse_order, print_expression, resolve_order
-from .ideals import (ideal_from_generators, ideal_intersection, parse_monomial,
-                     pure_power_ideal, standard_monomial_poset)
+from .expr import ParseError, evaluate, parse_expression, parse_order, resolve_order
+from .ideals import (ideal_intersection, parse_monomial, pure_power_ideal,
+                     standard_monomial_poset)
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, LevelCapExceeded,
-                       check_macaulay, find_macaulay_order, is_additive)
+                       check_macaulay, find_macaulay_order, is_additive,
+                       min_shadow_table)
 from .orders import union_simplicial_order
 from .serialize import (FormatError, build_report, fibermap_from_text,
-                        order_lists_from_text, poset_from_text, poset_to_text,
-                        write_report)
+                        order_lists_from_text, poset_to_text, write_report)
 
 
 def _read_fibermap(path_):
@@ -116,11 +118,9 @@ def cmd_shadow(args):
 
 
 def cmd_check(args):
-    from .macaulay import min_shadow_table
     ev = _build(args.expr)
     fam = _resolve_order(args.order, ev)
-    table = min_shadow_table(ev.poset, level_cap=args.level_cap,
-                             threads=args.threads)
+    table = min_shadow_table(ev.poset, level_cap=args.level_cap)
     verdict = check_macaulay(ev.poset, fam, table=table)
     if verdict.ok:
         print("ok: the order certifies the poset Macaulay")
@@ -137,7 +137,7 @@ def cmd_check(args):
 def cmd_search_order(args):
     ev = _build(args.expr)
     sr = find_macaulay_order(ev.poset, budget=args.budget,
-                             level_cap=args.level_cap, threads=args.threads)
+                             level_cap=args.level_cap)
     timings = sr.stats.to_json()
     if sr.status == "found":
         print("found a Macaulay order:")
@@ -156,11 +156,9 @@ def cmd_search_order(args):
 
 
 def cmd_additive(args):
-    from .macaulay import min_shadow_table
     ev = _build(args.expr)
     fam = _resolve_order(args.order, ev)
-    table = min_shadow_table(ev.poset, level_cap=args.level_cap,
-                             threads=args.threads)
+    table = min_shadow_table(ev.poset, level_cap=args.level_cap)
     verdict = is_additive(ev.poset, fam, table=table)
     if verdict.ok:
         print("ok: the poset is additive for this order")
@@ -194,7 +192,7 @@ def _grid_exit(rep):
 def cmd_verify_family(args):
     spec = classify.FamilySpec(args.family, _parse_bounds(args.bound),
                                budget=args.budget, level_cap=args.level_cap)
-    rep = classify.verify_family(spec, threads=args.threads)
+    rep = classify.verify_family(spec)
     print(f"{rep.family}: {len(rep.rows)} rows, "
           f"{len(rep.disagreements)} disagreements, "
           f"{len(rep.inconclusive)} inconclusive")
@@ -210,7 +208,7 @@ def cmd_conjecture67(args):
     rep = classify.conjecture_6_7_search(
         max_exp=args.max_exp, extra_steps=args.steps,
         include_special=not args.skip_special,
-        budget=args.budget, level_cap=args.level_cap, threads=args.threads)
+        budget=args.budget, level_cap=args.level_cap)
     hits = [r for r in rep.rows if r.get("counterexample")]
     print(f"conjecture 6.7 scan: {len(rep.rows)} rows, "
           f"{len(hits)} counterexamples, {len(rep.inconclusive)} inconclusive")
@@ -232,7 +230,7 @@ def _reproduce_heart_example(args):
     i2 = pure_power_ideal((3, 3), ("x", "y"))
     inter = ideal_intersection(i1, i2)
     p = standard_monomial_poset(inter)
-    sr = find_macaulay_order(p, budget=args.budget)
+    sr = find_macaulay_order(p, budget=args.budget, level_cap=args.level_cap)
     gens = [str(inter)[1:-1]]
     print(f"(x^4, y) n (x^3, y^3) = {inter}")
     print(f"quotient poset: {p.n} elements, level sizes "
@@ -248,8 +246,8 @@ def _reproduce_twist_figure(args):
     ev = _build("heart(5, 2, 2, 5)")
     twist = _resolve_order("twist", ev)
     lex = _resolve_order("lex(y,x)", ev)
-    v_twist = check_macaulay(ev.poset, twist)
-    v_lex = check_macaulay(ev.poset, lex)
+    v_twist = check_macaulay(ev.poset, twist, level_cap=args.level_cap)
+    v_lex = check_macaulay(ev.poset, lex, level_cap=args.level_cap)
     print(f"heart(5,2,2,5) with twist order: {v_twist.status}")
     print(f"heart(5,2,2,5) with lex order (recorded, not asserted): {v_lex.status}")
     grid = {"twist": v_twist.status, "lex": v_lex.status,
@@ -258,7 +256,7 @@ def _reproduce_twist_figure(args):
 
 
 def _search_target(poset, args, label):
-    sr = find_macaulay_order(poset, budget=args.budget)
+    sr = find_macaulay_order(poset, budget=args.budget, level_cap=args.level_cap)
     print(f"{label}: {poset.n} elements, search verdict: {sr.status}")
     grid = {"elements": poset.n, "search": sr.status}
     code = 1 if sr.status == "none" else (3 if sr.status == "budget-exceeded" else 0)
@@ -293,10 +291,11 @@ def _reproduce_diamond_not_wedge(args):
         res = diamond(factors)
         fams = [_trivial_factor_order(f) for f in factors]
         us = union_simplicial_order(res, fams)
-        v = check_macaulay(res.poset, us)
+        v = check_macaulay(res.poset, us, level_cap=args.level_cap)
         rows[f"diamond[{tag}]"] = v.status
         ok_any = ok_any or v.ok
-    wr = find_macaulay_order(wedge([hat, uhat]).poset, budget=args.budget)
+    wr = find_macaulay_order(wedge([hat, uhat]).poset, budget=args.budget,
+                             level_cap=args.level_cap)
     rows["wedge-search"] = wr.status
     rows["expected_pattern"] = ok_any and wr.status == "none"
     for k, v in rows.items():
@@ -312,8 +311,10 @@ def _trivial_factor_order(p):
 
 def _reproduce_spider_union_fails(args):
     sp = spider(1, 2).poset
-    wr = find_macaulay_order(wedge([sp, sp]).poset, budget=args.budget)
-    ur = find_macaulay_order(disjoint_union([sp, sp]).poset, budget=args.budget)
+    wr = find_macaulay_order(wedge([sp, sp]).poset, budget=args.budget,
+                             level_cap=args.level_cap)
+    ur = find_macaulay_order(disjoint_union([sp, sp]).poset, budget=args.budget,
+                             level_cap=args.level_cap)
     print(f"spider(1,2) wedge spider(1,2): {wr.status}")
     print(f"spider(1,2) disjoint-union spider(1,2): {ur.status}")
     grid = {"wedge": wr.status, "union": ur.status,
@@ -333,31 +334,31 @@ def _grid_target(rep):
 
 
 def _reproduce_thmA(args):
-    return _grid_target(classify.equivalence_suite(budget=args.budget))
+    return _grid_target(classify.equivalence_suite(budget=args.budget,
+                                                   level_cap=args.level_cap))
 
 
 def _reproduce_thmB_wedge(args):
     return _grid_target(classify.verify_wedge_grid(
         classify.FamilySpec("wedge-box", budget=args.budget,
-                            level_cap=args.level_cap), threads=args.threads))
+                            level_cap=args.level_cap)))
 
 
 def _reproduce_thmB_diamond(args):
     return _grid_target(classify.verify_diamond_grid(
         classify.FamilySpec("diamond-box", budget=args.budget,
-                            level_cap=args.level_cap), threads=args.threads))
+                            level_cap=args.level_cap)))
 
 
 def _reproduce_thmC(args):
     return _grid_target(classify.verify_heart_grid(
         classify.FamilySpec("heart", budget=args.budget,
-                            level_cap=args.level_cap), threads=args.threads))
+                            level_cap=args.level_cap)))
 
 
 def _reproduce_conj67(args):
     rep = classify.conjecture_6_7_search(budget=args.budget,
-                                         level_cap=args.level_cap,
-                                         threads=args.threads)
+                                         level_cap=args.level_cap)
     hits = [r for r in rep.rows if r.get("counterexample")]
     print(f"conjecture 6.7 scan: {len(rep.rows)} rows, {len(hits)} counterexamples")
     for h in hits:
@@ -401,7 +402,6 @@ def _add_common(sp):
                     help="search node budget")
     sp.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP,
                     help="largest level size enumerable")
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def build_parser():
@@ -478,12 +478,16 @@ def run_command(argv) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         code, report = args.fn(args)
+        if args.report:
+            write_report(report, args.report)
     except (ParseError, PosetError, FormatError, LevelCapExceeded,
-            FileNotFoundError, ValueError) as e:
+            OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.report:
-        write_report(report, args.report)
+    except Exception as e:  # a crash must not read as a verdict (exit 1)
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     return code
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -71,8 +70,7 @@ class RankedPoset:
     rank ``d`` in ascending id order, which makes every derived object
     (orders, tables, witnesses) deterministic.  A level may be empty:
     removing a unique minimum, for instance, leaves the survivors at
-    their old ranks.  Values are immutable after construction and safe
-    to share across threads.
+    their old ranks.  Values are immutable after construction.
     """
 
     __slots__ = ("n", "rank", "up", "down", "levels", "labels", "var_names",

@@ -11,14 +11,13 @@ level d+1 down to interleavings of its difference sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .core import LevelSubset, PosetError, RankedPoset, Verdict, Witness
 from .orders import LevelOrderFamily, order_from_lists
-from .util import parallel_map
 
 DEFAULT_LEVEL_CAP = 24
 DEFAULT_BUDGET = 20_000_000
@@ -72,8 +71,8 @@ def _masks_as_array(masks, width):
     return arr
 
 
-def min_shadow_table(p: RankedPoset, level_cap: int = DEFAULT_LEVEL_CAP,
-                     threads: int = 1) -> MinShadowTable:
+def min_shadow_table(p: RankedPoset,
+                     level_cap: int = DEFAULT_LEVEL_CAP) -> MinShadowTable:
     """Exact per-level minima by enumerating all subsets of each level."""
     if level_cap > 30:
         raise LevelCapExceeded("level cap above 30 is not supported")
@@ -90,7 +89,7 @@ def min_shadow_table(p: RankedPoset, level_cap: int = DEFAULT_LEVEL_CAP,
         mins, argm = kernels.level_min_shadows(_masks_as_array(masks, width))
         return tuple(int(v) for v in mins), tuple(int(v) for v in argm)
 
-    rows = parallel_map(work, list(range(p.max_rank + 1)), threads)
+    rows = [work(d) for d in range(p.max_rank + 1)]
     total = sum(1 << len(p.level(d)) for d in range(p.max_rank + 1))
     return MinShadowTable(tuple(r[0] for r in rows), tuple(r[1] for r in rows), total)
 
@@ -114,8 +113,7 @@ def _level_pos_bits_to_ids(p: RankedPoset, d: int, bits: int):
 
 def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
                    table: MinShadowTable | None = None,
-                   level_cap: int = DEFAULT_LEVEL_CAP,
-                   threads: int = 1) -> Verdict:
+                   level_cap: int = DEFAULT_LEVEL_CAP) -> Verdict:
     """Decide whether the given order family witnesses Macaulayness.
 
     Scans (level, prefix size) pairs in lexicographic order and returns
@@ -126,7 +124,7 @@ def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
     if o.poset is not p:
         raise PosetError("order family belongs to a different poset")
     if table is None:
-        table = min_shadow_table(p, level_cap=level_cap, threads=threads)
+        table = min_shadow_table(p, level_cap=level_cap)
     for d in range(p.max_rank + 1):
         masks = _prefix_masks(o, d)
         nxt_order = o.descending(d + 1)
@@ -187,8 +185,7 @@ class SearchResult:
 
 def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
                         level_cap: int = DEFAULT_LEVEL_CAP,
-                        table: MinShadowTable | None = None,
-                        threads: int = 1) -> SearchResult:
+                        table: MinShadowTable | None = None) -> SearchResult:
     """Search for an order family certifying Macaulayness.
 
     Level orders are built top-down by rank.  Condition (1) forces every
@@ -201,7 +198,7 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     is reported as its own outcome.
     """
     if table is None:
-        table = min_shadow_table(p, level_cap=level_cap, threads=threads)
+        table = min_shadow_table(p, level_cap=level_cap)
     stats = SearchStats(subsets_enumerated=table.subsets_enumerated)
     height = p.max_rank + 1
     level_masks = []

@@ -24,7 +24,7 @@ Reports are a single JSON document with deterministic byte layout:
 sorted keys, fixed separators, integers only, one trailing newline.
 The ``timings`` block holds work counters (subsets enumerated, search
 nodes), not wall-clock times, so reports are byte-identical across
-runs and thread counts.
+runs.
 """
 
 from __future__ import annotations

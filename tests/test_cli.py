@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from macposet.cli import run_command
+from macposet.cli import REPRODUCE, run_command
 
 
 def run(argv):
@@ -54,6 +54,28 @@ class TestExitCodes:
     def test_verify_family_ok(self):
         assert run(["verify-family", "cartesian-counterexamples"]) == 0
 
+    def test_threads_flag_is_usage_error(self):
+        assert run(["check", "box(2,2)", "--order", "lex(x,y)",
+                    "--threads", "2"]) == 2
+
+    def test_unwritable_report_is_input_error(self, tmp_path):
+        assert run(["check", "box(2,2)", "--order", "lex(x,y)", "--report",
+                    str(tmp_path / "missing" / "r.json")]) == 2
+        assert run(["check", "box(2,2)", "--order", "lex(x,y)", "--report",
+                    str(tmp_path)]) == 2
+
+    def test_crash_exits_four_not_one(self, capsys):
+        assert run(["search-order", "path(600)"]) == 4
+        assert "internal error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["reproduce", name] for name in REPRODUCE]
+                             + [["verify-family", "union-wedge-diamond-equiv"],
+                                ["verify-family", "cartesian-counterexamples"]],
+                             ids=lambda argv: argv[-1])
+    def test_level_cap_honoured_everywhere(self, argv, capsys):
+        assert run(argv + ["--level-cap", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestReports:
     def test_report_written(self, tmp_path):
@@ -92,11 +114,11 @@ class TestDeterminism:
                     "diamond-not-wedge", "spider-union-fails"]
 
     @pytest.mark.parametrize("name", FAST_TARGETS)
-    def test_reports_identical_across_threads(self, name, tmp_path):
+    def test_reports_identical_across_runs(self, name, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        run(["reproduce", name, "--report", str(a), "--threads", "1"])
-        run(["reproduce", name, "--report", str(b), "--threads", "4"])
+        run(["reproduce", name, "--report", str(a)])
+        run(["reproduce", name, "--report", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 

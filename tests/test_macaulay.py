@@ -291,7 +291,7 @@ class TestFindOrder:
     def test_deterministic_output(self):
         p = wedge([box(2, 3), box(2, 3)]).poset
         r1 = find_macaulay_order(p)
-        r2 = find_macaulay_order(p, threads=4)
+        r2 = find_macaulay_order(p)
         assert r1.order.per_level == r2.order.per_level
         assert r1.stats.nodes == r2.stats.nodes
 
