@@ -14,7 +14,7 @@ from .core import PosetError, RankedPoset
 from .ideals import (ideal_from_generators, inclusion_map, pure_power_ideal,
                      standard_monomial_poset)
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
-                       find_macaulay_order, min_shadow_table)
+                       find_macaulay_order)
 from .orders import LevelOrderFamily, lex_order, twist_order
 
 
@@ -203,8 +203,7 @@ def verify_heart_grid(spec: FamilySpec) -> GridReport:
         a0, a1, b0, b1 = t
         pred = heart_predicate(a0, a1, b0, b1)
         hp = build_heart(a0, a1, b0, b1)
-        table = min_shadow_table(hp, level_cap=spec.level_cap)
-        sr = find_macaulay_order(hp, budget=spec.budget, table=table)
+        sr = find_macaulay_order(hp, budget=spec.budget, level_cap=spec.level_cap)
         row = {"params": list(t), "predicate": pred, "search": sr.status,
                "nodes": sr.stats.nodes, "subsets": sr.stats.subsets_enumerated}
         if sr.status == "budget-exceeded":
@@ -215,7 +214,8 @@ def verify_heart_grid(spec: FamilySpec) -> GridReport:
             choice = heart_order_choice(a0, a1, b0, b1)
             fam = resolve_heart_order(hp, choice)
             row["recommended"] = choice.to_json()
-            row["recommended_ok"] = check_macaulay(hp, fam, table=table).ok
+            row["recommended_ok"] = check_macaulay(hp, fam,
+                                                   level_cap=spec.level_cap).ok
             if not row["recommended_ok"]:
                 row["agree"] = False
         return row

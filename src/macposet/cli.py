@@ -22,9 +22,13 @@ from .ideals import (ideal_intersection, parse_monomial, pure_power_ideal,
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, LevelCapExceeded,
                        check_macaulay, find_macaulay_order, is_additive,
                        min_shadow_table)
-from .orders import union_simplicial_order
+from .orders import order_from_lists, union_simplicial_order
 from .serialize import (FormatError, build_report, fibermap_from_text,
                         order_lists_from_text, poset_to_text, write_report)
+
+SEARCH_EXIT = {"found": 0, "none": 1, "budget-exceeded": 3}
+# innermost frames shown for an internal error; a deep search has thousands
+TRACEBACK_FRAMES = 20
 
 
 def _read_fibermap(path_):
@@ -121,7 +125,7 @@ def cmd_check(args):
     ev = _build(args.expr)
     fam = _resolve_order(args.order, ev)
     table = min_shadow_table(ev.poset, level_cap=args.level_cap)
-    verdict = check_macaulay(ev.poset, fam, table=table)
+    verdict = check_macaulay(ev.poset, fam, level_cap=args.level_cap)
     if verdict.ok:
         print("ok: the order certifies the poset Macaulay")
     else:
@@ -138,28 +142,27 @@ def cmd_search_order(args):
     ev = _build(args.expr)
     sr = find_macaulay_order(ev.poset, budget=args.budget,
                              level_cap=args.level_cap)
-    timings = sr.stats.to_json()
+    grid = None
     if sr.status == "found":
         print("found a Macaulay order:")
         for d, lst in enumerate(sr.order.per_level):
             names = " > ".join(ev.poset.element_name(i) for i in lst)
             print(f"  level {d}: {names}")
-        return 0, build_report("search-order", args.expr, verdict="found",
-                               grid={"order": sr.order.to_lists()}, timings=timings)
-    if sr.status == "none":
+        grid = {"order": sr.order.to_lists()}
+    elif sr.status == "none":
         print("no Macaulay order exists (search space exhausted)")
-        return 1, build_report("search-order", args.expr, verdict="none",
-                               timings=timings)
-    print("inconclusive: node budget exceeded")
-    return 3, build_report("search-order", args.expr, verdict="budget-exceeded",
-                           timings=timings)
+    else:
+        print("inconclusive: node budget exceeded")
+    return SEARCH_EXIT[sr.status], build_report(
+        "search-order", args.expr, verdict=sr.status, grid=grid,
+        timings=sr.stats.to_json())
 
 
 def cmd_additive(args):
     ev = _build(args.expr)
     fam = _resolve_order(args.order, ev)
     table = min_shadow_table(ev.poset, level_cap=args.level_cap)
-    verdict = is_additive(ev.poset, fam, table=table)
+    verdict = is_additive(ev.poset, fam, level_cap=args.level_cap)
     if verdict.ok:
         print("ok: the poset is additive for this order")
     else:
@@ -209,18 +212,21 @@ def cmd_conjecture67(args):
         max_exp=args.max_exp, extra_steps=args.steps,
         include_special=not args.skip_special,
         budget=args.budget, level_cap=args.level_cap)
+    hits, code = _conj67_outcome(rep)
+    return code, build_report("conjecture67",
+                              f"max_exp={args.max_exp} steps={args.steps}",
+                              verdict="counterexample" if hits else "no-counterexample",
+                              grid=rep.to_json(), timings=rep.counters)
+
+
+def _conj67_outcome(rep):
+    """Print a conjecture 6.7 scan's hits; return them and the exit code."""
     hits = [r for r in rep.rows if r.get("counterexample")]
     print(f"conjecture 6.7 scan: {len(rep.rows)} rows, "
           f"{len(hits)} counterexamples, {len(rep.inconclusive)} inconclusive")
     for h in hits:
         print(f"  COUNTEREXAMPLE: {h}")
-    report = build_report("conjecture67",
-                          f"max_exp={args.max_exp} steps={args.steps}",
-                          verdict="counterexample" if hits else "no-counterexample",
-                          grid=rep.to_json(), timings=rep.counters)
-    if hits:
-        return 1, report
-    return (3 if rep.inconclusive else 0), report
+    return hits, (1 if hits else 3 if rep.inconclusive else 0)
 
 
 # ------------------------------------------------------------------ reproduce
@@ -238,8 +244,7 @@ def _reproduce_heart_example(args):
     print(f"search verdict: {sr.status}")
     grid = {"intersection_generators": gens, "elements": p.n,
             "level_sizes": list(p.level_sizes()), "search": sr.status}
-    code = 1 if sr.status == "none" else (3 if sr.status == "budget-exceeded" else 0)
-    return code, grid, sr.stats.to_json()
+    return SEARCH_EXIT[sr.status], grid, sr.stats.to_json()
 
 
 def _reproduce_twist_figure(args):
@@ -259,8 +264,7 @@ def _search_target(poset, args, label):
     sr = find_macaulay_order(poset, budget=args.budget, level_cap=args.level_cap)
     print(f"{label}: {poset.n} elements, search verdict: {sr.status}")
     grid = {"elements": poset.n, "search": sr.status}
-    code = 1 if sr.status == "none" else (3 if sr.status == "budget-exceeded" else 0)
-    return code, grid, sr.stats.to_json()
+    return SEARCH_EXIT[sr.status], grid, sr.stats.to_json()
 
 
 def _reproduce_prop61_product(args):
@@ -300,12 +304,10 @@ def _reproduce_diamond_not_wedge(args):
     rows["expected_pattern"] = ok_any and wr.status == "none"
     for k, v in rows.items():
         print(f"{k}: {v}")
-    code = 3 if wr.status == "budget-exceeded" else (1 if wr.status == "none" else 0)
-    return code, rows, wr.stats.to_json()
+    return SEARCH_EXIT[wr.status], rows, wr.stats.to_json()
 
 
 def _trivial_factor_order(p):
-    from .orders import order_from_lists
     return order_from_lists(p, [list(p.level(d)) for d in range(p.max_rank + 1)])
 
 
@@ -359,12 +361,7 @@ def _reproduce_thmC(args):
 def _reproduce_conj67(args):
     rep = classify.conjecture_6_7_search(budget=args.budget,
                                          level_cap=args.level_cap)
-    hits = [r for r in rep.rows if r.get("counterexample")]
-    print(f"conjecture 6.7 scan: {len(rep.rows)} rows, {len(hits)} counterexamples")
-    for h in hits:
-        print(f"  COUNTEREXAMPLE: {h}")
-    code = 1 if hits else (3 if rep.inconclusive else 0)
-    return code, rep.to_json(), rep.counters
+    return _conj67_outcome(rep)[1], rep.to_json(), rep.counters
 
 
 REPRODUCE = {
@@ -396,12 +393,15 @@ def cmd_reproduce(args):
 
 # ----------------------------------------------------------------- entrypoint
 
-def _add_common(sp):
+def _add_flags(sp, level_cap=True, budget=True):
+    """--report, plus --level-cap and --budget where the command honours them."""
     sp.add_argument("--report", help="write a JSON report to this file")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="search node budget")
-    sp.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP,
-                    help="largest level size enumerable")
+    if budget:
+        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="search node budget")
+    if level_cap:
+        sp.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP,
+                        help="largest level size enumerable")
 
 
 def build_parser():
@@ -414,12 +414,12 @@ def build_parser():
     sp = sub.add_parser("build", help="build a poset and write its file form")
     sp.add_argument("expr")
     sp.add_argument("--out")
-    _add_common(sp)
+    _add_flags(sp, level_cap=False, budget=False)
     sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("show", help="print levels, covers, level sizes")
     sp.add_argument("expr")
-    _add_common(sp)
+    _add_flags(sp, level_cap=False, budget=False)
     sp.set_defaults(fn=cmd_show)
 
     sp = sub.add_parser("shadow", help="upper or lower shadow of a set")
@@ -427,24 +427,24 @@ def build_parser():
     sp.add_argument("--set", required=True,
                     help="comma-separated monomials or #ids, one level")
     sp.add_argument("--lower", action="store_true")
-    _add_common(sp)
+    _add_flags(sp, level_cap=False, budget=False)
     sp.set_defaults(fn=cmd_shadow)
 
     sp = sub.add_parser("check", help="check Macaulayness for a given order")
     sp.add_argument("expr")
     sp.add_argument("--order", required=True)
-    _add_common(sp)
+    _add_flags(sp, budget=False)
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("search-order", help="search for a certifying order")
     sp.add_argument("expr")
-    _add_common(sp)
+    _add_flags(sp)
     sp.set_defaults(fn=cmd_search_order)
 
     sp = sub.add_parser("additive", help="check additivity for a given order")
     sp.add_argument("expr")
     sp.add_argument("--order", required=True)
-    _add_common(sp)
+    _add_flags(sp, budget=False)
     sp.set_defaults(fn=cmd_additive)
 
     sp = sub.add_parser("verify-family", help="predicate vs search over a grid")
@@ -453,19 +453,19 @@ def build_parser():
                                        "union-wedge-diamond-equiv",
                                        "cartesian-counterexamples"])
     sp.add_argument("--bound", action="append", metavar="key=lo:hi")
-    _add_common(sp)
+    _add_flags(sp)
     sp.set_defaults(fn=cmd_verify_family)
 
     sp = sub.add_parser("conjecture67", help="scan quotient x path products")
     sp.add_argument("--max-exp", type=int, default=4)
     sp.add_argument("--steps", type=int, default=3)
     sp.add_argument("--skip-special", action="store_true")
-    _add_common(sp)
+    _add_flags(sp)
     sp.set_defaults(fn=cmd_conjecture67)
 
     sp = sub.add_parser("reproduce", help="run a named paper artifact")
     sp.add_argument("name")
-    _add_common(sp)
+    _add_flags(sp)
     sp.set_defaults(fn=cmd_reproduce)
     return ap
 
@@ -485,7 +485,7 @@ def run_command(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a crash must not read as a verdict (exit 1)
-        traceback.print_exc()
+        traceback.print_exc(limit=-TRACEBACK_FRAMES)
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     return code

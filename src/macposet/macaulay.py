@@ -11,6 +11,7 @@ level d+1 down to interleavings of its difference sets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ from .orders import LevelOrderFamily, order_from_lists
 
 DEFAULT_LEVEL_CAP = 24
 DEFAULT_BUDGET = 20_000_000
+# memoised level rows: room for the ~620 distinct levels of the 12
+# reproduce targets, a few MB even when the levels are 24 wide
+LEVEL_ROW_CACHE = 1024
 
 
 class LevelCapExceeded(PosetError):
@@ -37,6 +41,8 @@ class MinShadowTable:
 
     ``argmins[d][q]`` is the first minimizing subset in ascending binary
     order, as a bitmask over level-d positions (ascending element id).
+    ``subsets_enumerated`` counts 2^n for each level of n elements,
+    whether or not the level's row came from the memo.
     """
 
     mins: tuple
@@ -46,24 +52,20 @@ class MinShadowTable:
     def entry(self, d: int, q: int) -> int:
         return self.mins[d][q]
 
-    def level_count(self) -> int:
-        return len(self.mins)
-
 
 def shadow_masks(p: RankedPoset, d: int):
     """Per-position bitmasks of up-cover positions in level d+1."""
-    nxt = p.level(d + 1)
     masks = []
     for i in p.level(d):
         m = 0
         for b in p.up[i]:
             m |= 1 << p.pos_in_level[b]
         masks.append(m)
-    return masks, len(nxt)
+    return masks
 
 
-def _masks_as_array(masks, width):
-    words = max(1, (width + 63) // 64)
+def _masks_as_array(masks):
+    words = max(1, (max(masks).bit_length() + 63) // 64)
     arr = np.zeros((len(masks), words), dtype=np.uint64)
     for i, m in enumerate(masks):
         for k in range(words):
@@ -71,9 +73,24 @@ def _masks_as_array(masks, width):
     return arr
 
 
+@functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
+def _level_row(masks: tuple[int, ...]):
+    """(mins, argmins) of a level whose shadow masks, in position order,
+    are ``masks``.  The key keeps that order: argmins are positions."""
+    if not masks:
+        return (0,), (0,)
+    mins, argm = kernels.level_min_shadows(_masks_as_array(masks))
+    return tuple(int(v) for v in mins), tuple(int(v) for v in argm)
+
+
 def min_shadow_table(p: RankedPoset,
                      level_cap: int = DEFAULT_LEVEL_CAP) -> MinShadowTable:
-    """Exact per-level minima by enumerating all subsets of each level."""
+    """Exact per-level minima by enumerating all subsets of each level.
+
+    Each level's row is memoised on its shadow masks, so a level met
+    again, in this poset or another, is not enumerated again while it
+    is among the ``LEVEL_ROW_CACHE`` most recently used rows.
+    """
     if level_cap > 30:
         raise LevelCapExceeded("level cap above 30 is not supported")
     for d in range(p.max_rank + 1):
@@ -82,14 +99,7 @@ def min_shadow_table(p: RankedPoset,
                 f"level {d} has {len(p.level(d))} elements, cap is {level_cap}; "
                 "raise --level-cap if this is intended")
 
-    def work(d):
-        masks, width = shadow_masks(p, d)
-        if not masks:
-            return (0,), (0,)
-        mins, argm = kernels.level_min_shadows(_masks_as_array(masks, width))
-        return tuple(int(v) for v in mins), tuple(int(v) for v in argm)
-
-    rows = [work(d) for d in range(p.max_rank + 1)]
+    rows = [_level_row(tuple(shadow_masks(p, d))) for d in range(p.max_rank + 1)]
     total = sum(1 << len(p.level(d)) for d in range(p.max_rank + 1))
     return MinShadowTable(tuple(r[0] for r in rows), tuple(r[1] for r in rows), total)
 
@@ -97,13 +107,8 @@ def min_shadow_table(p: RankedPoset,
 def _prefix_masks(o: LevelOrderFamily, d: int):
     """Order-position shadow masks for level d of the family."""
     p = o.poset
-    masks = []
-    for i in o.descending(d):
-        m = 0
-        for b in p.up[i]:
-            m |= 1 << p.pos_in_level[b]
-        masks.append(m)
-    return masks
+    masks = shadow_masks(p, d)
+    return [masks[p.pos_in_level[i]] for i in o.descending(d)]
 
 
 def _level_pos_bits_to_ids(p: RankedPoset, d: int, bits: int):
@@ -112,7 +117,6 @@ def _level_pos_bits_to_ids(p: RankedPoset, d: int, bits: int):
 
 
 def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
-                   table: MinShadowTable | None = None,
                    level_cap: int = DEFAULT_LEVEL_CAP) -> Verdict:
     """Decide whether the given order family witnesses Macaulayness.
 
@@ -123,8 +127,7 @@ def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
     """
     if o.poset is not p:
         raise PosetError("order family belongs to a different poset")
-    if table is None:
-        table = min_shadow_table(p, level_cap=level_cap)
+    table = min_shadow_table(p, level_cap=level_cap)
     for d in range(p.max_rank + 1):
         masks = _prefix_masks(o, d)
         nxt_order = o.descending(d + 1)
@@ -184,8 +187,7 @@ class SearchResult:
 
 
 def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
-                        level_cap: int = DEFAULT_LEVEL_CAP,
-                        table: MinShadowTable | None = None) -> SearchResult:
+                        level_cap: int = DEFAULT_LEVEL_CAP) -> SearchResult:
     """Search for an order family certifying Macaulayness.
 
     Level orders are built top-down by rank.  Condition (1) forces every
@@ -197,14 +199,10 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     An exhausted search is a definitive "none"; hitting the node budget
     is reported as its own outcome.
     """
-    if table is None:
-        table = min_shadow_table(p, level_cap=level_cap)
+    table = min_shadow_table(p, level_cap=level_cap)
     stats = SearchStats(subsets_enumerated=table.subsets_enumerated)
     height = p.max_rank + 1
-    level_masks = []
-    for d in range(height):
-        masks, _ = shadow_masks(p, d)
-        level_masks.append(masks)
+    level_masks = [shadow_masks(p, d) for d in range(height)]
     chosen: list = [None] * height
 
     def blocks_for(d: int):
@@ -278,7 +276,7 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
         lv = p.level(d)
         lists.append([lv[k] for k in chosen[d]])
     order = order_from_lists(p, lists)
-    verdict = check_macaulay(p, order, table=table)
+    verdict = check_macaulay(p, order, level_cap=level_cap)
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
     return SearchResult("found", order, stats)
@@ -302,7 +300,6 @@ def new_shadow(o: LevelOrderFamily, d: int, start: int, stop: int) -> LevelSubse
 
 
 def is_additive(p: RankedPoset, o: LevelOrderFamily,
-                table: MinShadowTable | None = None,
                 level_cap: int = DEFAULT_LEVEL_CAP) -> Verdict:
     """Check the two new-shadow inequalities over every segment.
 
@@ -311,7 +308,7 @@ def is_additive(p: RankedPoset, o: LevelOrderFamily,
     largest and the final segment's smallest among all q-element
     segments.
     """
-    pre = check_macaulay(p, o, table=table, level_cap=level_cap)
+    pre = check_macaulay(p, o, level_cap=level_cap)
     if not pre.ok:
         raise PosetError("additivity is defined for Macaulay posets; "
                          f"check failed: {pre.witness.detail}")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from macposet.cli import REPRODUCE, run_command
+from macposet.macaulay import _level_row
 
 
 def run(argv):
@@ -66,7 +67,20 @@ class TestExitCodes:
 
     def test_crash_exits_four_not_one(self, capsys):
         assert run(["search-order", "path(600)"]) == 4
-        assert "internal error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error:" in err
+        # only the innermost frames of the deep recursion
+        assert len(err.splitlines()) < 100
+
+    @pytest.mark.parametrize("argv", [
+        ["show", "box(30,30)", "--level-cap", "1"],
+        ["build", "box(3,3)", "--budget", "0", "--level-cap", "1"],
+        ["shadow", "box(2,2)", "--set", "x", "--budget", "0"],
+        ["check", "box(2,2)", "--order", "lex(x,y)", "--budget", "0"],
+        ["additive", "box(2,2)", "--order", "lex(x,y)", "--budget", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_command_ignores_is_usage_error(self, argv):
+        assert run(argv) == 2
 
     @pytest.mark.parametrize("argv", [["reproduce", name] for name in REPRODUCE]
                              + [["verify-family", "union-wedge-diamond-equiv"],
@@ -115,6 +129,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", FAST_TARGETS)
     def test_reports_identical_across_runs(self, name, tmp_path):
+        # the first run starts from a cold level-row memo, the second
+        # finds every row memoised
+        _level_row.cache_clear()
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run(["reproduce", name, "--report", str(a)])

@@ -13,7 +13,8 @@ from macposet import (LevelSubset, PosetError, RankedPoset, box,
                       standard_monomial_poset, union_simplicial_order,
                       upper_shadow, wedge)
 from macposet.construct import adjoin_extreme, remove_extreme, restrict_to_factors
-from macposet.macaulay import LevelCapExceeded
+from macposet.cli import run_command
+from macposet.macaulay import LevelCapExceeded, _level_row
 from macposet.orders import initial_segment
 from macposet import kernels
 
@@ -86,6 +87,53 @@ class TestMinShadowTable:
             t = min_shadow_table(p)
             for row in t.mins:
                 assert list(row) == sorted(row)
+
+
+class TestLevelRowMemo:
+    """Level rows are memoised on their ordered shadow masks."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        _level_row.cache_clear()
+        calls = []
+        real = kernels.level_min_shadows
+
+        def counted(masks):
+            calls.append(len(masks))
+            return real(masks)
+
+        monkeypatch.setattr(kernels, "level_min_shadows", counted)
+        return calls
+
+    def test_one_kernel_call_per_distinct_level(self, kernel_calls):
+        # two checks of heart(5,2,2,5), whose 6 levels are all distinct
+        assert run_command(["reproduce", "twist-figure"]) == 0
+        assert len(kernel_calls) == 6
+
+    def test_check_after_search_calls_no_kernel(self, kernel_calls):
+        p = box(3, 4)
+        r = find_macaulay_order(p)
+        seen = len(kernel_calls)
+        assert seen > 0
+        assert check_macaulay(p, r.order).ok
+        assert len(kernel_calls) == seen
+
+    def test_key_keeps_mask_order(self):
+        # level 0 of both posets has the masks 0b011 and 0b100, in
+        # opposite orders; the argmins differ as positions do
+        _level_row.cache_clear()
+        ranks = [0, 0, 1, 1, 1]
+        for covers, masks in (([(0, 2), (0, 3), (1, 4)], [[3], [4]]),
+                              ([(0, 4), (1, 2), (1, 3)], [[4], [3]])):
+            p = RankedPoset(ranks, covers)
+            _, argm = kernels.level_min_shadows(np.array(masks, dtype=np.uint64))
+            assert min_shadow_table(p).argmins[0] == tuple(int(v) for v in argm)
+
+    def test_warm_row_does_not_pass_the_cap(self):
+        p = box(2, 2)
+        min_shadow_table(p)
+        with pytest.raises(LevelCapExceeded):
+            min_shadow_table(p, level_cap=1)
 
 
 def reference_min_shadows(masks):
