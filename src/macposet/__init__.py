@@ -17,9 +17,8 @@ from .ideals import (MonomialIdeal, divides, ideal_contains,
 from .orders import (LevelOrderFamily, final_segment, initial_segment,
                      lex_order, order_from_lists, restrict_order, twist_order,
                      union_simplicial_order)
-from .macaulay import (BudgetExceeded, LevelCapExceeded, MinShadowTable,
-                       SearchResult, SearchStats, check_macaulay,
-                       find_macaulay_order, is_additive, min_shadow_table,
-                       new_shadow)
+from .macaulay import (LevelCapExceeded, MinShadowTable, SearchResult,
+                       SearchStats, check_macaulay, find_macaulay_order,
+                       is_additive, min_shadow_table, new_shadow)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,6 +9,7 @@ a verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -27,8 +28,6 @@ from .serialize import (FormatError, build_report, fibermap_from_text,
                         order_lists_from_text, poset_to_text, write_report)
 
 SEARCH_EXIT = {"found": 0, "none": 1, "budget-exceeded": 3}
-# innermost frames shown for an internal error; a deep search has thousands
-TRACEBACK_FRAMES = 20
 
 
 def _read_fibermap(path_):
@@ -404,7 +403,10 @@ def _add_flags(sp, level_cap=True, budget=True):
                         help="largest level size enumerable")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and reused by
+    every ``run_command``."""
     ap = argparse.ArgumentParser(
         prog="macposet",
         description="Ranked-poset algebra with Macaulay decision procedures")
@@ -485,7 +487,7 @@ def run_command(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a crash must not read as a verdict (exit 1)
-        traceback.print_exc(limit=-TRACEBACK_FRAMES)
+        traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
     return code

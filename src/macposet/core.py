@@ -74,7 +74,7 @@ class RankedPoset:
     """
 
     __slots__ = ("n", "rank", "up", "down", "levels", "labels", "var_names",
-                 "name", "pos_in_level", "_leq")
+                 "name", "pos_in_level", "_leq", "_shadow")
 
     def __init__(self, ranks, covers, labels=None, var_names=None, name=""):
         self.n = len(ranks)
@@ -104,6 +104,7 @@ class RankedPoset:
         self.var_names = tuple(var_names) if var_names is not None else None
         self.name = name
         self._leq = None
+        self._shadow = None
 
     @property
     def max_rank(self) -> int:
@@ -139,6 +140,16 @@ class RankedPoset:
                 masks[a] = m
             self._leq = tuple(masks)
         return self._leq
+
+    def _shadow_masks(self):
+        # _shadow[d][k] = bitmask over level-(d+1) positions covering the
+        # k-th element of level d; computed once on demand.
+        if self._shadow is None:
+            pos = self.pos_in_level
+            self._shadow = tuple(
+                tuple(sum({1 << pos[b] for b in self.up[i]}) for i in lv)
+                for lv in self.levels)
+        return self._shadow
 
     def element_name(self, i: int) -> str:
         if self.labels is not None:

@@ -112,6 +112,10 @@ class _Tokens:
         return t
 
 
+# deepest nesting of calls the parsers accept; deeper input is a
+# ParseError, not a RecursionError
+MAX_NESTING = 100
+
 _POSET_FNS = {"path", "box", "spider", "heart", "poset", "union", "wedge",
               "diamond", "cart", "fiber", "hat", "uhat", "bar", "ubar"}
 _ARITY = {"path": (1, 1), "box": (1, None), "spider": (1, None),
@@ -130,10 +134,12 @@ def parse_expression(text: str) -> Node | Explicit:
     return node
 
 
-def _parse_expr(toks: _Tokens):
+def _parse_expr(toks: _Tokens, depth: int = 0):
     kind, val, pos = toks.peek()
     if kind != "NAME":
         raise ParseError(f"expected an expression, found {val!r}", pos)
+    if depth >= MAX_NESTING:
+        raise ParseError(f"expression nested more than {MAX_NESTING} deep", pos)
     if val == "explicit":
         return _parse_explicit(toks)
     toks.next()
@@ -144,7 +150,7 @@ def _parse_expr(toks: _Tokens):
     args = []
     if toks.peek()[0] != ")":
         while True:
-            args.append(_parse_arg(toks, fn))
+            args.append(_parse_arg(toks, fn, depth))
             if toks.peek()[0] == ",":
                 toks.next()
                 continue
@@ -159,7 +165,7 @@ def _parse_expr(toks: _Tokens):
     return Node(fn, tuple(args))
 
 
-def _parse_arg(toks: _Tokens, fn: str):
+def _parse_arg(toks: _Tokens, fn: str, depth: int):
     kind, val, pos = toks.peek()
     if kind == "INT":
         nxt = toks.toks[toks.k + 1]
@@ -179,7 +185,7 @@ def _parse_arg(toks: _Tokens, fn: str):
     if kind == "NAME":
         if fn == "ideal":
             return _parse_monomial(toks)
-        return _parse_expr(toks)
+        return _parse_expr(toks, depth + 1)
     raise ParseError(f"unexpected token {val!r}", pos)
 
 
@@ -364,10 +370,12 @@ def parse_order(text: str) -> OrderNode:
     return node
 
 
-def _parse_order(toks: _Tokens) -> OrderNode:
+def _parse_order(toks: _Tokens, depth: int = 0) -> OrderNode:
     kind, val, pos = toks.next()
     if kind != "NAME":
         raise ParseError(f"expected an order expression, found {val!r}", pos)
+    if depth >= MAX_NESTING:
+        raise ParseError(f"order nested more than {MAX_NESTING} deep", pos)
     if val == "twist":
         return OrderNode("twist", ())
     if val == "lex":
@@ -380,10 +388,10 @@ def _parse_order(toks: _Tokens) -> OrderNode:
         return OrderNode("lex", tuple(names))
     if val == "us":
         toks.expect("(")
-        subs = [_parse_order(toks)]
+        subs = [_parse_order(toks, depth + 1)]
         while toks.peek()[0] == ",":
             toks.next()
-            subs.append(_parse_order(toks))
+            subs.append(_parse_order(toks, depth + 1))
         toks.expect(")")
         return OrderNode("us", tuple(subs))
     if val == "lists":

@@ -31,10 +31,6 @@ class LevelCapExceeded(PosetError):
     pass
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class MinShadowTable:
     """entry(d, q) = exact minimum of |shadow(A)| over |A| = q at level d.
@@ -53,15 +49,11 @@ class MinShadowTable:
         return self.mins[d][q]
 
 
-def shadow_masks(p: RankedPoset, d: int):
-    """Per-position bitmasks of up-cover positions in level d+1."""
-    masks = []
-    for i in p.level(d):
-        m = 0
-        for b in p.up[i]:
-            m |= 1 << p.pos_in_level[b]
-        masks.append(m)
-    return masks
+def shadow_masks(p: RankedPoset, d: int) -> tuple:
+    """Per-position bitmasks of up-cover positions in level d+1, derived
+    once per poset."""
+    masks = p._shadow_masks()
+    return masks[d] if 0 <= d < len(masks) else ()
 
 
 def _masks_as_array(masks):
@@ -99,7 +91,7 @@ def min_shadow_table(p: RankedPoset,
                 f"level {d} has {len(p.level(d))} elements, cap is {level_cap}; "
                 "raise --level-cap if this is intended")
 
-    rows = [_level_row(tuple(shadow_masks(p, d))) for d in range(p.max_rank + 1)]
+    rows = [_level_row(shadow_masks(p, d)) for d in range(p.max_rank + 1)]
     total = sum(1 << len(p.level(d)) for d in range(p.max_rank + 1))
     return MinShadowTable(tuple(r[0] for r in rows), tuple(r[1] for r in rows), total)
 
@@ -198,79 +190,77 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     broken by ascending element id, making the outcome deterministic.
     An exhausted search is a definitive "none"; hitting the node budget
     is reported as its own outcome.
+
+    The search is one loop over an explicit stack of frames, so no input
+    is too deep for it.  A frame ``[d, bi, blocks, remaining, untried,
+    shadow]`` places the next element of level d: ``blocks`` are the
+    bitmasks of level d's forced partition, ``remaining`` the positions
+    of block ``bi`` not yet placed, ``untried`` those not yet tried by
+    this frame (lowest position first), and ``shadow`` the shadow of
+    level d's order so far.  Each candidate tried is one search node.  A
+    candidate whose shadow meets the table minimum is appended to level
+    d's order and the frame for the next position is pushed; that is
+    the next level's first frame when level d is complete, and ``None``
+    past the top level.  An exhausted frame is popped, which undoes the
+    placement made by the frame below it.
     """
     table = min_shadow_table(p, level_cap=level_cap)
     stats = SearchStats(subsets_enumerated=table.subsets_enumerated)
     height = p.max_rank + 1
     level_masks = [shadow_masks(p, d) for d in range(height)]
-    chosen: list = [None] * height
+    chosen = [[] for _ in range(height)]  # level orders, as positions
 
     def blocks_for(d: int):
         # partition of level-d positions forced by the order below
-        npos = len(p.level(d))
-        if d == 0 or chosen[d - 1] is None:
-            return [list(range(npos))] if npos else []
         blocks = []
-        seen = 0
-        acc = 0
-        for k in chosen[d - 1]:
-            acc |= level_masks[d - 1][k]
-            new = acc & ~seen
-            if new:
-                blocks.append([b for b in range(npos) if new >> b & 1])
-                seen = acc
-        rest = [b for b in range(npos) if not seen >> b & 1]
+        seen = acc = 0
+        if d:
+            for k in chosen[d - 1]:
+                acc |= level_masks[d - 1][k]
+                if acc != seen:
+                    blocks.append(acc & ~seen)
+                    seen = acc
+        rest = ((1 << len(p.level(d))) - 1) & ~seen
         if rest:
             blocks.append(rest)
         return blocks
 
-    def order_level(d: int) -> bool:
-        if d == height:
-            return True
-        blocks = blocks_for(d)
-        mins = table.mins[d]
-        order: list = []
-        shadow_stack = [0]
+    def first_frame(d: int):
+        # empty levels have no frame: their order is empty
+        for d in range(d, height):
+            blocks = blocks_for(d)
+            if blocks:
+                return [d, 0, blocks, blocks[0], blocks[0], 0]
+        return None
 
-        def place(bi: int, remaining: list) -> bool:
-            if not remaining:
-                if bi + 1 < len(blocks):
-                    return place(bi + 1, list(blocks[bi + 1]))
-                chosen[d] = tuple(order)
-                if order_level(d + 1):
-                    return True
-                chosen[d] = None
-                return False
-            for idx, k in enumerate(remaining):
-                stats.nodes += 1
-                if budget is not None and stats.nodes > budget:
-                    raise BudgetExceeded
-                sh = shadow_stack[-1] | level_masks[d][k]
-                if sh.bit_count() != mins[len(order) + 1]:
-                    continue
-                order.append(k)
-                shadow_stack.append(sh)
-                rest = remaining[:idx] + remaining[idx + 1:]
-                if place(bi, rest):
-                    return True
-                order.pop()
-                shadow_stack.pop()
-            return False
-
-        if not blocks:
-            chosen[d] = ()
-            if order_level(d + 1):
-                return True
-            chosen[d] = None
-            return False
-        return place(0, list(blocks[0]))
-
-    try:
-        ok = order_level(0)
-    except BudgetExceeded:
-        return SearchResult("budget-exceeded", None, stats)
-    if not ok:
-        return SearchResult("none", None, stats)
+    stack = [first_frame(0)]
+    while stack[-1] is not None:
+        frame = stack[-1]
+        d, bi, blocks, remaining, untried, shadow = frame
+        if not untried:
+            stack.pop()
+            if not stack:
+                return SearchResult("none", None, stats)
+            chosen[stack[-1][0]].pop()
+            continue
+        low = untried & -untried
+        frame[4] = untried ^ low
+        stats.nodes += 1
+        if budget is not None and stats.nodes > budget:
+            return SearchResult("budget-exceeded", None, stats)
+        k = low.bit_length() - 1
+        sh = shadow | level_masks[d][k]
+        order = chosen[d]
+        if sh.bit_count() != table.mins[d][len(order) + 1]:
+            continue
+        order.append(k)
+        remaining ^= low
+        if remaining:
+            stack.append([d, bi, blocks, remaining, remaining, sh])
+        elif bi + 1 < len(blocks):
+            stack.append([d, bi + 1, blocks, blocks[bi + 1], blocks[bi + 1], sh])
+        else:
+            stack.append(first_frame(d + 1))
     lists = []
     for d in range(height):
         lv = p.level(d)

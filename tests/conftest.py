@@ -64,6 +64,29 @@ def brute_order_exists(p):
     return False
 
 
+def layered_order_exists(p):
+    """Order existence one level at a time.  Level d's condition involves
+    only the orders of levels d and d+1, so keep the set of level-(d+1)
+    orders reachable from some valid level-d order; an order family
+    exists exactly when that set never runs empty."""
+    reach = set(itertools.permutations(p.level(0)))
+    for d in range(p.max_rank + 1):
+        mins = brute_min_shadow(p, d)
+
+        def valid(order, nxt):
+            for q in range(len(order) + 1):
+                sh = naive_upper_shadow(p, order[:q])
+                if len(sh) != mins[q] or set(nxt[:len(sh)]) != sh:
+                    return False
+            return True
+
+        reach = {nxt for nxt in itertools.permutations(p.level(d + 1))
+                 if any(valid(order, nxt) for order in reach)}
+        if not reach:
+            return False
+    return True
+
+
 @pytest.fixture
 def small_corpus():
     return [

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from macposet import cli
 from macposet.cli import REPRODUCE, run_command
+from macposet.expr import MAX_NESTING
 from macposet.macaulay import _level_row
 
 
@@ -65,12 +67,33 @@ class TestExitCodes:
         assert run(["check", "box(2,2)", "--order", "lex(x,y)", "--report",
                     str(tmp_path)]) == 2
 
-    def test_crash_exits_four_not_one(self, capsys):
-        assert run(["search-order", "path(600)"]) == 4
+    def test_crash_exits_four_not_one(self, monkeypatch, capsys):
+        # the parser is built once per process and holds the cmd_*
+        # functions, so the crash is planted in what cmd_search_order calls
+        def crash(p, depth=500, **kwargs):
+            if depth:
+                return crash(p, depth - 1)
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr(cli, "find_macaulay_order", crash)
+        assert run(["search-order", "path(2)"]) == 4
         err = capsys.readouterr().err
-        assert "internal error:" in err
-        # only the innermost frames of the deep recursion
+        assert "internal error: ZeroDivisionError: planted" in err
+        # the traceback folds the 500 repeated frames into one line
         assert len(err.splitlines()) < 100
+
+    def test_deep_search_gets_a_verdict(self):
+        assert run(["search-order", "path(600)"]) == 0
+
+    # without the limit, `show` evaluated up to 493 deep and crashed
+    # past that; the limit refuses both alike
+    @pytest.mark.parametrize("depth", [MAX_NESTING, 493, 500])
+    def test_deep_expression_is_usage_error(self, depth, capsys):
+        deep = "hat(" * depth + "path(2)" + ")" * depth
+        assert run(["show", deep]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expression nested more than 100 deep")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["show", "box(30,30)", "--level-cap", "1"],

@@ -1,9 +1,9 @@
 import pytest
 
 from macposet import are_isomorphic, box, check_macaulay, path, spider, wedge
-from macposet.expr import (Explicit, Mono, Node, ParseError, evaluate,
-                           parse_expression, parse_order, print_expression,
-                           print_order, resolve_order)
+from macposet.expr import (MAX_NESTING, Explicit, Mono, Node, ParseError,
+                           evaluate, parse_expression, parse_order,
+                           print_expression, print_order, resolve_order)
 
 
 class TestParsing:
@@ -47,6 +47,18 @@ class TestParsing:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_expression("path(3) path(2)")
+
+    def test_nesting_limit(self):
+        def nested(fn, n, leaf):
+            return f"{fn}(" * n + leaf + ")" * n
+
+        assert parse_expression(nested("hat", MAX_NESTING - 1, "path(2)"))
+        for n in (MAX_NESTING, 500, 5000):
+            with pytest.raises(ParseError, match="nested more than"):
+                parse_expression(nested("hat", n, "path(2)"))
+        assert parse_order(nested("us", MAX_NESTING - 1, "twist"))
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_order(nested("us", 5000, "twist"))
 
 
 CORPUS = [

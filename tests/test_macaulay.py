@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -13,12 +14,14 @@ from macposet import (LevelSubset, PosetError, RankedPoset, box,
                       standard_monomial_poset, union_simplicial_order,
                       upper_shadow, wedge)
 from macposet.construct import adjoin_extreme, remove_extreme, restrict_to_factors
+from macposet.classify import _random_hat_corpus, build_heart
 from macposet.cli import run_command
 from macposet.macaulay import LevelCapExceeded, _level_row
 from macposet.orders import initial_segment
 from macposet import kernels
 
-from conftest import brute_min_shadow, brute_order_exists, definition_check
+from conftest import (brute_min_shadow, brute_order_exists, definition_check,
+                      layered_order_exists)
 
 
 def heart_example_poset():
@@ -196,8 +199,8 @@ def level_masks(draw):
 
 
 @st.composite
-def small_ranked_posets(draw):
-    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def small_ranked_posets(draw, max_width=6):
+    sizes = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=4))
     starts = [sum(sizes[:d]) for d in range(len(sizes))]
     ranks = [d for d, s in enumerate(sizes) for _ in range(s)]
     covers = []
@@ -342,6 +345,59 @@ class TestFindOrder:
         r2 = find_macaulay_order(p)
         assert r1.order.per_level == r2.order.per_level
         assert r1.stats.nodes == r2.stats.nodes
+
+
+def search_tally(posets):
+    statuses, nodes = [], 0
+    for p in posets:
+        r = find_macaulay_order(p)
+        statuses.append(r.status)
+        nodes += r.stats.nodes
+    return statuses, nodes
+
+
+class TestSearchPinned:
+    """Verdicts and node counts recorded with the recursive search that
+    the iterative one replaced; the nodes pin its visiting order."""
+
+    def test_heart_grid(self):
+        statuses, nodes = search_tally(
+            build_heart(*t) for t in itertools.product(range(1, 6), repeat=4))
+        assert (statuses.count("found"), statuses.count("none"), nodes) == (605, 20, 10842)
+
+    def test_random_hat_corpus_matches_layered_oracle(self):
+        corpus = _random_hat_corpus(300, 14, 7)
+        statuses, nodes = search_tally(corpus)
+        assert (statuses.count("found"), statuses.count("none"), nodes) == (236, 64, 2423)
+        assert [s == "found" for s in statuses] == [layered_order_exists(p)
+                                                    for p in corpus]
+
+    def test_budget_counts_the_node_that_overruns(self):
+        r = find_macaulay_order(box(3, 3, 3), budget=5)
+        assert (r.status, r.stats.nodes) == ("budget-exceeded", 6)
+
+    def test_wedge_of_cubes(self):
+        r = find_macaulay_order(wedge([box(4, 4, 4), box(4, 4, 4)]).poset)
+        assert (r.status, r.stats.nodes) == ("found", 127)
+
+    def test_deep_path_has_no_depth_limit(self):
+        r = find_macaulay_order(path(5000))
+        assert (r.status, r.stats.nodes) == ("found", 5001)
+
+
+class TestSearchProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_ranked_posets(max_width=4))
+    def test_status_matches_layered_oracle(self, p):
+        assert find_macaulay_order(p).found == layered_order_exists(p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(small_ranked_posets(max_width=4))
+    def test_found_order_is_certified(self, p):
+        r = find_macaulay_order(p)
+        if r.found:
+            assert check_macaulay(p, r.order).ok
+            assert definition_check(p, [list(l) for l in r.order.per_level] + [[]])
 
 
 class TestNewShadow:

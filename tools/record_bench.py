@@ -1,0 +1,115 @@
+"""Record BENCH files: the benchmark's results for one or more source trees.
+
+    python3 tools/record_bench.py TREE OUT [TREE OUT ...]
+
+For each workload in TREE/BENCHMARK.json this runs TREE/perfbench/run.py
+for the file's ``run_seconds``, once per seed in SEEDS with ``--trace 0``
+and once, on the first seed, with ``--trace 1``, and writes OUT as JSON:
+the tree's commit and source digest, the run context line (environment,
+unscaled times), each end-to-end metric's median and quartiles over the
+seeds with every run's value, and the per-layer metrics of the traced
+run.
+
+With several TREE OUT pairs the trees take turns, run by run, and the
+tree that goes first alternates from seed to seed, so a drift in the
+machine's speed falls on every tree alike.  A run whose outputs do not
+match the goldens stops the recording.
+"""
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# the same seeds for every tree, so BENCH files compare run for run
+SEEDS = tuple(range(1101, 1111))
+
+
+def commit_of(tree: Path):
+    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def source_digest(tree: Path) -> str:
+    """sha256 over the path and bytes of every ``src/**/*.py``, in path
+    order; it names the measured program whether or not it is committed."""
+    h = hashlib.sha256()
+    src = tree / "src"
+    for f in sorted(src.rglob("*.py")):
+        h.update(f.relative_to(src).as_posix().encode() + b"\0")
+        h.update(f.read_bytes())
+    return h.hexdigest()
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int):
+    """One run of the tree's benchmark: its context line and result line."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.exit(f"error: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    context, result = json.loads(lines[-2]), json.loads(lines[-1])
+    if not result["correct"]:
+        sys.exit(f"error: {workload} seed {seed} in {tree}: outputs differ from the goldens")
+    return context, result
+
+
+def summarise(runs):
+    """Median, quartiles and every run's value of each end-to-end metric."""
+    out = {}
+    for name, first in runs[0][1]["metrics"].items():
+        values = [r[1]["metrics"][name]["value"] for r in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        out[name] = {"unit": first["unit"], "median": median, "q1": q1, "q3": q3,
+                     "runs": values}
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("pairs", nargs="+", metavar="TREE OUT")
+    args = ap.parse_args()
+    if len(args.pairs) % 2:
+        ap.error("give a TREE and an OUT for every tree")
+    trees = [Path(t).resolve() for t in args.pairs[::2]]
+    outs = [Path(o) for o in args.pairs[1::2]]
+    bench = json.loads((trees[0] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+
+    plain = {(t, w): [] for t in trees for w in workloads}
+    traced = {}
+    for w in workloads:
+        for i, seed in enumerate(SEEDS):
+            for t in (trees if i % 2 == 0 else trees[::-1]):
+                plain[t, w].append(run_bench(t, w, seed, seconds, 0))
+                print(f"{t.name} {w} seed {seed}: wall_s "
+                      f"{plain[t, w][-1][1]['metrics']['wall_s']['value']:.4g}",
+                      file=sys.stderr)
+        for t in trees:
+            traced[t, w] = run_bench(t, w, SEEDS[0], seconds, 1)
+
+    for t, out in zip(trees, outs):
+        doc = {"commit": commit_of(t), "source_digest": source_digest(t),
+               "seeds": list(SEEDS), "seconds": seconds, "workloads": {}}
+        for w in workloads:
+            runs = plain[t, w]
+            context, result = traced[t, w]
+            doc["workloads"][w] = {
+                "context": runs[0][0],
+                "attempted": sum(r[1]["attempted"] for r in runs),
+                "failed": sum(r[1]["failed"] for r in runs),
+                "end_to_end": summarise(runs),
+                "trace": {"seed": SEEDS[0], "context": context,
+                          "per_layer": result["metrics"]},
+            }
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
