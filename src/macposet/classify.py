@@ -7,12 +7,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .construct import (adjoin_extreme, box, cartesian_product, diamond,
-                        disjoint_union, fiber_product, path, relabel_swap_xy,
+from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
+                        diamond, disjoint_union, path, relabel_swap_xy,
                         remove_extreme, spider, wedge)
 from .core import PosetError, RankedPoset
-from .ideals import (ideal_from_generators, inclusion_map, pure_power_ideal,
-                     standard_monomial_poset)
+from .ideals import ideal_from_generators, standard_monomial_poset
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
                        find_macaulay_order)
 from .orders import LevelOrderFamily, lex_order, twist_order
@@ -82,25 +81,6 @@ def heart_order_choice(a0: int, a1: int, b0: int, b1: int) -> HeartOrderChoice:
         a0, a1, b0, b1 = b1, b0, a1, a0
     kind = "lex" if a1 + b0 > b1 else "twist"
     return HeartOrderChoice(kind, swap_xy=swap, params=(a0, a1, b0, b1))
-
-
-def build_heart(a0: int, a1: int, b0: int, b1: int) -> RankedPoset:
-    """Heart-shaped poset as a fiber product of boxes over their overlap."""
-    c0, c1 = min(a0, b0), min(a1, b1)
-    pa = box(a0, a1)
-    pb = box(b0, b1)
-    pc = box(c0, c1)
-    ia = inclusion_map(pure_power_ideal((a0, a1), ("x", "y")),
-                       pure_power_ideal((c0, c1), ("x", "y")),
-                       poset_i=pa, poset_j=pc)
-    ib = inclusion_map(pure_power_ideal((b0, b1), ("x", "y")),
-                       pure_power_ideal((c0, c1), ("x", "y")),
-                       poset_i=pb, poset_j=pc)
-    res = fiber_product(pa, pb, pc, ia, ib)
-    out = res.poset
-    return RankedPoset(out.rank, [(a, b) for a in range(out.n) for b in out.up[a]],
-                       labels=out.labels, var_names=out.var_names,
-                       name=f"heart({a0},{a1},{b0},{b1})")
 
 
 def resolve_heart_order(heart: RankedPoset, choice: HeartOrderChoice) -> LevelOrderFamily:
@@ -522,17 +502,16 @@ def two_variable_quotients(max_exp: int):
     """All finite 2-variable monomial quotients with pure powers <= max_exp.
 
     Staircases are partitions with at most max_exp parts, each at most
-    max_exp: column i of the diagram keeps h_i standard monomials.
+    max_exp: column i of the diagram keeps h_i standard monomials.  They
+    are yielded one at a time, each followed by its extensions by one
+    more part, smallest new part first.
     """
-    out = []
-    def rec(prefix, last):
-        for h in range(1, last + 1):
-            cur = prefix + [h]
-            out.append(tuple(cur))
-            if len(cur) < max_exp:
-                rec(cur, h)
-    rec([], max_exp)
-    return out
+    stack = [(h,) for h in range(max_exp, 0, -1)]
+    while stack:
+        heights = stack.pop()
+        yield heights
+        if len(heights) < max_exp:
+            stack.extend(heights + (h,) for h in range(heights[-1], 0, -1))
 
 
 def staircase_ideal(heights):
@@ -562,10 +541,11 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
     n is not above the top degree).
     """
     report = GridReport("conjecture-6-7")
-    ideals = [("staircase" + "".join(str(h) for h in hs), staircase_ideal(hs))
-              for hs in two_variable_quotients(max_exp)]
+    ideals = (("staircase" + "".join(str(h) for h in hs), staircase_ideal(hs))
+              for hs in two_variable_quotients(max_exp))
     if include_special:
-        ideals.append(("special(y3,y2z,yz2,z3)", conj66_quotient_ideal()))
+        ideals = itertools.chain(
+            ideals, [("special(y3,y2z,yz2,z3)", conj66_quotient_ideal())])
 
     def job(item):
         name, ideal = item

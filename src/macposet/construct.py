@@ -1,5 +1,5 @@
-"""Poset constructors and operations: paths, boxes, spiders, disjoint
-union, wedge, diamond, fiber and cartesian products, extreme-element
+"""Poset constructors and operations: paths, boxes, hearts, spiders,
+disjoint union, wedge, diamond, fiber and cartesian products, extreme-element
 transforms.  Every operation output carries provenance so downstream
 orders can tell which factor an element came from."""
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .core import (InducedSubposet, PosetError, RankedPoset, _bit_positions,
                    induced_subposet, validate_poset)
-from .ideals import pure_power_ideal, standard_monomial_poset
+from .ideals import box_cells, default_var_names, monomial_poset
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,27 @@ def box(*dims) -> RankedPoset:
         dims = tuple(dims[0])
     if not dims or any(d < 1 for d in dims):
         raise PosetError("box needs side lengths >= 1")
-    ideal = pure_power_ideal(dims)
     tag = "box(" + ",".join(str(d) for d in dims) + ")"
-    return standard_monomial_poset(ideal, name=tag)
+    return monomial_poset(box_cells(dims), default_var_names(len(dims)), tag)
+
+
+def heart_cells(a0: int, a1: int, b0: int, b1: int) -> list:
+    """Cells of the a0 x a1 and b0 x b1 boxes: those of their overlap
+    box, then those only in the first, then those only in the second."""
+    base = box_cells((min(a0, b0), min(a1, b1)))
+    seen = set(base)
+    return base + [m for dims in ((a0, a1), (b0, b1))
+                   for m in box_cells(dims) if m not in seen]
+
+
+def build_heart(a0: int, a1: int, b0: int, b1: int) -> RankedPoset:
+    """Heart-shaped poset: the union of an a0 x a1 and a b0 x b1 box in
+    N^2, which is their fiber product over the overlap box, with the
+    same element ids."""
+    if min(a0, a1, b0, b1) < 1:
+        raise PosetError("heart needs side lengths >= 1")
+    return monomial_poset(heart_cells(a0, a1, b0, b1), ("x", "y"),
+                          f"heart({a0},{a1},{b0},{b1})")
 
 
 def spider(*legs) -> OperationResult:

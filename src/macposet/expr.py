@@ -263,7 +263,13 @@ def _eval_ideal(node: Node) -> ideals.MonomialIdeal:
     for m in node.args:
         if not isinstance(m, Mono):
             raise PosetError("ideal() takes monomial literals")
-        exps, names = ideals.parse_monomial(print_expression(m), names)
+        exps: dict = {}
+        for v, e in m.factors:
+            if not v.isidentifier():
+                raise PosetError(f"bad variable name {v!r}")
+            if v not in names:
+                names.append(v)
+            exps[v] = exps.get(v, 0) + e
         raw.append(exps)
     gens = [tuple(e.get(v, 0) for v in names) for e in raw]
     return ideals.ideal_from_generators(gens, tuple(names))
@@ -288,9 +294,8 @@ def evaluate(node, read_fibermap=None) -> EvalResult:
         res = construct.spider(*node.args)
         return EvalResult(res.poset, "spider", result=res)
     if fn == "heart":
-        from .classify import build_heart
         a0, a1, b0, b1 = node.args
-        return EvalResult(build_heart(a0, a1, b0, b1), "heart",
+        return EvalResult(construct.build_heart(a0, a1, b0, b1), "heart",
                           meta={"params": (a0, a1, b0, b1)})
     if fn == "poset":
         ideal = _eval_ideal(node.args[0])

@@ -134,48 +134,46 @@ def _pure_power_caps(i: MonomialIdeal):
     return caps
 
 
-def standard_monomials_by_degree(i: MonomialIdeal):
-    """Levels of the finite quotient: lists of exponent tuples, lex descending."""
-    if not quotient_is_finite(i):
-        raise PosetError(f"quotient of {i} is not finite")
-    one = tuple([0] * i.arity)
-    if i.member(one):
-        return []
-    caps = _pure_power_caps(i)
-    levels = [[one]]
-    while True:
-        seen = set()
-        for m in levels[-1]:
-            for v in range(i.arity):
-                if m[v] + 1 >= caps[v]:
-                    continue
-                cand = m[:v] + (m[v] + 1,) + m[v + 1:]
-                if cand not in seen and not i.member(cand):
-                    seen.add(cand)
-        if not seen:
-            return levels
-        levels.append(sorted(seen, reverse=True))
+def box_cells(dims, ideal=None) -> list:
+    """Exponent vectors below ``dims`` and outside ``ideal`` (if given),
+    by degree, lex-descending within a degree.  A coordinate rises only
+    until the zero-padded vector lies in the ideal, so the work follows
+    the cells kept, not the size of the box."""
+    cells = [()]
+    for v, d in enumerate(dims):
+        pad = (0,) * (len(dims) - v - 1)
+        grown = []
+        for m in cells:
+            top = 0
+            while top < d and not (ideal and ideal.member(m + (top,) + pad)):
+                top += 1
+            grown.extend(m + (e,) for e in range(top - 1, -1, -1))
+        cells = grown
+    return sorted(cells, key=sum)  # stable: lex-descending within a degree
+
+
+def monomial_poset(cells, var_names, name) -> RankedPoset:
+    """Divisibility poset of a down-set of exponent vectors: ids in the
+    order of ``cells``, ranks the degrees, covers unit steps."""
+    index = {m: k for k, m in enumerate(cells)}
+    ranks = [sum(m) for m in cells]
+    covers = []
+    for m, a in index.items():
+        for v in range(len(var_names)):
+            b = index.get(m[:v] + (m[v] + 1,) + m[v + 1:])
+            if b is not None:
+                covers.append((a, b))
+    return RankedPoset(ranks, covers, labels=cells, var_names=var_names,
+                       name=name)
 
 
 def standard_monomial_poset(i: MonomialIdeal, name="") -> RankedPoset:
-    """Divisibility poset of the monomials outside a finite-quotient ideal.
-
-    Ids are assigned by degree, lex-descending within a degree;
-    covers multiply by one variable and stay outside the ideal.
-    """
-    levels = standard_monomials_by_degree(i)
-    labels = [m for lv in levels for m in lv]
-    index = {m: k for k, m in enumerate(labels)}
-    ranks = [sum(m) for m in labels]
-    covers = []
-    for m, a in index.items():
-        for v in range(i.arity):
-            up = m[:v] + (m[v] + 1,) + m[v + 1:]
-            b = index.get(up)
-            if b is not None:
-                covers.append((a, b))
-    return RankedPoset(ranks, covers, labels=labels, var_names=i.var_names,
-                       name=name or f"poset{i}")
+    """Divisibility poset of the monomials outside a finite-quotient ideal,
+    listed as :func:`box_cells` lists them."""
+    if not quotient_is_finite(i):
+        raise PosetError(f"quotient of {i} is not finite")
+    cells = [] if i.member((0,) * i.arity) else box_cells(_pure_power_caps(i), i)
+    return monomial_poset(cells, i.var_names, name or f"poset{i}")
 
 
 def inclusion_map(i: MonomialIdeal, j: MonomialIdeal,

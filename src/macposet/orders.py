@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .construct import OperationResult
+from .construct import OperationResult, heart_cells
 from .core import InducedSubposet, LevelSubset, PosetError, RankedPoset
 
 
@@ -104,12 +104,6 @@ def union_simplicial_order(result: OperationResult, factor_orders) -> LevelOrder
     return LevelOrderFamily(p, tuple(per_level))
 
 
-def heart_label_set(a0: int, a1: int, b0: int, b1: int) -> set:
-    return {(i, j)
-            for i in range(max(a0, b0)) for j in range(max(a1, b1))
-            if (i < a0 and j < a1) or (i < b0 and j < b1)}
-
-
 def twist_order(heart: RankedPoset, a0: int, a1: int, b0: int, b1: int) -> LevelOrderFamily:
     """Twist order on a heart-shaped poset, for parameters with b1 >= a1.
 
@@ -121,7 +115,7 @@ def twist_order(heart: RankedPoset, a0: int, a1: int, b0: int, b1: int) -> Level
         raise PosetError("twist order needs a two-variable labeled poset")
     if b1 < a1:
         raise PosetError("twist order expects parameters with b1 >= a1")
-    if set(heart.labels) != heart_label_set(a0, a1, b0, b1):
+    if set(heart.labels) != set(heart_cells(a0, a1, b0, b1)):
         raise PosetError("labels are not the heart poset of these parameters")
     lexkey = {i: (heart.labels[i][1], heart.labels[i][0]) for i in range(heart.n)}
 

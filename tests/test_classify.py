@@ -253,8 +253,26 @@ class TestHarness:
 
 class TestConjectureScan:
     def test_quotient_enumeration(self):
-        assert len(two_variable_quotients(4)) == 69
-        assert len(two_variable_quotients(2)) == 5
+        assert len(list(two_variable_quotients(4))) == 69
+        assert len(list(two_variable_quotients(2))) == 5
+
+    def test_quotient_enumeration_order(self):
+        # the recursive definition: each partition, then its extensions
+        # by one more part, smallest new part first
+        def partitions(prefix, last, max_exp):
+            for h in range(1, last + 1):
+                yield prefix + (h,)
+                if len(prefix) + 1 < max_exp:
+                    yield from partitions(prefix + (h,), h, max_exp)
+
+        for max_exp in range(0, 7):
+            assert (list(two_variable_quotients(max_exp))
+                    == list(partitions((), max_exp, max_exp)))
+
+    def test_quotients_are_yielded_lazily(self):
+        # 1100 parts would pass the recursion limit if the parts recursed
+        first = list(itertools.islice(two_variable_quotients(1100), 1101))
+        assert first[-2] == (1,) * 1100 and first[-1] == (2,)
 
     def test_staircase_ideal_roundtrip(self):
         from macposet import standard_monomial_poset

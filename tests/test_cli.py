@@ -82,6 +82,16 @@ class TestExitCodes:
         # the traceback folds the 500 repeated frames into one line
         assert len(err.splitlines()) < 100
 
+    def test_unit_ideal_is_the_empty_poset(self, capsys):
+        assert run(["show", "poset(ideal(1))"]) == 0
+        assert capsys.readouterr().out.startswith("poset(1): 0 elements")
+
+    def test_long_staircases_reach_the_level_cap(self, capsys):
+        # staircases with up to 1100 parts: the scan meets the level cap
+        # instead of passing the recursion limit
+        assert run(["conjecture67", "--max-exp", "1100", "--level-cap", "8"]) == 2
+        assert capsys.readouterr().err.startswith("error: level 8 has 9 elements")
+
     def test_deep_search_gets_a_verdict(self):
         assert run(["search-order", "path(600)"]) == 0
 

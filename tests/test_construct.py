@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 from macposet import (PosetError, are_isomorphic, box, cartesian_product,
                       diamond, disjoint_union, fiber_product, path,
                       pure_power_ideal, spider, validate_poset, wedge)
-from macposet.construct import (adjoin_extreme, remove_extreme,
+from macposet.construct import (adjoin_extreme, build_heart, remove_extreme,
                                 restrict_to_factors)
 from macposet.ideals import inclusion_map, standard_monomial_poset
 
@@ -145,6 +147,48 @@ class TestFiber:
         pc = RankedPoset([1], [])  # lone rank-1 base element
         with pytest.raises(PosetError, match="down-set"):
             fiber_product(pa, pa, pc, {0: 1}, {0: 1})
+
+
+class TestMonomialPosets:
+    """The direct box and heart builders against their definitions."""
+
+    @pytest.mark.parametrize("nd", [1, 2, 3, 4])
+    def test_box_matches_divisibility(self, nd):
+        # labels by degree, then lex-descending; a <= b exactly when the
+        # label of a divides the label of b.  Sides 1-4, 1-3 in 4-D.
+        for dims in itertools.product(range(1, 5 if nd < 4 else 4), repeat=nd):
+            cells = sorted(itertools.product(*(range(d) for d in dims)),
+                           key=lambda m: (sum(m), [-e for e in m]))
+            p = box(*dims)
+            assert list(p.labels) == cells, dims
+            assert p.rank == tuple(sum(m) for m in cells)
+            assert len(p.var_names) == nd
+            below = {(a, b) for a, b in itertools.product(range(p.n), repeat=2)
+                     if p.leq(a, b)}
+            assert below == {(a, b) for a, b in itertools.product(range(p.n), repeat=2)
+                             if all(x <= y for x, y in zip(cells[a], cells[b]))}, dims
+
+    def test_heart_is_the_fiber_product_of_boxes(self):
+        # the paper's definition: the two boxes glued over their overlap
+        xy = ("x", "y")
+        for a0, a1, b0, b1 in itertools.product(range(1, 6), repeat=4):
+            c0, c1 = min(a0, b0), min(a1, b1)
+            pa, pb, pc = box(a0, a1), box(b0, b1), box(c0, c1)
+            ia = inclusion_map(pure_power_ideal((a0, a1), xy),
+                               pure_power_ideal((c0, c1), xy),
+                               poset_i=pa, poset_j=pc)
+            ib = inclusion_map(pure_power_ideal((b0, b1), xy),
+                               pure_power_ideal((c0, c1), xy),
+                               poset_i=pb, poset_j=pc)
+            want = fiber_product(pa, pb, pc, ia, ib).poset
+            got = build_heart(a0, a1, b0, b1)
+            assert ((got.rank, got.up, got.labels, got.var_names)
+                    == (want.rank, want.up, want.labels, want.var_names)), (a0, a1, b0, b1)
+            assert got.name == f"heart({a0},{a1},{b0},{b1})"
+
+    def test_heart_needs_positive_sides(self):
+        with pytest.raises(PosetError, match="side lengths"):
+            build_heart(0, 1, 1, 1)
 
 
 class TestCartesian:

@@ -1,6 +1,7 @@
 import pytest
 
-from macposet import are_isomorphic, box, check_macaulay, path, spider, wedge
+from macposet import (are_isomorphic, box, check_macaulay,
+                      ideal_from_generators, path, spider, wedge)
 from macposet.expr import (MAX_NESTING, Explicit, Mono, Node, ParseError,
                            evaluate, parse_expression, parse_order,
                            print_expression, print_order, resolve_order)
@@ -107,6 +108,17 @@ class TestEvaluation:
     def test_extremes(self):
         ev = evaluate(parse_expression("bar(hat(box(2,2)))"))
         assert are_isomorphic(ev.poset, box(2, 2)) is not None
+
+    def test_ideal_exponents_add_up(self):
+        ev = evaluate(parse_expression("poset(ideal(y^2*x, x*x^2, y*y, x*y))"))
+        # variables in the order first written: (y, x)
+        want = ideal_from_generators([(2, 1), (0, 3), (2, 0), (1, 1)], ("y", "x"))
+        assert ev.meta["ideal"] == want
+
+    def test_ideal_rejects_non_identifier_names(self):
+        from macposet import PosetError
+        with pytest.raises(PosetError, match="bad variable name"):
+            evaluate(parse_expression("poset(ideal(x\u00b2, y))"))
 
     def test_fiber_needs_ideals_or_map(self):
         from macposet import PosetError

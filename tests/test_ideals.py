@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from macposet import (PosetError, are_isomorphic, box, divides,
+from macposet import (MonomialIdeal, PosetError, are_isomorphic, box, divides,
                       fiber_product, ideal_contains, ideal_from_generators,
                       ideal_intersection, ideal_sum, inclusion_map,
                       pure_power_ideal, quotient_is_finite,
@@ -112,6 +113,40 @@ class TestStandardMonomialPoset:
     def test_infinite_quotient_rejected(self):
         with pytest.raises(PosetError, match="not finite"):
             standard_monomial_poset(I((1, 1)))
+
+    def test_unit_ideal_is_empty(self):
+        assert standard_monomial_poset(I((0, 0))).n == 0
+        assert standard_monomial_poset(ideal_from_generators([()], ())).n == 0
+
+    def test_matches_filtered_box(self):
+        # the standard monomials, by degree then lex-descending, are the
+        # cells of the pure powers' box that lie outside the ideal
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            caps = [rng.randint(1, 6) for _ in range(n)]
+            gens = [tuple(c if k == v else 0 for k in range(n))
+                    for v, c in enumerate(caps)]
+            gens += [tuple(rng.randint(0, 4) for _ in range(n))
+                     for _ in range(rng.randint(0, 4))]
+            i = ideal_from_generators(gens)
+            want = sorted((m for m in itertools.product(*(range(c) for c in caps))
+                           if not i.member(m)),
+                          key=lambda m: (sum(m), [-e for e in m]))
+            p = standard_monomial_poset(i)
+            assert list(p.labels) == want, i
+            assert p.rank == tuple(sum(m) for m in want)
+
+    def test_work_follows_the_monomials_kept(self, monkeypatch):
+        # 5999 standard monomials in a 3000 x 3000 box: listing them must
+        # not test the box's nine million cells
+        calls = []
+        member = MonomialIdeal.member
+        monkeypatch.setattr(MonomialIdeal, "member",
+                            lambda self, m: calls.append(m) or member(self, m))
+        p = standard_monomial_poset(I((3000, 0), (0, 3000), (1, 1)))
+        assert p.n == 5999
+        assert len(calls) <= 3 * p.n
 
 
 class TestInclusionMap:

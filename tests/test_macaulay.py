@@ -21,7 +21,7 @@ from macposet.orders import initial_segment
 from macposet import kernels
 
 from conftest import (brute_min_shadow, brute_order_exists, definition_check,
-                      layered_order_exists)
+                      layered_order_exists, naive_upper_shadow)
 
 
 def heart_example_poset():
@@ -398,6 +398,41 @@ class TestSearchProperties:
         if r.found:
             assert check_macaulay(p, r.order).ok
             assert definition_check(p, [list(l) for l in r.order.per_level] + [[]])
+
+
+@st.composite
+def posets_with_orders(draw):
+    """A small ranked poset and one drawn permutation of each level."""
+    p = draw(small_ranked_posets(max_width=4))
+    return p, [draw(st.permutations(p.level(d))) for d in range(p.max_rank + 1)]
+
+
+class TestWitnessProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(posets_with_orders())
+    def test_every_witness_replays(self, drawn):
+        p, lists = drawn
+        v = check_macaulay(p, order_from_lists(p, lists))
+        assert v.ok == definition_check(p, lists)
+        if v.ok:
+            return
+        w = v.witness
+        seg = lists[w.level][:w.q]
+        if w.kind == "min-shadow-beaten":
+            # the segment's shadow is beaten by a rival of the same size
+            assert tuple(w.elements) == tuple(seg)
+            assert len(w.rival) == w.q
+            assert all(p.rank[i] == w.level for i in w.rival)
+            assert len(naive_upper_shadow(p, w.rival)) == w.sizes[1]
+            assert w.sizes[1] < w.sizes[0] == len(naive_upper_shadow(p, seg))
+        else:
+            # the segment's shadow is not the next level's prefix of its size
+            assert w.kind == "shadow-not-initial"
+            shadow = naive_upper_shadow(p, seg)
+            assert set(w.elements) == shadow and len(w.elements) == len(shadow)
+            nxt = lists[w.level + 1]
+            assert tuple(w.rival) == tuple(nxt[:len(shadow)])
+            assert set(w.rival) != shadow
 
 
 class TestNewShadow:

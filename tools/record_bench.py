@@ -10,6 +10,11 @@ unscaled times), each end-to-end metric's median and quartiles over the
 seeds with every run's value, and the per-layer metrics of the traced
 run.
 
+Each run imports its tree's ``src/`` from source: the ``__pycache__``
+directories under each TREE's ``src/`` are deleted before the first run
+and every run has ``PYTHONDONTWRITEBYTECODE=1``, so a bytecode cache
+left by another command cannot shorten one tree's ``setup_s``.
+
 With several TREE OUT pairs the trees take turns, run by run, and the
 tree that goes first alternates from seed to seed, so a drift in the
 machine's speed falls on every tree alike.  A run whose outputs do not
@@ -19,6 +24,8 @@ match the goldens stops the recording.
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,7 +56,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int):
     """One run of the tree's benchmark: its context line and result line."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"error: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
@@ -82,6 +90,9 @@ def main():
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
 
+    for t in trees:
+        for cache in list((t / "src").rglob("__pycache__")):
+            shutil.rmtree(cache)
     plain = {(t, w): [] for t in trees for w in workloads}
     traced = {}
     for w in workloads:
