@@ -392,14 +392,25 @@ def cmd_reproduce(args):
 
 # ----------------------------------------------------------------- entrypoint
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: a negative count is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_flags(sp, level_cap=True, budget=True):
     """--report, plus --level-cap and --budget where the command honours them."""
     sp.add_argument("--report", help="write a JSON report to this file")
     if budget:
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                         help="search node budget")
     if level_cap:
-        sp.add_argument("--level-cap", type=int, default=DEFAULT_LEVEL_CAP,
+        sp.add_argument("--level-cap", type=_count, default=DEFAULT_LEVEL_CAP,
                         help="largest level size enumerable")
 
 
@@ -459,8 +470,8 @@ def build_parser():
     sp.set_defaults(fn=cmd_verify_family)
 
     sp = sub.add_parser("conjecture67", help="scan quotient x path products")
-    sp.add_argument("--max-exp", type=int, default=4)
-    sp.add_argument("--steps", type=int, default=3)
+    sp.add_argument("--max-exp", type=_count, default=4)
+    sp.add_argument("--steps", type=_count, default=3)
     sp.add_argument("--skip-special", action="store_true")
     _add_flags(sp)
     sp.set_defaults(fn=cmd_conjecture67)

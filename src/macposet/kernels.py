@@ -6,26 +6,99 @@ q-subsets, plus the first subset (in ascending binary order) achieving
 it.  This is the hot loop of the whole package: 2^n subsets per level.
 
 One vectorised numpy kernel (numpy >= 2.0 for ``np.bitwise_count``).
-The subsets are split into a low and a high half of the level; the OR
-of each half-subset is tabled once, and the 2^n full subsets are walked
-in blocks of ``BLOCK_SUBSETS`` so the working arrays stay cache-sized.
+A subset is split into a high and a low half of the level; the OR of
+every half-subset is tabled once, the low table sorted by cardinality.
+The 2^n full subsets are walked in blocks of ``BLOCK_SUBSETS``, and each
+block costs three passes: OR a run of high rows into the low table,
+count bits, and take each row's minimum over every run of equal low
+cardinality.  That leaves a small matrix of group minima (rows x low
+cardinalities) from which the minimum for each q, and the first row
+reaching it, follow; only those n+1 winning rows are enumerated again
+to find the first low half that reaches the minimum.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+
 import numpy as np
 
 # subsets per block: at n = 24, 2^12 is slower and 2^16 no faster, and
-# larger blocks grow peak memory (2^20 costs about 40 MB)
+# larger blocks grow peak memory
 BLOCK_SUBSETS = 1 << 14
 
 
-def _or_table(masks: np.ndarray) -> np.ndarray:
-    """OR of the masks of every subset of ``masks``' rows, by doubling."""
-    table = np.zeros((1 << len(masks), masks.shape[1]), dtype=np.uint64)
-    for i, m in enumerate(masks):
-        table[1 << i:2 << i] = table[:1 << i] | m
-    return table
+def _frozen(*arrays):
+    """The arrays, read-only: cached ones are shared by every call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _card_runs(bits: int):
+    """Half-subsets 0..2^bits-1 sorted stably by cardinality, where each
+    cardinality's run starts, and each run padded to the longest one by
+    repeating its last subset.  Plain Python: numpy's sorting routines
+    would add their code to the resident memory of every process."""
+    order = sorted(range(1 << bits), key=int.bit_count)
+    counts = [math.comb(bits, k) for k in range(bits + 1)]
+    starts = list(itertools.accumulate(counts[:-1], initial=0))
+    runs = [order[a:a + c] + order[a + c - 1:a + c] * (counts[bits // 2] - c)
+            for a, c in zip(starts, counts)]
+    return _frozen(np.array(order), np.array(starts), np.array(runs))
+
+
+@functools.cache
+def _plan(n: int, w: int):
+    """What a level of n elements with w-word masks needs besides its
+    masks: lo_bits, the padded low runs, the size dtype, q = 0..n, the
+    offset of each q's run in the flattened runs, and what ``_min_keys``
+    needs (the low and high cardinality orders, the high rows as keys,
+    and the (high card, low card) groups listed by cardinality)."""
+    lo_bits = (n + 1) // 2
+    hi_bits = n - lo_bits
+    order, starts, runs = _card_runs(lo_bits)
+    hi_order, hi_starts, _ = _card_runs(hi_bits)
+    # a w-word size reaches 64 * w, which passes a uint8 from w = 4 on
+    size_t = np.min_scalar_type(64 * w)
+    key_t = np.min_scalar_type((64 * w + 1) << hi_bits)
+    # group g = c * (lo_bits + 1) + j holds the subsets with c high and
+    # j low elements, of cardinality q = c + j
+    cs = [range(max(0, q - lo_bits), min(hi_bits, q) + 1) for q in range(n + 1)]
+    diag = [c * lo_bits + q for q, r in enumerate(cs) for c in r]
+    diag_starts = list(itertools.accumulate(map(len, cs[:-1]), initial=0))
+    key_plan = (order, starts, hi_order, hi_starts,
+                *_frozen(hi_order[:, None].astype(key_t), np.array(diag), np.array(diag_starts)))
+    q = np.arange(n + 1, dtype=np.uint8)
+    return lo_bits, runs, size_t, *_frozen(q, np.arange(n + 1) * runs.shape[1]), key_plan
+
+
+def _sizes(unions: np.ndarray, w: int, size_t) -> np.ndarray:
+    """Popcount of each union, summed over its words."""
+    sizes = np.bitwise_count(unions)
+    return sizes.sum(axis=-1, dtype=size_t) if w > 1 else sizes
+
+
+def _min_keys(lo, hi, n, w, lo_bits, size_t, key_plan) -> np.ndarray:
+    """Per cardinality q, (min size << hi_bits) | the first high row
+    holding a q-subset of that size."""
+    order, starts, hi_order, hi_starts, row_ids, diag, diag_starts = key_plan
+    lo_s, hi_s = lo[order], hi[hi_order][:, None]
+    rows = min(len(hi), max(1, BLOCK_SUBSETS >> lo_bits))
+    group = np.empty((len(hi), lo_bits + 1), dtype=row_ids.dtype)
+    for r0 in range(0, len(hi), rows):
+        # the block's three passes: OR, popcount, minimum per low run
+        sizes = _sizes(hi_s[r0:r0 + rows] | lo_s, w, size_t)
+        group[r0:r0 + rows] = np.minimum.reduceat(sizes, starts, axis=1)
+    # rows are in cardinality order but keyed by their own index, so a
+    # minimum key is the smallest size, ties going to the first row
+    group <<= n - lo_bits
+    group |= row_ids
+    best = np.minimum.reduceat(group, hi_starts, axis=0).reshape(-1)
+    return np.minimum.reduceat(best[diag], diag_starts).astype(np.int64)
 
 
 def level_min_shadows(masks: np.ndarray):
@@ -40,27 +113,23 @@ def level_min_shadows(masks: np.ndarray):
     if masks.ndim != 2:
         raise ValueError("masks must be 2-D (n, words)")
     n, w = masks.shape
-    # subset s = (row << lo_bits) | col; one block is a run of whole
-    # high-half rows, i.e. a contiguous range of subsets
-    lo_bits = (n + 1) // 2
-    lo = _or_table(masks[:lo_bits])
-    hi = _or_table(masks[lo_bits:])
+    lo_bits, runs, size_t, q, run_offsets, key_plan = _plan(n, w)
+    # OR tables of the low and the high rows, doubled side by side
+    pairs = np.zeros((2, lo_bits, w), dtype=np.uint64)
+    pairs.reshape(-1, w)[:n] = masks
+    table = np.zeros((1 << lo_bits, 2, w), dtype=np.uint64)
+    for i in range(lo_bits):
+        np.bitwise_or(table[:1 << i], pairs[:, i], out=table[1 << i:2 << i])
+    lo, hi = table[:, 0], table[:1 << (n - lo_bits), 1]
     if w == 1:
         lo, hi = lo[:, 0], hi[:, 0]
-    rows = min(len(hi), max(1, BLOCK_SUBSETS >> lo_bits))
-    ramp = np.arange(rows << lo_bits, dtype=np.int64)
-    ramp_card = np.bitwise_count(ramp).astype(np.intp)
-    # key = (size << n) | subset: its minimum per cardinality is the
-    # smallest shadow, ties going to the smallest subset
-    best = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    for r0 in range(0, len(hi), rows):
-        sizes = np.bitwise_count(hi[r0:r0 + rows, None] | lo[None, :])
-        if w > 1:
-            sizes = sizes.sum(axis=-1, dtype=np.int64)
-        key = sizes.reshape(-1).astype(np.int64, copy=False)
-        key <<= n
-        key |= ramp[:len(key)]
-        # the block's high bits are disjoint from the ramp's
-        key |= r0 << lo_bits
-        np.minimum.at(best, ramp_card[:len(key)] + r0.bit_count(), key)
-    return best >> n, best & ((1 << n) - 1)
+    # subset s = (row << lo_bits) | col: a smaller row is a smaller s
+    mins, row = np.divmod(_min_keys(lo, hi, n, w, lo_bits, size_t, key_plan), 1 << (n - lo_bits))
+    # enumerate each winning row again over its low run only; the run's
+    # minimum is that row's group minimum, so argmin finds the first
+    # column reaching it, and the padding only repeats the run's last
+    cols = runs[q - np.bitwise_count(row)]
+    unions = lo[cols]
+    unions |= hi[row][:, None]
+    first = _sizes(unions, w, size_t).argmin(axis=1)
+    return mins, (row << lo_bits) | cols.reshape(-1)[run_offsets + first]

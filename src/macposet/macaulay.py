@@ -57,12 +57,12 @@ def shadow_masks(p: RankedPoset, d: int) -> tuple:
 
 
 def _masks_as_array(masks):
+    """(n, words) uint64 array of int bitmasks, least significant word first."""
     words = max(1, (max(masks).bit_length() + 63) // 64)
-    arr = np.zeros((len(masks), words), dtype=np.uint64)
-    for i, m in enumerate(masks):
-        for k in range(words):
-            arr[i, k] = (m >> (64 * k)) & 0xFFFFFFFFFFFFFFFF
-    return arr
+    if words > 1:
+        masks = [[m >> s & 0xFFFFFFFFFFFFFFFF for s in range(0, 64 * words, 64)]
+                 for m in masks]
+    return np.array(masks, dtype=np.uint64).reshape(-1, words)
 
 
 @functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
@@ -72,7 +72,7 @@ def _level_row(masks: tuple[int, ...]):
     if not masks:
         return (0,), (0,)
     mins, argm = kernels.level_min_shadows(_masks_as_array(masks))
-    return tuple(int(v) for v in mins), tuple(int(v) for v in argm)
+    return tuple(mins.tolist()), tuple(argm.tolist())
 
 
 def min_shadow_table(p: RankedPoset,

@@ -37,6 +37,24 @@ class TestExitCodes:
         assert run(["search-order", "diamond(box(2,3), box(3,2))",
                     "--budget", "3"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["search-order", "box(2,2)", "--budget", "-1"],
+        ["search-order", "box(2,2)", "--level-cap", "-1"],
+        ["check", "box(2,2)", "--order", "lex(x,y)", "--level-cap=-3"],
+        ["conjecture67", "--max-exp", "-1"],
+        ["conjecture67", "--max-exp", "1", "--steps", "-1"],
+        ["conjecture67", "--budget", "x"],
+    ])
+    def test_negative_count_is_usage_error(self, argv, capsys):
+        # a negative budget used to exit 3 after one node, and a negative
+        # --max-exp to exit 0 after a 4-row scan
+        assert run(argv) == 2
+        assert "argument --" in capsys.readouterr().err
+
+    def test_zero_counts_are_accepted(self):
+        assert run(["search-order", "box(2,2)", "--budget", "0"]) == 3
+        assert run(["conjecture67", "--max-exp", "0", "--steps", "0"]) == 0
+
     def test_additive_on_non_macaulay_is_input_error(self):
         assert run(["additive", "poset(ideal(x^4, y^3, x^3*y))",
                     "--order", "lex(y,x)"]) == 2

@@ -178,6 +178,17 @@ class TestKernelBackends:
             mins, argm = kernels.level_min_shadows(masks)
             assert (list(mins), list(argm)) == reference_min_shadows(masks)
 
+    def test_wide_sizes_do_not_wrap(self):
+        # five full 64-bit words: a subset's shadow has up to 320 bits,
+        # so a size summed in uint8 would wrap (256 to 0) and win
+        full = 2**64 - 1
+        rows = [[full] * 4 + [0], [full] * 5, [full, 0, full, 0, 1],
+                [7, 0, 0, 0, 3], [full] * 3 + [0, 2**63], [1, 1, 1, 1, 1]]
+        masks = np.array(rows, dtype=np.uint64)
+        mins, argm = kernels.level_min_shadows(masks)
+        assert (list(mins), list(argm)) == reference_min_shadows(masks)
+        assert mins[6] == 320
+
     def test_numpy_backend_table(self, small_corpus):
         for p in small_corpus[:3]:
             t = min_shadow_table(p)
@@ -211,10 +222,29 @@ def small_ranked_posets(draw, max_width=6):
     return RankedPoset(ranks, covers)
 
 
+@st.composite
+def wide_level_masks(draw):
+    """Levels of 11 to 15 elements, so several high rows, and at 15 two
+    blocks: rows repeat a few tie-heavy words, all-zero among them."""
+    n = draw(st.integers(11, kernels.BLOCK_SUBSETS.bit_length()))
+    w = draw(st.sampled_from([1, 2]))
+    word_rows = st.lists(st.integers(0, 15), min_size=w, max_size=w)
+    pool = draw(st.lists(word_rows, min_size=1, max_size=4)) + [[0] * w]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.uint64)
+
+
 class TestKernelProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(level_masks())
     def test_kernel_matches_reference(self, masks):
+        mins, argm = kernels.level_min_shadows(masks)
+        assert (list(mins), list(argm)) == reference_min_shadows(masks)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(wide_level_masks())
+    def test_wide_kernel_matches_reference(self, masks):
+        # ties between rows and within a low run pin the first subset
         mins, argm = kernels.level_min_shadows(masks)
         assert (list(mins), list(argm)) == reference_min_shadows(masks)
 

@@ -8,7 +8,10 @@ and once, on the first seed, with ``--trace 1``, and writes OUT as JSON:
 the tree's commit and source digest, the run context line (environment,
 unscaled times), each end-to-end metric's median and quartiles over the
 seeds with every run's value, and the per-layer metrics of the traced
-run.
+run.  Its ``kernel_by_width`` section holds the in-process time of one
+``kernels.level_min_shadows`` call at n = 4, 8, ..., 24 on fixed seeded
+one-word masks: median and quartiles over every timed call, from a fresh
+interpreter per tree and round.
 
 Each run imports its tree's ``src/`` from source: the ``__pycache__``
 directories under each TREE's ``src/`` are deleted before the first run
@@ -33,6 +36,27 @@ from pathlib import Path
 
 # the same seeds for every tree, so BENCH files compare run for run
 SEEDS = tuple(range(1101, 1111))
+
+KERNEL_WIDTHS = tuple(range(4, 25, 4))
+KERNEL_ROUNDS = 3
+# timed in a fresh interpreter: about 0.1 s of calls per width, after
+# one untimed call; the masks depend only on the width
+KERNEL_TIMER = """
+import json, sys, time
+import numpy as np
+from macposet import kernels
+out = {}
+for n in map(int, sys.argv[1:]):
+    masks = np.random.default_rng(n).integers(0, 2**64, (n, 1), dtype=np.uint64)
+    kernels.level_min_shadows(masks)
+    times = []
+    while sum(times) < 0.1 or len(times) < 5:
+        t0 = time.perf_counter()
+        kernels.level_min_shadows(masks)
+        times.append(time.perf_counter() - t0)
+    out[n] = times
+print(json.dumps(out))
+"""
 
 
 def commit_of(tree: Path):
@@ -78,6 +102,29 @@ def summarise(runs):
     return out
 
 
+def kernel_times(tree: Path):
+    """Every timed kernel call of one fresh interpreter, by width."""
+    cmd = [sys.executable, "-c", KERNEL_TIMER, *map(str, KERNEL_WIDTHS)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                               "PYTHONPATH": str(tree / "src")})
+    if proc.returncode != 0:
+        sys.exit(f"error: kernel timing in {tree} exited {proc.returncode}: "
+                 f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def summarise_kernel(samples):
+    """Median and quartiles of each width's call times, in seconds."""
+    out = {}
+    for n in KERNEL_WIDTHS:
+        times = [t for s in samples for t in s[str(n)]]
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out[str(n)] = {"unit": "s", "median": median, "q1": q1, "q3": q3,
+                       "calls": len(times)}
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("pairs", nargs="+", metavar="TREE OUT")
@@ -104,10 +151,15 @@ def main():
                       file=sys.stderr)
         for t in trees:
             traced[t, w] = run_bench(t, w, SEEDS[0], seconds, 1)
+    kernel = {t: [] for t in trees}
+    for i in range(KERNEL_ROUNDS):
+        for t in (trees if i % 2 == 0 else trees[::-1]):
+            kernel[t].append(kernel_times(t))
 
     for t, out in zip(trees, outs):
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
-               "seeds": list(SEEDS), "seconds": seconds, "workloads": {}}
+               "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
+               "kernel_by_width": summarise_kernel(kernel[t])}
         for w in workloads:
             runs = plain[t, w]
             context, result = traced[t, w]
