@@ -191,81 +191,80 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     An exhausted search is a definitive "none"; hitting the node budget
     is reported as its own outcome.
 
-    The search is one loop over an explicit stack of frames, so no input
-    is too deep for it.  A frame ``[d, bi, blocks, remaining, untried,
-    shadow]`` places the next element of level d: ``blocks`` are the
-    bitmasks of level d's forced partition, ``remaining`` the positions
-    of block ``bi`` not yet placed, ``untried`` those not yet tried by
-    this frame (lowest position first), and ``shadow`` the shadow of
-    level d's order so far.  Each candidate tried is one search node.  A
-    candidate whose shadow meets the table minimum is appended to level
-    d's order and the frame for the next position is pushed; that is
-    the next level's first frame when level d is complete, and ``None``
-    past the top level.  An exhausted frame is popped, which undoes the
-    placement made by the frame below it.
+    The search is one flat loop over depths, so no input is too deep for
+    it.  Depth t is the number of elements placed so far, over all
+    levels; an empty level has no depths.  Lists allocated once per call
+    hold each depth's state: its level ``LV[t]``, that level's shadow
+    masks ``MASKS[t]``, the table minimum ``NEED[t]`` for the prefix it
+    completes, the candidates ``U[t]`` not yet tried (a bitmask of level
+    positions, lowest first), the positions ``R[t]`` of its block not
+    yet placed, the block's index ``B[t]`` in ``blocks[LV[t]]``, the
+    shadow ``S[t]`` of its level's order so far and the position
+    ``K[t]`` placed.  Each candidate tried is one search node, and
+    rejected candidates are skipped in an inner loop.  An accepted
+    candidate moves the search to depth t+1; an exhausted depth moves it
+    back to t-1, whose untried candidates are still recorded.  When a
+    level is complete, the next level's blocks are the steps of the
+    prefix shadows recorded at its depths, then the rest of that level.
     """
     table = min_shadow_table(p, level_cap=level_cap)
     stats = SearchStats(subsets_enumerated=table.subsets_enumerated)
-    height = p.max_rank + 1
-    level_masks = [shadow_masks(p, d) for d in range(height)]
-    chosen = [[] for _ in range(height)]  # level orders, as positions
-
-    def blocks_for(d: int):
-        # partition of level-d positions forced by the order below
-        blocks = []
-        seen = acc = 0
-        if d:
-            for k in chosen[d - 1]:
-                acc |= level_masks[d - 1][k]
-                if acc != seen:
-                    blocks.append(acc & ~seen)
-                    seen = acc
-        rest = ((1 << len(p.level(d))) - 1) & ~seen
-        if rest:
-            blocks.append(rest)
-        return blocks
-
-    def first_frame(d: int):
-        # empty levels have no frame: their order is empty
-        for d in range(d, height):
-            blocks = blocks_for(d)
-            if blocks:
-                return [d, 0, blocks, blocks[0], blocks[0], 0]
-        return None
-
-    stack = [first_frame(0)]
-    while stack[-1] is not None:
-        frame = stack[-1]
-        d, bi, blocks, remaining, untried, shadow = frame
-        if not untried:
-            stack.pop()
-            if not stack:
-                return SearchResult("none", None, stats)
-            chosen[stack[-1][0]].pop()
-            continue
-        low = untried & -untried
-        frame[4] = untried ^ low
-        stats.nodes += 1
-        if budget is not None and stats.nodes > budget:
-            return SearchResult("budget-exceeded", None, stats)
-        k = low.bit_length() - 1
-        sh = shadow | level_masks[d][k]
-        order = chosen[d]
-        if sh.bit_count() != table.mins[d][len(order) + 1]:
-            continue
-        order.append(k)
-        remaining ^= low
-        if remaining:
-            stack.append([d, bi, blocks, remaining, remaining, sh])
-        elif bi + 1 < len(blocks):
-            stack.append([d, bi + 1, blocks, blocks[bi + 1], blocks[bi + 1], sh])
+    levels = p.levels
+    level_masks = [shadow_masks(p, d) for d in range(len(levels))]
+    LV = [d for d, lv in enumerate(levels) for _ in lv]
+    MASKS = [level_masks[d] for d in LV]
+    NEED = [m for row in table.mins for m in row[1:]]  # minimum at each depth
+    n = len(LV)
+    U, R, K, B, S = [0] * n, [0] * n, [0] * n, [0] * n, [0] * (n + 1)
+    blocks = [None] * len(levels)
+    limit = float("inf") if budget is None else budget
+    nodes = t = 0
+    if n:  # the lowest level is one block
+        blocks[LV[0]] = [(1 << len(levels[LV[0]])) - 1]
+        U[0] = R[0] = blocks[LV[0]][0]
+    while t < n:
+        untried, masks, need, shadow = U[t], MASKS[t], NEED[t], S[t]
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            nodes += 1
+            if nodes > limit:
+                stats.nodes = nodes
+                return SearchResult("budget-exceeded", None, stats)
+            k = low.bit_length() - 1
+            sh = shadow | masks[k]
+            if sh.bit_count() == need:
+                break
         else:
-            stack.append(first_frame(d + 1))
-    lists = []
-    for d in range(height):
-        lv = p.level(d)
-        lists.append([lv[k] for k in chosen[d]])
-    order = order_from_lists(p, lists)
+            t -= 1
+            if t < 0:
+                stats.nodes = nodes
+                return SearchResult("none", None, stats)
+            continue
+        U[t], K[t], d, b, rem = untried, k, LV[t], B[t], R[t] ^ low
+        t += 1
+        S[t] = sh
+        if rem:
+            U[t] = R[t] = rem
+            B[t] = b
+        elif b + 1 < len(blocks[d]):
+            U[t] = R[t] = blocks[d][b + 1]
+            B[t] = b + 1
+        elif t < n:  # level d is complete: open the next nonempty level
+            e, seen = LV[t], 0
+            bl = blocks[e] = []
+            if e == d + 1:  # the steps of level d's prefix-shadow chain
+                for acc in S[t - len(levels[d]) + 1:t + 1]:
+                    if acc != seen:
+                        bl.append(acc ^ seen)
+                        seen = acc
+            if rest := ((1 << len(levels[e])) - 1) ^ seen:
+                bl.append(rest)
+            U[t] = R[t] = bl[0]
+            S[t] = B[t] = 0
+    stats.nodes = nodes
+    placed = iter(K)  # positions, level by level
+    order = order_from_lists(p, [[lv[next(placed)] for _ in lv] for lv in levels])
     verdict = check_macaulay(p, order, level_cap=level_cap)
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")

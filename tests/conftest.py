@@ -2,14 +2,21 @@
 
 The oracles reimplement the definitions with plain loops over element
 ids (no bitmask machinery) so they stay independent of the code paths
-they check.
+they check.  The one exception is ``reference_search``, the previous
+order search kept unchanged, against which the current search is
+checked node for node.
 """
 
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
-from macposet import box, path, spider, wedge
+from macposet import RankedPoset, box, path, spider, wedge
+from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
+                               SearchStats, check_macaulay, min_shadow_table,
+                               shadow_masks)
+from macposet.orders import order_from_lists
 
 
 def naive_upper_shadow(p, ids):
@@ -85,6 +92,105 @@ def layered_order_exists(p):
         if not reach:
             return False
     return True
+
+
+@st.composite
+def small_ranked_posets(draw, max_width=6):
+    sizes = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=4))
+    starts = [sum(sizes[:d]) for d in range(len(sizes))]
+    ranks = [d for d, s in enumerate(sizes) for _ in range(s)]
+    covers = []
+    for d in range(len(sizes) - 1):
+        for i in range(sizes[d]):
+            ups = draw(st.sets(st.integers(0, sizes[d + 1] - 1)))
+            covers += [(starts[d] + i, starts[d + 1] + u) for u in sorted(ups)]
+    return RankedPoset(ranks, covers)
+
+
+def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
+    """The frame-stack order search that ``find_macaulay_order`` replaced,
+    kept as an oracle: the two must give the same status, node count and
+    level orders on every input and budget.
+
+    The search is one loop over an explicit stack of frames, so no input
+    is too deep for it.  A frame ``[d, bi, blocks, remaining, untried,
+    shadow]`` places the next element of level d: ``blocks`` are the
+    bitmasks of level d's forced partition, ``remaining`` the positions
+    of block ``bi`` not yet placed, ``untried`` those not yet tried by
+    this frame (lowest position first), and ``shadow`` the shadow of
+    level d's order so far.  Each candidate tried is one search node.  A
+    candidate whose shadow meets the table minimum is appended to level
+    d's order and the frame for the next position is pushed; that is
+    the next level's first frame when level d is complete, and ``None``
+    past the top level.  An exhausted frame is popped, which undoes the
+    placement made by the frame below it.
+    """
+    table = min_shadow_table(p, level_cap=level_cap)
+    stats = SearchStats(subsets_enumerated=table.subsets_enumerated)
+    height = p.max_rank + 1
+    level_masks = [shadow_masks(p, d) for d in range(height)]
+    chosen = [[] for _ in range(height)]  # level orders, as positions
+
+    def blocks_for(d: int):
+        # partition of level-d positions forced by the order below
+        blocks = []
+        seen = acc = 0
+        if d:
+            for k in chosen[d - 1]:
+                acc |= level_masks[d - 1][k]
+                if acc != seen:
+                    blocks.append(acc & ~seen)
+                    seen = acc
+        rest = ((1 << len(p.level(d))) - 1) & ~seen
+        if rest:
+            blocks.append(rest)
+        return blocks
+
+    def first_frame(d: int):
+        # empty levels have no frame: their order is empty
+        for d in range(d, height):
+            blocks = blocks_for(d)
+            if blocks:
+                return [d, 0, blocks, blocks[0], blocks[0], 0]
+        return None
+
+    stack = [first_frame(0)]
+    while stack[-1] is not None:
+        frame = stack[-1]
+        d, bi, blocks, remaining, untried, shadow = frame
+        if not untried:
+            stack.pop()
+            if not stack:
+                return SearchResult("none", None, stats)
+            chosen[stack[-1][0]].pop()
+            continue
+        low = untried & -untried
+        frame[4] = untried ^ low
+        stats.nodes += 1
+        if budget is not None and stats.nodes > budget:
+            return SearchResult("budget-exceeded", None, stats)
+        k = low.bit_length() - 1
+        sh = shadow | level_masks[d][k]
+        order = chosen[d]
+        if sh.bit_count() != table.mins[d][len(order) + 1]:
+            continue
+        order.append(k)
+        remaining ^= low
+        if remaining:
+            stack.append([d, bi, blocks, remaining, remaining, sh])
+        elif bi + 1 < len(blocks):
+            stack.append([d, bi + 1, blocks, blocks[bi + 1], blocks[bi + 1], sh])
+        else:
+            stack.append(first_frame(d + 1))
+    lists = []
+    for d in range(height):
+        lv = p.level(d)
+        lists.append([lv[k] for k in chosen[d]])
+    order = order_from_lists(p, lists)
+    verdict = check_macaulay(p, order, level_cap=level_cap)
+    if not verdict.ok:  # the construction guarantees this cannot happen
+        raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
+    return SearchResult("found", order, stats)
 
 
 @pytest.fixture

@@ -16,12 +16,14 @@ from macposet import (LevelSubset, PosetError, RankedPoset, box,
 from macposet.construct import adjoin_extreme, remove_extreme, restrict_to_factors
 from macposet.classify import _random_hat_corpus, build_heart
 from macposet.cli import run_command
+from macposet.expr import evaluate, parse_expression
 from macposet.macaulay import LevelCapExceeded, _level_row
 from macposet.orders import initial_segment
 from macposet import kernels
 
 from conftest import (brute_min_shadow, brute_order_exists, definition_check,
-                      layered_order_exists, naive_upper_shadow)
+                      layered_order_exists, naive_upper_shadow, reference_search,
+                      small_ranked_posets)
 
 
 def heart_example_poset():
@@ -207,19 +209,6 @@ def level_masks(draw):
     rows = draw(st.lists(st.lists(_mask_words, min_size=w, max_size=w),
                          min_size=n, max_size=n))
     return np.array(rows, dtype=np.uint64).reshape(n, w)
-
-
-@st.composite
-def small_ranked_posets(draw, max_width=6):
-    sizes = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=4))
-    starts = [sum(sizes[:d]) for d in range(len(sizes))]
-    ranks = [d for d, s in enumerate(sizes) for _ in range(s)]
-    covers = []
-    for d in range(len(sizes) - 1):
-        for i in range(sizes[d]):
-            ups = draw(st.sets(st.integers(0, sizes[d + 1] - 1)))
-            covers += [(starts[d] + i, starts[d + 1] + u) for u in sorted(ups)]
-    return RankedPoset(ranks, covers)
 
 
 @st.composite
@@ -414,6 +403,17 @@ class TestSearchPinned:
         r = find_macaulay_order(path(5000))
         assert (r.status, r.stats.nodes) == ("found", 5001)
 
+    @pytest.mark.parametrize("expr, nodes, per_level", [
+        ("explicit{3; 0 0 2; }", 3, ((0, 1), (), (2,))),
+        ("explicit{5; 0 0 2 3 3; 2 3, 2 4}", 5, ((0, 1), (), (2,), (3, 4))),
+        ("explicit{3; 1 1 2; }", 3, ((), (0, 1), (2,))),
+    ])
+    def test_rank_gap(self, expr, nodes, per_level):
+        # recorded with reference_search: an empty level places nothing,
+        # and the level above it is one block
+        r = find_macaulay_order(evaluate(parse_expression(expr)).poset)
+        assert (r.status, r.stats.nodes, r.order.per_level) == ("found", nodes, per_level)
+
 
 class TestSearchProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -428,6 +428,15 @@ class TestSearchProperties:
         if r.found:
             assert check_macaulay(p, r.order).ok
             assert definition_check(p, [list(l) for l in r.order.per_level] + [[]])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_ranked_posets(max_width=6),
+           st.sampled_from([0, 1, 5, 37, 500, None]))
+    def test_matches_reference_search(self, p, budget):
+        # the same nodes in the same order: status, count and orders agree
+        got, want = find_macaulay_order(p, budget), reference_search(p, budget)
+        assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
+        assert (got.order and got.order.per_level) == (want.order and want.order.per_level)
 
 
 @st.composite

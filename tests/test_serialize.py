@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from macposet import box, wedge
 from macposet.serialize import (FormatError, build_report, fibermap_from_text,
                                 order_lists_from_text, order_lists_to_text,
                                 poset_from_text, poset_to_text, report_to_bytes)
+
+from conftest import small_ranked_posets
 
 
 class TestPosetRoundTrip:
@@ -29,6 +32,15 @@ class TestPosetRoundTrip:
         p = path(3)
         q, _ = poset_from_text(poset_to_text(p))
         assert q.labels is None and q.up == p.up
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_ranked_posets())
+    def test_round_trip_property(self, p):
+        text = poset_to_text(p)
+        q, res = poset_from_text(text)
+        assert res is None
+        assert q.rank == p.rank and q.up == p.up
+        assert poset_to_text(q) == text
 
 
 class TestPosetFormatErrors:

@@ -11,7 +11,11 @@ seeds with every run's value, and the per-layer metrics of the traced
 run.  Its ``kernel_by_width`` section holds the in-process time of one
 ``kernels.level_min_shadows`` call at n = 4, 8, ..., 24 on fixed seeded
 one-word masks: median and quartiles over every timed call, from a fresh
-interpreter per tree and round.
+interpreter per tree and round.  Its ``reproduce_by_target`` section
+holds the in-process wall time of each ``macposet reproduce`` target:
+a fresh interpreter per tree and round runs the targets once each, in
+the order of a paper-reproduce pass, and each target's median and
+quartiles are over the rounds.
 
 Each run imports its tree's ``src/`` from source: the ``__pycache__``
 directories under each TREE's ``src/`` are deleted before the first run
@@ -55,6 +59,22 @@ for n in map(int, sys.argv[1:]):
         kernels.level_min_shadows(masks)
         times.append(time.perf_counter() - t0)
     out[n] = times
+print(json.dumps(out))
+"""
+REPRODUCE_ROUNDS = 5
+# timed in a fresh interpreter: each target once, in the order of a
+# paper-reproduce pass, so each pays the first-use costs it pays there
+REPRODUCE_TIMER = """
+import contextlib, io, json, sys, time
+from macposet import cli
+out = {}
+for name in cli.REPRODUCE:
+    with contextlib.redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        code = cli.run_command(["reproduce", name])
+        out[name] = [time.perf_counter() - t0]
+    if code not in (0, 1):
+        sys.exit(f"reproduce {name} exited {code}")
 print(json.dumps(out))
 """
 
@@ -102,26 +122,37 @@ def summarise(runs):
     return out
 
 
-def kernel_times(tree: Path):
-    """Every timed kernel call of one fresh interpreter, by width."""
-    cmd = [sys.executable, "-c", KERNEL_TIMER, *map(str, KERNEL_WIDTHS)]
+def fresh_times(tree: Path, timer: str, args=()):
+    """The times, by key, that ``timer`` prints from one fresh interpreter
+    importing the tree's ``src/``."""
+    cmd = [sys.executable, "-c", timer, *map(str, args)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
                                "PYTHONPATH": str(tree / "src")})
     if proc.returncode != 0:
-        sys.exit(f"error: kernel timing in {tree} exited {proc.returncode}: "
+        sys.exit(f"error: in-process timing in {tree} exited {proc.returncode}: "
                  f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
 
 
-def summarise_kernel(samples):
-    """Median and quartiles of each width's call times, in seconds."""
+def fresh_rounds(trees, rounds: int, timer: str, args=()):
+    """Each tree's ``fresh_times`` over ``rounds`` rounds; the tree that
+    goes first alternates from round to round."""
+    samples = {t: [] for t in trees}
+    for i in range(rounds):
+        for t in (trees if i % 2 == 0 else trees[::-1]):
+            samples[t].append(fresh_times(t, timer, args))
+    return samples
+
+
+def summarise_times(samples):
+    """Median and quartiles of each key's times, in seconds."""
     out = {}
-    for n in KERNEL_WIDTHS:
-        times = [t for s in samples for t in s[str(n)]]
+    for key in samples[0]:
+        times = [t for s in samples for t in s[key]]
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-        out[str(n)] = {"unit": "s", "median": median, "q1": q1, "q3": q3,
-                       "calls": len(times)}
+        out[key] = {"unit": "s", "median": median, "q1": q1, "q3": q3,
+                    "calls": len(times)}
     return out
 
 
@@ -151,15 +182,14 @@ def main():
                       file=sys.stderr)
         for t in trees:
             traced[t, w] = run_bench(t, w, SEEDS[0], seconds, 1)
-    kernel = {t: [] for t in trees}
-    for i in range(KERNEL_ROUNDS):
-        for t in (trees if i % 2 == 0 else trees[::-1]):
-            kernel[t].append(kernel_times(t))
+    kernel = fresh_rounds(trees, KERNEL_ROUNDS, KERNEL_TIMER, KERNEL_WIDTHS)
+    reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS, REPRODUCE_TIMER)
 
     for t, out in zip(trees, outs):
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
                "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
-               "kernel_by_width": summarise_kernel(kernel[t])}
+               "kernel_by_width": summarise_times(kernel[t]),
+               "reproduce_by_target": summarise_times(reproduce[t])}
         for w in workloads:
             runs = plain[t, w]
             context, result = traced[t, w]
