@@ -120,16 +120,22 @@ def cmd_shadow(args):
     return 0, report
 
 
-def cmd_check(args):
+# each order-verdict subcommand's verdict function and its ok message
+ORDER_VERDICTS = {"check": (check_macaulay, "the order certifies the poset Macaulay"),
+                  "additive": (is_additive, "the poset is additive for this order")}
+
+
+def cmd_order_verdict(args):
     ev = _build(args.expr)
     fam = _resolve_order(args.order, ev)
     table = min_shadow_table(ev.poset, level_cap=args.level_cap)
-    verdict = check_macaulay(ev.poset, fam, level_cap=args.level_cap)
+    verdict_of, ok_message = ORDER_VERDICTS[args.command]
+    verdict = verdict_of(ev.poset, fam, level_cap=args.level_cap)
     if verdict.ok:
-        print("ok: the order certifies the poset Macaulay")
+        print(f"ok: {ok_message}")
     else:
         print(f"violation: {verdict.witness.detail}")
-    report = build_report("check", f"{args.expr} --order {args.order}",
+    report = build_report(args.command, f"{args.expr} --order {args.order}",
                           verdict=verdict.status,
                           witness=verdict.witness.to_json() if verdict.witness else None,
                           timings={"search_nodes": 0,
@@ -155,23 +161,6 @@ def cmd_search_order(args):
     return SEARCH_EXIT[sr.status], build_report(
         "search-order", args.expr, verdict=sr.status, grid=grid,
         timings=sr.stats.to_json())
-
-
-def cmd_additive(args):
-    ev = _build(args.expr)
-    fam = _resolve_order(args.order, ev)
-    table = min_shadow_table(ev.poset, level_cap=args.level_cap)
-    verdict = is_additive(ev.poset, fam, level_cap=args.level_cap)
-    if verdict.ok:
-        print("ok: the poset is additive for this order")
-    else:
-        print(f"violation: {verdict.witness.detail}")
-    report = build_report("additive", f"{args.expr} --order {args.order}",
-                          verdict=verdict.status,
-                          witness=verdict.witness.to_json() if verdict.witness else None,
-                          timings={"search_nodes": 0,
-                                   "subsets_enumerated": table.subsets_enumerated})
-    return (0 if verdict.ok else 1), report
 
 
 def _parse_bounds(pairs):
@@ -328,33 +317,12 @@ def _reproduce_spider_union_fails(args):
                         + ur.stats.subsets_enumerated}
 
 
-def _grid_target(rep):
+def _grid_target(family, args):
+    rep = classify.verify_family(classify.FamilySpec(
+        family, budget=args.budget, level_cap=args.level_cap))
     print(f"{rep.family}: {len(rep.rows)} rows, {len(rep.disagreements)} disagreements, "
           f"{len(rep.inconclusive)} inconclusive")
     return _grid_exit(rep), rep.to_json(), rep.counters
-
-
-def _reproduce_thmA(args):
-    return _grid_target(classify.equivalence_suite(budget=args.budget,
-                                                   level_cap=args.level_cap))
-
-
-def _reproduce_thmB_wedge(args):
-    return _grid_target(classify.verify_wedge_grid(
-        classify.FamilySpec("wedge-box", budget=args.budget,
-                            level_cap=args.level_cap)))
-
-
-def _reproduce_thmB_diamond(args):
-    return _grid_target(classify.verify_diamond_grid(
-        classify.FamilySpec("diamond-box", budget=args.budget,
-                            level_cap=args.level_cap)))
-
-
-def _reproduce_thmC(args):
-    return _grid_target(classify.verify_heart_grid(
-        classify.FamilySpec("heart", budget=args.budget,
-                            level_cap=args.level_cap)))
 
 
 def _reproduce_conj67(args):
@@ -371,10 +339,10 @@ REPRODUCE = {
     "conj66-counterexample": _reproduce_conj66,
     "diamond-not-wedge": _reproduce_diamond_not_wedge,
     "spider-union-fails": _reproduce_spider_union_fails,
-    "thmA-grid": _reproduce_thmA,
-    "thmB-wedge-grid": _reproduce_thmB_wedge,
-    "thmB-diamond-grid": _reproduce_thmB_diamond,
-    "thmC-grid": _reproduce_thmC,
+    "thmA-grid": functools.partial(_grid_target, "union-wedge-diamond-equiv"),
+    "thmB-wedge-grid": functools.partial(_grid_target, "wedge-box"),
+    "thmB-diamond-grid": functools.partial(_grid_target, "diamond-box"),
+    "thmC-grid": functools.partial(_grid_target, "heart"),
     "conj67-scan": _reproduce_conj67,
 }
 
@@ -384,7 +352,7 @@ def cmd_reproduce(args):
         raise PosetError(f"unknown reproduce target {args.name!r}; known: "
                          + ", ".join(sorted(REPRODUCE)))
     code, grid, timings = REPRODUCE[args.name](args)
-    verdict = {0: "ok", 1: "violation", 2: "error", 3: "budget-exceeded"}[code]
+    verdict = {0: "ok", 1: "violation", 3: "budget-exceeded"}[code]
     report = build_report("reproduce", args.name, verdict=verdict,
                           grid=grid, timings=timings)
     return code, report
@@ -447,7 +415,7 @@ def build_parser():
     sp.add_argument("expr")
     sp.add_argument("--order", required=True)
     _add_flags(sp, budget=False)
-    sp.set_defaults(fn=cmd_check)
+    sp.set_defaults(fn=cmd_order_verdict)
 
     sp = sub.add_parser("search-order", help="search for a certifying order")
     sp.add_argument("expr")
@@ -458,7 +426,7 @@ def build_parser():
     sp.add_argument("expr")
     sp.add_argument("--order", required=True)
     _add_flags(sp, budget=False)
-    sp.set_defaults(fn=cmd_additive)
+    sp.set_defaults(fn=cmd_order_verdict)
 
     sp = sub.add_parser("verify-family", help="predicate vs search over a grid")
     sp.add_argument("family", choices=["heart", "diamond-box", "wedge-box",

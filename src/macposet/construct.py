@@ -27,11 +27,6 @@ class Provenance:
     def is_merged(self, i: int) -> bool:
         return len(self.sources[i]) > 1
 
-    def single(self, i: int):
-        if self.is_merged(i):
-            raise PosetError(f"element {i} is a merged glue point")
-        return self.sources[i][0]
-
     def arity(self) -> int:
         return 1 + max(f for rec in self.sources for f, _ in rec if f >= 0)
 
@@ -44,7 +39,6 @@ class OperationResult:
     poset: RankedPoset
     provenance: Provenance
     operation: str  # disjoint_union | wedge | diamond | fiber | cartesian
-    factors: tuple = ()
 
 
 def path(d: int) -> RankedPoset:
@@ -90,116 +84,72 @@ def spider(*legs) -> OperationResult:
         legs = tuple(legs[0])
     if not legs or any(l < 1 for l in legs):
         raise PosetError("spider needs leg lengths >= 1")
-    res = wedge([path(l) for l in legs])
-    renamed = RankedPoset(res.poset.rank, _cover_pairs(res.poset),
-                          name="spider(" + ",".join(str(l) for l in legs) + ")")
-    return OperationResult(renamed, res.provenance, res.operation, res.factors)
+    return _glue([path(l) for l in legs], "wedge",
+                 "spider(" + ",".join(str(l) for l in legs) + ")")
 
 
 def _cover_pairs(p: RankedPoset):
     return [(a, b) for a in range(p.n) for b in p.up[a]]
 
 
+# each gluing operation's output name and the factor extremes it identifies
+GLUED = {"disjoint_union": ("union", ()), "wedge": ("wedge", ("minimum",)),
+         "diamond": ("diamond", ("minimum", "maximum"))}
+
+
+def _glue(ps, operation: str, name=None) -> OperationResult:
+    """Side-by-side copies of the factors, with the extremes that
+    ``operation`` identifies glued into one element each.  Element ids:
+    the glued minimum, then every other element by factor and id, then
+    the glued maximum."""
+    ps = list(ps)
+    tag, glued = GLUED[operation]
+    if glued and not ps:
+        raise PosetError(f"{operation} needs at least one factor")
+    ext = {which: [] for which in glued}
+    for which, ids in ext.items():
+        for k, p in enumerate(ps):
+            found = p.minimal_elements() if which == "minimum" else p.maximal_elements()
+            if len(found) != 1:
+                raise PosetError(f"factor {k} has {len(found)} {which[:3]}imal elements, "
+                                 "needs exactly 1")
+            ids += found
+    skip = [{ids[k] for ids in ext.values()} for k in range(len(ps))]
+    for k, glued_ids in enumerate(skip):
+        if len(glued_ids) < len(ext):
+            raise PosetError(f"factor {k} has its minimum equal to its maximum")
+    for k, p in enumerate(ps):
+        for which, ids in ext.items():
+            r, r0 = p.rank[ids[k]], ps[0].rank[ids[0]]
+            if r != r0:
+                raise PosetError(f"factor {k} {which} has rank {r}, expected {r0}")
+    glue = [tuple(enumerate(ids)) for ids in ext.values()]  # minimum, maximum
+    sources = glue[:1] + [((k, i),) for k, p in enumerate(ps) for i in range(p.n)
+                          if i not in skip[k]] + glue[1:]
+    new_id, ranks = [[0] * p.n for p in ps], []
+    for n, rec in enumerate(sources):
+        for k, i in rec:
+            new_id[k][i] = n
+        ranks.append(ps[k].rank[i])
+    covers = [(ids[a], ids[b]) for p, ids in zip(ps, new_id) for a, b in _cover_pairs(p)]
+    name = name or tag + "(" + ",".join(p.name or "?" for p in ps) + ")"
+    poset = RankedPoset(ranks, covers, name=name)
+    return OperationResult(poset, Provenance(tuple(sources)), operation)
+
+
 def disjoint_union(ps) -> OperationResult:
     """Side-by-side copies with no cross relations; ranks preserved."""
-    ps = list(ps)
-    covers, ranks, sources = [], [], []
-    offset = 0
-    for k, p in enumerate(ps):
-        ranks.extend(p.rank)
-        covers.extend((a + offset, b + offset) for a, b in _cover_pairs(p))
-        sources.extend(((k, i),) for i in range(p.n))
-        offset += p.n
-    name = "union(" + ",".join(p.name or "?" for p in ps) + ")"
-    poset = RankedPoset(ranks, covers, name=name)
-    return OperationResult(poset, Provenance(tuple(sources)), "disjoint_union",
-                           tuple(ps))
-
-
-def _unique_min(p: RankedPoset, k: int) -> int:
-    mins = p.minimal_elements()
-    if len(mins) != 1:
-        raise PosetError(f"factor {k} has {len(mins)} minimal elements, needs exactly 1")
-    return mins[0]
-
-
-def _unique_max(p: RankedPoset, k: int) -> int:
-    maxs = p.maximal_elements()
-    if len(maxs) != 1:
-        raise PosetError(f"factor {k} has {len(maxs)} maximal elements, needs exactly 1")
-    return maxs[0]
+    return _glue(ps, "disjoint_union")
 
 
 def wedge(ps) -> OperationResult:
     """Disjoint union with the unique factor minima identified."""
-    ps = list(ps)
-    mins = [_unique_min(p, k) for k, p in enumerate(ps)]
-    glue_rank = ps[0].rank[mins[0]]
-    for k, p in enumerate(ps):
-        if p.rank[mins[k]] != glue_rank:
-            raise PosetError(f"factor {k} minimum has rank {p.rank[mins[k]]}, "
-                             f"expected {glue_rank}")
-    ranks = [glue_rank]
-    sources = [tuple((k, mins[k]) for k in range(len(ps)))]
-    covers = []
-    new_id = {}
-    nxt = 1
-    for k, p in enumerate(ps):
-        for i in range(p.n):
-            if i == mins[k]:
-                new_id[(k, i)] = 0
-            else:
-                new_id[(k, i)] = nxt
-                ranks.append(p.rank[i])
-                sources.append(((k, i),))
-                nxt += 1
-        covers.extend((new_id[(k, a)], new_id[(k, b)]) for a, b in _cover_pairs(p))
-    name = "wedge(" + ",".join(p.name or "?" for p in ps) + ")"
-    poset = RankedPoset(ranks, covers, name=name)
-    return OperationResult(poset, Provenance(tuple(sources)), "wedge", tuple(ps))
+    return _glue(ps, "wedge")
 
 
 def diamond(ps) -> OperationResult:
     """Disjoint union with minima identified and maxima identified."""
-    ps = list(ps)
-    mins = [_unique_min(p, k) for k, p in enumerate(ps)]
-    maxs = [_unique_max(p, k) for k, p in enumerate(ps)]
-    for k, p in enumerate(ps):
-        if mins[k] == maxs[k]:
-            raise PosetError(f"factor {k} has its minimum equal to its maximum")
-    bot_rank = ps[0].rank[mins[0]]
-    top_rank = ps[0].rank[maxs[0]]
-    for k, p in enumerate(ps):
-        if p.rank[mins[k]] != bot_rank:
-            raise PosetError(f"factor {k} minimum rank differs")
-        if p.rank[maxs[k]] != top_rank:
-            raise PosetError(f"factor {k} maximum has rank {p.rank[maxs[k]]}, "
-                             f"expected {top_rank}")
-    ranks = [bot_rank]
-    sources = [tuple((k, mins[k]) for k in range(len(ps)))]
-    covers = []
-    new_id = {}
-    nxt = 1
-    for k, p in enumerate(ps):
-        for i in range(p.n):
-            if i == mins[k]:
-                new_id[(k, i)] = 0
-            elif i == maxs[k]:
-                continue
-            else:
-                new_id[(k, i)] = nxt
-                ranks.append(p.rank[i])
-                sources.append(((k, i),))
-                nxt += 1
-    top = nxt
-    ranks.append(top_rank)
-    sources.append(tuple((k, maxs[k]) for k in range(len(ps))))
-    for k, p in enumerate(ps):
-        new_id[(k, maxs[k])] = top
-        covers.extend((new_id[(k, a)], new_id[(k, b)]) for a, b in _cover_pairs(p))
-    name = "diamond(" + ",".join(p.name or "?" for p in ps) + ")"
-    poset = RankedPoset(ranks, covers, name=name)
-    return OperationResult(poset, Provenance(tuple(sources)), "diamond", tuple(ps))
+    return _glue(ps, "diamond")
 
 
 def _validate_embedding(pc: RankedPoset, px: RankedPoset, inj: dict, which: str):
@@ -298,7 +248,7 @@ def fiber_product(pa: RankedPoset, pb: RankedPoset, pc: RankedPoset,
     verdict = validate_poset(poset)
     if not verdict.ok:
         raise PosetError(f"fiber product violates rank law: {verdict.witness.detail}")
-    return OperationResult(poset, Provenance(tuple(sources)), "fiber", (pa, pb, pc))
+    return OperationResult(poset, Provenance(tuple(sources)), "fiber")
 
 
 def cartesian_product(p: RankedPoset, q: RankedPoset) -> OperationResult:
@@ -322,7 +272,7 @@ def cartesian_product(p: RankedPoset, q: RankedPoset) -> OperationResult:
     sources = tuple(((0, a), (1, b)) for a, b in pairs)
     name = f"cart({p.name or '?'},{q.name or '?'})"
     poset = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
-    return OperationResult(poset, Provenance(sources), "cartesian", (p, q))
+    return OperationResult(poset, Provenance(sources), "cartesian")
 
 
 def adjoin_extreme(p: RankedPoset, which: str) -> RankedPoset:

@@ -288,8 +288,7 @@ def evaluate(node, read_fibermap=None) -> EvalResult:
     if fn == "path":
         return EvalResult(construct.path(node.args[0]), "path")
     if fn == "box":
-        return EvalResult(construct.box(*node.args), "box",
-                          meta={"dims": list(node.args)})
+        return EvalResult(construct.box(*node.args), "box")
     if fn == "spider":
         res = construct.spider(*node.args)
         return EvalResult(res.poset, "spider", result=res)

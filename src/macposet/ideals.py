@@ -91,16 +91,24 @@ def pure_power_ideal(caps, var_names=None) -> MonomialIdeal:
     return ideal_from_generators(gens, var_names)
 
 
-def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+def _same_ring(i: MonomialIdeal, j: MonomialIdeal, what: str):
+    """Binary ideal operations read generators position by position, so
+    both ideals need the same variables in the same order."""
     if i.arity != j.arity:
-        raise PosetError("arity mismatch in ideal sum")
+        raise PosetError(f"arity mismatch in {what}")
+    if i.var_names != j.var_names:
+        raise PosetError(f"variable names differ in {what}: "
+                         f"{','.join(i.var_names)} vs {','.join(j.var_names)}")
+
+
+def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    _same_ring(i, j, "ideal sum")
     return ideal_from_generators(i.generators + j.generators, i.var_names)
 
 
 def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """Pairwise lcms of generators, minimalized."""
-    if i.arity != j.arity:
-        raise PosetError("arity mismatch in ideal intersection")
+    _same_ring(i, j, "ideal intersection")
     if i.is_zero() or j.is_zero():
         return ideal_from_generators([], i.var_names)
     gens = [lcm(g, h) for g in i.generators for h in j.generators]
@@ -109,8 +117,7 @@ def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_contains(i: MonomialIdeal, j: MonomialIdeal) -> bool:
     """i is contained in j, i.e. every generator of i is a member of j."""
-    if i.arity != j.arity:
-        raise PosetError("arity mismatch in containment test")
+    _same_ring(i, j, "containment test")
     return all(j.member(g) for g in i.generators)
 
 

@@ -164,7 +164,7 @@ def poset_from_text(text: str):
         raise FormatError(f"invalid poset: {w.detail}", bad)
     result = None
     if op is not None:
-        result = OperationResult(p, Provenance(tuple(sources)), op, ())
+        result = OperationResult(p, Provenance(tuple(sources)), op)
     return p, result
 
 

@@ -2,9 +2,11 @@
 
 The oracles reimplement the definitions with plain loops over element
 ids (no bitmask machinery) so they stay independent of the code paths
-they check.  The one exception is ``reference_search``, the previous
+they check.  The exceptions are ``reference_search``, the previous
 order search kept unchanged, against which the current search is
-checked node for node.
+checked node for node, and ``reference_glue``, the previous union,
+wedge and diamond builders, against which the one glue builder is
+checked byte for byte.
 """
 
 import itertools
@@ -12,7 +14,8 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from macposet import RankedPoset, box, path, spider, wedge
+from macposet import PosetError, RankedPoset, box, path, spider, wedge
+from macposet.construct import OperationResult, Provenance, _cover_pairs
 from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
                                SearchStats, check_macaulay, min_shadow_table,
                                shadow_masks)
@@ -95,8 +98,11 @@ def layered_order_exists(p):
 
 
 @st.composite
-def small_ranked_posets(draw, max_width=6):
-    sizes = draw(st.lists(st.integers(1, max_width), min_size=1, max_size=4))
+def small_ranked_posets(draw, max_width=6, levels=None):
+    """Random covers between consecutive levels of 1 to 4 levels, or of
+    exactly ``levels`` levels."""
+    sizes = draw(st.lists(st.integers(1, max_width), min_size=levels or 1,
+                          max_size=levels or 4))
     starts = [sum(sizes[:d]) for d in range(len(sizes))]
     ranks = [d for d, s in enumerate(sizes) for _ in range(s)]
     covers = []
@@ -191,6 +197,112 @@ def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
     return SearchResult("found", order, stats)
+
+
+def reference_glue(ps, operation):
+    """The separate disjoint union, wedge and diamond builders that the
+    one glue builder replaced, kept as an oracle: the two must give the
+    same ids, covers, names, provenance and errors."""
+    return {"disjoint_union": _reference_union, "wedge": _reference_wedge,
+            "diamond": _reference_diamond}[operation](ps)
+
+
+def _reference_union(ps) -> OperationResult:
+    ps = list(ps)
+    covers, ranks, sources = [], [], []
+    offset = 0
+    for k, p in enumerate(ps):
+        ranks.extend(p.rank)
+        covers.extend((a + offset, b + offset) for a, b in _cover_pairs(p))
+        sources.extend(((k, i),) for i in range(p.n))
+        offset += p.n
+    name = "union(" + ",".join(p.name or "?" for p in ps) + ")"
+    poset = RankedPoset(ranks, covers, name=name)
+    return OperationResult(poset, Provenance(tuple(sources)), "disjoint_union")
+
+
+def _unique_min(p: RankedPoset, k: int) -> int:
+    mins = p.minimal_elements()
+    if len(mins) != 1:
+        raise PosetError(f"factor {k} has {len(mins)} minimal elements, needs exactly 1")
+    return mins[0]
+
+
+def _unique_max(p: RankedPoset, k: int) -> int:
+    maxs = p.maximal_elements()
+    if len(maxs) != 1:
+        raise PosetError(f"factor {k} has {len(maxs)} maximal elements, needs exactly 1")
+    return maxs[0]
+
+
+def _reference_wedge(ps) -> OperationResult:
+    ps = list(ps)
+    mins = [_unique_min(p, k) for k, p in enumerate(ps)]
+    glue_rank = ps[0].rank[mins[0]]
+    for k, p in enumerate(ps):
+        if p.rank[mins[k]] != glue_rank:
+            raise PosetError(f"factor {k} minimum has rank {p.rank[mins[k]]}, "
+                             f"expected {glue_rank}")
+    ranks = [glue_rank]
+    sources = [tuple((k, mins[k]) for k in range(len(ps)))]
+    covers = []
+    new_id = {}
+    nxt = 1
+    for k, p in enumerate(ps):
+        for i in range(p.n):
+            if i == mins[k]:
+                new_id[(k, i)] = 0
+            else:
+                new_id[(k, i)] = nxt
+                ranks.append(p.rank[i])
+                sources.append(((k, i),))
+                nxt += 1
+        covers.extend((new_id[(k, a)], new_id[(k, b)]) for a, b in _cover_pairs(p))
+    name = "wedge(" + ",".join(p.name or "?" for p in ps) + ")"
+    poset = RankedPoset(ranks, covers, name=name)
+    return OperationResult(poset, Provenance(tuple(sources)), "wedge")
+
+
+def _reference_diamond(ps) -> OperationResult:
+    ps = list(ps)
+    mins = [_unique_min(p, k) for k, p in enumerate(ps)]
+    maxs = [_unique_max(p, k) for k, p in enumerate(ps)]
+    for k, p in enumerate(ps):
+        if mins[k] == maxs[k]:
+            raise PosetError(f"factor {k} has its minimum equal to its maximum")
+    bot_rank = ps[0].rank[mins[0]]
+    top_rank = ps[0].rank[maxs[0]]
+    for k, p in enumerate(ps):
+        if p.rank[mins[k]] != bot_rank:
+            raise PosetError(f"factor {k} minimum rank differs")
+        if p.rank[maxs[k]] != top_rank:
+            raise PosetError(f"factor {k} maximum has rank {p.rank[maxs[k]]}, "
+                             f"expected {top_rank}")
+    ranks = [bot_rank]
+    sources = [tuple((k, mins[k]) for k in range(len(ps)))]
+    covers = []
+    new_id = {}
+    nxt = 1
+    for k, p in enumerate(ps):
+        for i in range(p.n):
+            if i == mins[k]:
+                new_id[(k, i)] = 0
+            elif i == maxs[k]:
+                continue
+            else:
+                new_id[(k, i)] = nxt
+                ranks.append(p.rank[i])
+                sources.append(((k, i),))
+                nxt += 1
+    top = nxt
+    ranks.append(top_rank)
+    sources.append(tuple((k, maxs[k]) for k in range(len(ps))))
+    for k, p in enumerate(ps):
+        new_id[(k, maxs[k])] = top
+        covers.extend((new_id[(k, a)], new_id[(k, b)]) for a, b in _cover_pairs(p))
+    name = "diamond(" + ",".join(p.name or "?" for p in ps) + ")"
+    poset = RankedPoset(ranks, covers, name=name)
+    return OperationResult(poset, Provenance(tuple(sources)), "diamond")
 
 
 @pytest.fixture

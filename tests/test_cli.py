@@ -110,6 +110,17 @@ class TestExitCodes:
         assert run(["conjecture67", "--max-exp", "1100", "--level-cap", "8"]) == 2
         assert capsys.readouterr().err.startswith("error: level 8 has 9 elements")
 
+    def test_fiber_over_different_variable_orders_is_input_error(self, capsys):
+        # y-first generators used to be read as x-first ones: exit 0
+        # with a 6-element fiber over poset(x^2, y^3)
+        assert run(["show", "fiber(poset(ideal(x^2, y^3)), "
+                    "poset(ideal(y^2, x^3)))"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: variable names differ") and err.count("\n") == 1
+        assert run(["show", "fiber(poset(ideal(x^2, y^3)), "
+                    "poset(ideal(x^3, y^2)))"]) == 0
+        assert ": 8 elements," in capsys.readouterr().out
+
     def test_deep_search_gets_a_verdict(self):
         assert run(["search-order", "path(600)"]) == 0
 

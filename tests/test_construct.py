@@ -1,13 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from macposet import (PosetError, are_isomorphic, box, cartesian_product,
-                      diamond, disjoint_union, fiber_product, path,
-                      pure_power_ideal, spider, validate_poset, wedge)
-from macposet.construct import (adjoin_extreme, build_heart, remove_extreme,
+from conftest import reference_glue, small_ranked_posets
+from macposet import (PosetError, RankedPoset, are_isomorphic, box,
+                      cartesian_product, construct, diamond, disjoint_union,
+                      fiber_product, path, pure_power_ideal, spider,
+                      validate_poset, wedge)
+from macposet.construct import (GLUED, OperationResult, adjoin_extreme,
+                                build_heart, remove_extreme,
                                 restrict_to_factors)
 from macposet.ideals import inclusion_map, standard_monomial_poset
+from macposet.serialize import poset_to_text
 
 
 class TestConstructors:
@@ -101,6 +106,72 @@ class TestDiamond:
     def test_top_and_bottom_counts(self):
         res = diamond([box(2, 3), box(2, 3)])
         assert res.poset.level_sizes() == (1, 4, 4, 1)
+
+    def test_mismatched_bottom_ranks_rejected(self):
+        # the bottom-removed path(3) has its minimum at rank 1
+        with pytest.raises(PosetError, match="factor 1 minimum has rank 1, expected 0"):
+            diamond([path(3), remove_extreme(path(3), "bottom")])
+
+
+@st.composite
+def glue_factors(draw):
+    """One to three small ranked posets, most of them with the same
+    number of levels.  Each element gets a cover in every neighbouring
+    level, so a bottom and a top can always be adjoined, and each is
+    adjoined with probability 3/4: glued operations of these factors
+    are often defined."""
+    height = draw(st.integers(1, 4))
+    ps = []
+    for _ in range(draw(st.integers(1, 3))):
+        levels = height if draw(st.integers(0, 3)) < 3 else draw(st.integers(1, 4))
+        p = draw(small_ranked_posets(max_width=4, levels=levels))
+        covers = construct._cover_pairs(p)
+        for d in range(1, p.max_rank + 1):
+            covers += [(p.level(d - 1)[0], i) for i in p.level(d) if not p.down[i]]
+            covers += [(i, p.level(d)[0]) for i in p.level(d - 1) if not p.up[i]]
+        p = RankedPoset(p.rank, sorted(set(covers)))
+        for which in ("bottom", "top"):
+            if draw(st.integers(0, 3)) < 3:
+                p = adjoin_extreme(p, which)
+        ps.append(p)
+    return ps
+
+
+def glued_text(build):
+    """The file form of a glued result, or PosetError if it raises one."""
+    try:
+        res = build()
+    except PosetError:
+        return PosetError
+    return poset_to_text(res.poset, res)
+
+
+class TestGlueMatchesReference:
+    @pytest.mark.parametrize("op", [wedge, diamond])
+    def test_no_factors_rejected(self, op):
+        with pytest.raises(PosetError, match="needs at least one factor"):
+            op([])
+
+    def test_union_of_no_factors_is_empty(self):
+        res = disjoint_union([])
+        assert res.poset.n == 0 and res.poset.name == "union()"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(glue_factors(), st.sampled_from(sorted(GLUED)))
+    def test_matches_reference_glue(self, ps, operation):
+        # ids, covers, name and provenance all show in the file form
+        got = glued_text(lambda: getattr(construct, operation)(ps))
+        assert got == glued_text(lambda: reference_glue(ps, operation))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    def test_spider_is_the_renamed_wedge_of_paths(self, legs):
+        res = spider(*legs)
+        ref = reference_glue([path(l) for l in legs], "wedge")
+        renamed = RankedPoset(ref.poset.rank, construct._cover_pairs(ref.poset),
+                              name="spider(" + ",".join(map(str, legs)) + ")")
+        want = OperationResult(renamed, ref.provenance, ref.operation)
+        assert poset_to_text(res.poset, res) == poset_to_text(renamed, want)
 
 
 class TestFiber:

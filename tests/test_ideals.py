@@ -90,6 +90,13 @@ class TestContainsFinite:
         i = I((2, 1))
         assert ideal_contains(i, i)
 
+    @pytest.mark.parametrize("op", [ideal_sum, ideal_intersection, ideal_contains])
+    def test_different_variable_names_rejected(self, op):
+        # generators of (y, x) must not be read as exponents of (x, y)
+        yx = ideal_from_generators([(2, 0), (0, 3)], ("y", "x"))
+        with pytest.raises(PosetError, match="variable names differ"):
+            op(I((2, 0), (0, 3)), yx)
+
     def test_quotient_is_finite(self):
         assert quotient_is_finite(I((4, 0), (0, 3), (3, 1)))
         assert not quotient_is_finite(I((1, 1)))

@@ -15,7 +15,10 @@ interpreter per tree and round.  Its ``reproduce_by_target`` section
 holds the in-process wall time of each ``macposet reproduce`` target:
 a fresh interpreter per tree and round runs the targets once each, in
 the order of a paper-reproduce pass, and each target's median and
-quartiles are over the rounds.
+quartiles are over the rounds.  Its ``tier1_s`` holds the wall time of
+the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
+run in TREE with TREE's ``src/`` on the path: median and quartiles over
+TIER1_ROUNDS runs per tree.
 
 Each run imports its tree's ``src/`` from source: the ``__pycache__``
 directories under each TREE's ``src/`` are deleted before the first run
@@ -23,9 +26,10 @@ and every run has ``PYTHONDONTWRITEBYTECODE=1``, so a bytecode cache
 left by another command cannot shorten one tree's ``setup_s``.
 
 With several TREE OUT pairs the trees take turns, run by run, and the
-tree that goes first alternates from seed to seed, so a drift in the
-machine's speed falls on every tree alike.  A run whose outputs do not
-match the goldens stops the recording.
+tree that goes first alternates from seed to seed (and from round to
+round), so a drift in the machine's speed falls on every tree alike.  A
+run whose outputs do not match the goldens, or a tier-1 run with a
+failing test, stops the recording.
 """
 
 import argparse
@@ -36,6 +40,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # the same seeds for every tree, so BENCH files compare run for run
@@ -77,6 +82,8 @@ for name in cli.REPRODUCE:
         sys.exit(f"reproduce {name} exited {code}")
 print(json.dumps(out))
 """
+TIER1_ROUNDS = 3
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def commit_of(tree: Path):
@@ -135,13 +142,27 @@ def fresh_times(tree: Path, timer: str, args=()):
     return json.loads(proc.stdout)
 
 
-def fresh_rounds(trees, rounds: int, timer: str, args=()):
-    """Each tree's ``fresh_times`` over ``rounds`` rounds; the tree that
+def tier1_times(tree: Path):
+    """The wall time of one run of the tier-1 suite in the tree."""
+    cmd = [sys.executable, *TIER1]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                               "PYTHONPATH": str(tree / "src")})
+    elapsed = time.perf_counter() - t0
+    if proc.returncode != 0:
+        sys.exit(f"error: the tier-1 suite in {tree} exited {proc.returncode}: "
+                 f"{proc.stdout[-2000:]}")
+    return {"tier1_s": [elapsed]}
+
+
+def fresh_rounds(trees, rounds: int, measure):
+    """Each tree's ``measure(tree)`` over ``rounds`` rounds; the tree that
     goes first alternates from round to round."""
     samples = {t: [] for t in trees}
     for i in range(rounds):
         for t in (trees if i % 2 == 0 else trees[::-1]):
-            samples[t].append(fresh_times(t, timer, args))
+            samples[t].append(measure(t))
     return samples
 
 
@@ -182,14 +203,18 @@ def main():
                       file=sys.stderr)
         for t in trees:
             traced[t, w] = run_bench(t, w, SEEDS[0], seconds, 1)
-    kernel = fresh_rounds(trees, KERNEL_ROUNDS, KERNEL_TIMER, KERNEL_WIDTHS)
-    reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS, REPRODUCE_TIMER)
+    kernel = fresh_rounds(trees, KERNEL_ROUNDS,
+                          lambda t: fresh_times(t, KERNEL_TIMER, KERNEL_WIDTHS))
+    reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS,
+                             lambda t: fresh_times(t, REPRODUCE_TIMER))
+    tier1 = fresh_rounds(trees, TIER1_ROUNDS, tier1_times)
 
     for t, out in zip(trees, outs):
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
                "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
                "kernel_by_width": summarise_times(kernel[t]),
-               "reproduce_by_target": summarise_times(reproduce[t])}
+               "reproduce_by_target": summarise_times(reproduce[t]),
+               "tier1_s": summarise_times(tier1[t])["tier1_s"]}
         for w in workloads:
             runs = plain[t, w]
             context, result = traced[t, w]
