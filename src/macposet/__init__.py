@@ -2,20 +2,18 @@
 
 __version__ = "1.0.0"
 
-from .core import (InducedSubposet, LevelSubset, PosetError, PosetIso,
-                   RankedPoset, Verdict, Witness, are_isomorphic,
-                   induced_subposet, lower_shadow, upper_shadow,
-                   validate_poset)
+from .core import (InducedSubposet, LevelSubset, PosetError, RankedPoset,
+                   Verdict, Witness, induced_subposet, lower_shadow,
+                   upper_shadow, validate_poset)
 from .construct import (OperationResult, Provenance, adjoin_extreme, box,
                         cartesian_product, diamond, disjoint_union,
-                        fiber_product, path, remove_extreme,
-                        restrict_to_factors, spider, wedge)
+                        fiber_product, path, remove_extreme, spider, wedge)
 from .ideals import (MonomialIdeal, divides, ideal_contains,
                      ideal_from_generators, ideal_intersection, ideal_sum,
                      inclusion_map, pure_power_ideal, quotient_is_finite,
                      standard_monomial_poset)
 from .orders import (LevelOrderFamily, final_segment, initial_segment,
-                     lex_order, order_from_lists, restrict_order, twist_order,
+                     lex_order, order_from_lists, twist_order,
                      union_simplicial_order)
 from .macaulay import (LevelCapExceeded, MinShadowTable, SearchResult,
                        SearchStats, check_macaulay, find_macaulay_order,

@@ -146,7 +146,6 @@ class GridReport:
     rows: list = field(default_factory=list)
     disagreements: list = field(default_factory=list)
     inconclusive: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
 
     def record(self, row: dict):
         self.rows.append(row)
@@ -159,6 +158,11 @@ class GridReport:
     def all_agree(self) -> bool:
         return not self.disagreements
 
+    @property
+    def counters(self) -> dict:
+        return {"search_nodes": sum(r.get("nodes", 0) for r in self.rows),
+                "subsets_enumerated": sum(r.get("subsets", 0) for r in self.rows)}
+
     def to_json(self):
         return {
             "family": self.family,
@@ -167,12 +171,6 @@ class GridReport:
             "inconclusive": self.inconclusive,
             "counters": self.counters,
         }
-
-
-def _tally(report: GridReport, results):
-    nodes = sum(r.get("nodes", 0) for r in results)
-    subsets = sum(r.get("subsets", 0) for r in results)
-    report.counters = {"search_nodes": nodes, "subsets_enumerated": subsets}
 
 
 def verify_heart_grid(spec: FamilySpec) -> GridReport:
@@ -203,7 +201,6 @@ def verify_heart_grid(spec: FamilySpec) -> GridReport:
     report = GridReport("heart")
     for t in tuples:
         report.record(job(t))
-    _tally(report, report.rows)
     return report
 
 
@@ -251,7 +248,6 @@ def verify_diamond_grid(spec: FamilySpec) -> GridReport:
     report = GridReport("diamond-box")
     for pair in pairs:
         report.record(job(pair))
-    _tally(report, report.rows)
     return report
 
 
@@ -297,7 +293,6 @@ def verify_wedge_grid(spec: FamilySpec, kinds=("2d", "path")) -> GridReport:
 
     for item in jobs:
         report.record(job(item))
-    _tally(report, report.rows)
     return report
 
 
@@ -399,7 +394,6 @@ def hat_preservation_report(count=50, max_elements=20, seed=20240511,
                "nodes": base.stats.nodes + hatted.stats.nodes,
                "agree": base.status == hatted.status}
         report.record(row)
-    _tally(report, report.rows)
     return report
 
 
@@ -429,7 +423,6 @@ def equivalence_suite(budget=DEFAULT_BUDGET,
     report.rows.extend(hats.rows)
     report.disagreements.extend(hats.disagreements)
     report.inconclusive.extend(hats.inconclusive)
-    _tally(report, report.rows)
     return report
 
 
@@ -473,7 +466,6 @@ def cartesian_counterexamples(budget=DEFAULT_BUDGET,
                "search": sr.status, "nodes": sr.stats.nodes,
                "agree": poset.n == expected_n and sr.status == "none"}
         report.record(row)
-    _tally(report, report.rows)
     return report
 
 
@@ -589,5 +581,4 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
                        "nodes": sr.stats.nodes,
                        "subsets": sr.stats.subsets_enumerated,
                        "agree": sr.status == "none"})
-    _tally(report, report.rows)
     return report

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (InducedSubposet, PosetError, RankedPoset, _bit_positions,
-                   induced_subposet, validate_poset)
+from .core import PosetError, RankedPoset, _bit_positions, validate_poset
 from .ideals import box_cells, default_var_names, monomial_poset
 
 
@@ -332,15 +331,3 @@ def relabel_swap_xy(p: RankedPoset) -> RankedPoset:
     labels = [(b, a) for a, b in p.labels]
     return RankedPoset(p.rank, _cover_pairs(p), labels=labels,
                        var_names=p.var_names, name=f"swapxy({p.name or '?'})")
-
-
-def restrict_to_factors(res: OperationResult, factor_indices) -> InducedSubposet:
-    """Induced subposet on the elements coming from the given factors.
-
-    Glue points whose sources meet the chosen factors are kept, so the
-    restriction of a diamond to two factors is again their diamond.
-    """
-    wanted = set(factor_indices)
-    ids = [i for i, rec in enumerate(res.provenance.sources)
-           if any(f in wanted for f, _ in rec)]
-    return induced_subposet(res.poset, ids)

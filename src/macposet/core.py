@@ -1,4 +1,5 @@
-"""Finite ranked posets: data model, validation, shadow calculus, isomorphism."""
+"""Finite ranked posets: data model, validation, shadow calculus, induced
+subposets."""
 
 from __future__ import annotations
 
@@ -202,9 +203,10 @@ def validate_poset(p: RankedPoset) -> Verdict:
 class LevelSubset:
     """A set of elements within one level, as a bitmask over level positions.
 
-    Membership is O(1) and union/intersection/difference are single
-    word-parallel integer operations; the Macaulay checker enumerates up
-    to 2^|level| of these.
+    Membership is O(1).  These are the shadows, segments and new shadows
+    handed to callers (the ``shadow`` command, ``initial_segment``,
+    ``new_shadow``); the Macaulay kernel and the order search work on
+    plain integer masks instead.
     """
 
     __slots__ = ("poset", "level", "bits")
@@ -242,29 +244,9 @@ class LevelSubset:
         return (self.poset.rank[i] == self.level
                 and self.bits >> self.poset.pos_in_level[i] & 1 == 1)
 
-    def _check_peer(self, other: "LevelSubset"):
-        if self.poset is not other.poset or self.level != other.level:
-            raise PosetError("set algebra needs subsets of one level of one poset")
-
-    def __or__(self, other):
-        self._check_peer(other)
-        return LevelSubset(self.poset, self.level, self.bits | other.bits)
-
-    def __and__(self, other):
-        self._check_peer(other)
-        return LevelSubset(self.poset, self.level, self.bits & other.bits)
-
-    def __sub__(self, other):
-        self._check_peer(other)
-        return LevelSubset(self.poset, self.level, self.bits & ~other.bits)
-
     def __eq__(self, other):
         return (isinstance(other, LevelSubset) and self.poset is other.poset
                 and self.level == other.level and self.bits == other.bits)
-
-    def __le__(self, other):
-        self._check_peer(other)
-        return self.bits & ~other.bits == 0
 
     def __hash__(self):
         return hash((id(self.poset), self.level, self.bits))
@@ -305,113 +287,6 @@ def lower_shadow(p: RankedPoset, a: LevelSubset) -> LevelSubset:
         for b in p.down[lv[k]]:
             out |= 1 << p.pos_in_level[b]
     return LevelSubset(p, a.level - 1, out)
-
-
-@dataclass(frozen=True)
-class PosetIso:
-    """A rank- and cover-preserving bijection between two posets."""
-
-    mapping: tuple  # mapping[i] = image of i
-
-    def apply(self, i: int) -> int:
-        return self.mapping[i]
-
-    def inverse(self) -> "PosetIso":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return PosetIso(tuple(inv))
-
-    def compose(self, other: "PosetIso") -> "PosetIso":
-        """self after other: i -> self(other(i))."""
-        return PosetIso(tuple(self.mapping[j] for j in other.mapping))
-
-    def is_valid(self, p: RankedPoset, q: RankedPoset) -> bool:
-        m = self.mapping
-        if len(m) != p.n or p.n != q.n or sorted(m) != list(range(q.n)):
-            return False
-        for i in range(p.n):
-            if p.rank[i] != q.rank[m[i]]:
-                return False
-            if sorted(m[b] for b in p.up[i]) != list(q.up[m[i]]):
-                return False
-        return True
-
-
-def _refined_signatures(p: RankedPoset, rounds: int = 2):
-    sig = [(p.rank[i], len(p.up[i]), len(p.down[i])) for i in range(p.n)]
-    for _ in range(rounds):
-        sig = [
-            (sig[i], tuple(sorted(sig[b] for b in p.up[i])),
-             tuple(sorted(sig[b] for b in p.down[i])))
-            for i in range(p.n)
-        ]
-    return sig
-
-
-def are_isomorphic(p: RankedPoset, q: RankedPoset) -> PosetIso | None:
-    """Search for an isomorphism; None when provably absent.
-
-    Backtracking over rank-respecting candidate maps, pruned by refined
-    (rank, up-degree, down-degree) signatures.  Candidates are tried in
-    ascending id order, so the returned map is deterministic.
-    """
-    if p.n != q.n or p.level_sizes() != q.level_sizes():
-        return None
-    sp = _refined_signatures(p)
-    sq = _refined_signatures(q)
-    if sorted(map(repr, sp)) != sorted(map(repr, sq)):
-        return None
-    by_sig: dict = {}
-    for j in range(q.n):
-        by_sig.setdefault(repr(sq[j]), []).append(j)
-    cands = [by_sig.get(repr(sp[i]), []) for i in range(p.n)]
-    # most-constrained-first, ties by id for determinism
-    order = sorted(range(p.n), key=lambda i: (len(cands[i]), i))
-    mapping = [-1] * p.n
-    used = [False] * q.n
-
-    def fits(i, j):
-        for b in p.up[i]:
-            jb = mapping[b]
-            if jb >= 0 and jb not in q.up[j]:
-                return False
-        for b in p.down[i]:
-            jb = mapping[b]
-            if jb >= 0 and j not in q.up[jb]:
-                return False
-        # mapped q-covers of j must be hit by covers of i
-        for jb in q.up[j]:
-            if used[jb]:
-                src = mapping.index(jb)
-                if src not in p.up[i]:
-                    return False
-        for jb in q.down[j]:
-            if used[jb]:
-                src = mapping.index(jb)
-                if src not in p.down[i]:
-                    return False
-        return True
-
-    def extend(k):
-        if k == p.n:
-            return True
-        i = order[k]
-        for j in cands[i]:
-            if not used[j] and fits(i, j):
-                mapping[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    if extend(0):
-        iso = PosetIso(tuple(mapping))
-        assert iso.is_valid(p, q)
-        return iso
-    return None
 
 
 @dataclass(frozen=True)

@@ -333,7 +333,15 @@ def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
         triples = read_fibermap(node.args[2].path)
         from .core import induced_subposet
         pa, pb = children[0].poset, children[1].poset
-        sub = induced_subposet(pa, [a for _, a, _ in triples])
+        ids_a = [a for _, a, _ in triples]
+        # the base is induced on these ids, so each must name its own element
+        for a in ids_a:
+            if not 0 <= a < pa.n:
+                raise PosetError(f"fiber map: factor-a id {a} out of range "
+                                 f"0..{pa.n - 1}")
+        if len(set(ids_a)) != len(ids_a):
+            raise PosetError("fiber map: factor-a ids are not distinct")
+        sub = induced_subposet(pa, ids_a)
         into_a = {}
         into_b = {}
         for c, a, b in triples:

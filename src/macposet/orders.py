@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import OperationResult, heart_cells
-from .core import InducedSubposet, LevelSubset, PosetError, RankedPoset
+from .core import LevelSubset, PosetError, RankedPoset
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,6 @@ def twist_order(heart: RankedPoset, a0: int, a1: int, b0: int, b1: int) -> Level
     for d in range(heart.max_rank + 1):
         per_level.append(tuple(sorted(heart.level(d), key=sort_key, reverse=True)))
     return LevelOrderFamily(heart, tuple(per_level))
-
-
-def restrict_order(o: LevelOrderFamily, sub: InducedSubposet) -> LevelOrderFamily:
-    """Filter each level list to the surviving elements, order preserved."""
-    keep = sub.new_of_old
-    per_level = []
-    for d in range(sub.poset.max_rank + 1):
-        per_level.append(tuple(keep[i] for i in o.descending(d) if i in keep))
-    return LevelOrderFamily(sub.poset, tuple(per_level))
 
 
 def initial_segment(o: LevelOrderFamily, d: int, q: int) -> LevelSubset:

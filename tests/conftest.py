@@ -7,19 +7,27 @@ order search kept unchanged, against which the current search is
 checked node for node, and ``reference_glue``, the previous union,
 wedge and diamond builders, against which the one glue builder is
 checked byte for byte.
+
+Two groups of helpers live here because only the tests use them:
+``are_isomorphic`` (with ``PosetIso``), the isomorphism oracle behind
+the construction identities, and ``restrict_to_factors`` /
+``restrict_order``, which restrict an operation output and an order
+family to some factors for the paper's restriction claims.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from macposet import PosetError, RankedPoset, box, path, spider, wedge
+from macposet import (InducedSubposet, PosetError, RankedPoset, box,
+                      induced_subposet, path, spider, wedge)
 from macposet.construct import OperationResult, Provenance, _cover_pairs
 from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
                                SearchStats, check_macaulay, min_shadow_table,
                                shadow_masks)
-from macposet.orders import order_from_lists
+from macposet.orders import LevelOrderFamily, order_from_lists
 
 
 def naive_upper_shadow(p, ids):
@@ -303,6 +311,131 @@ def _reference_diamond(ps) -> OperationResult:
     name = "diamond(" + ",".join(p.name or "?" for p in ps) + ")"
     poset = RankedPoset(ranks, covers, name=name)
     return OperationResult(poset, Provenance(tuple(sources)), "diamond")
+
+
+@dataclass(frozen=True)
+class PosetIso:
+    """A rank- and cover-preserving bijection between two posets."""
+
+    mapping: tuple  # mapping[i] = image of i
+
+    def inverse(self) -> "PosetIso":
+        inv = [0] * len(self.mapping)
+        for i, j in enumerate(self.mapping):
+            inv[j] = i
+        return PosetIso(tuple(inv))
+
+    def compose(self, other: "PosetIso") -> "PosetIso":
+        """self after other: i -> self(other(i))."""
+        return PosetIso(tuple(self.mapping[j] for j in other.mapping))
+
+    def is_valid(self, p: RankedPoset, q: RankedPoset) -> bool:
+        m = self.mapping
+        if len(m) != p.n or p.n != q.n or sorted(m) != list(range(q.n)):
+            return False
+        for i in range(p.n):
+            if p.rank[i] != q.rank[m[i]]:
+                return False
+            if sorted(m[b] for b in p.up[i]) != list(q.up[m[i]]):
+                return False
+        return True
+
+
+def _refined_signatures(p: RankedPoset, rounds: int = 2):
+    sig = [(p.rank[i], len(p.up[i]), len(p.down[i])) for i in range(p.n)]
+    for _ in range(rounds):
+        sig = [
+            (sig[i], tuple(sorted(sig[b] for b in p.up[i])),
+             tuple(sorted(sig[b] for b in p.down[i])))
+            for i in range(p.n)
+        ]
+    return sig
+
+
+def are_isomorphic(p: RankedPoset, q: RankedPoset) -> PosetIso | None:
+    """Search for an isomorphism; None when provably absent.
+
+    Backtracking over rank-respecting candidate maps, pruned by refined
+    (rank, up-degree, down-degree) signatures.  Candidates are tried in
+    ascending id order, so the returned map is deterministic.
+    """
+    if p.n != q.n or p.level_sizes() != q.level_sizes():
+        return None
+    sp = _refined_signatures(p)
+    sq = _refined_signatures(q)
+    if sorted(map(repr, sp)) != sorted(map(repr, sq)):
+        return None
+    by_sig: dict = {}
+    for j in range(q.n):
+        by_sig.setdefault(repr(sq[j]), []).append(j)
+    cands = [by_sig.get(repr(sp[i]), []) for i in range(p.n)]
+    # most-constrained-first, ties by id for determinism
+    order = sorted(range(p.n), key=lambda i: (len(cands[i]), i))
+    mapping = [-1] * p.n
+    used = [False] * q.n
+
+    def fits(i, j):
+        for b in p.up[i]:
+            jb = mapping[b]
+            if jb >= 0 and jb not in q.up[j]:
+                return False
+        for b in p.down[i]:
+            jb = mapping[b]
+            if jb >= 0 and j not in q.up[jb]:
+                return False
+        # mapped q-covers of j must be hit by covers of i
+        for jb in q.up[j]:
+            if used[jb]:
+                src = mapping.index(jb)
+                if src not in p.up[i]:
+                    return False
+        for jb in q.down[j]:
+            if used[jb]:
+                src = mapping.index(jb)
+                if src not in p.down[i]:
+                    return False
+        return True
+
+    def extend(k):
+        if k == p.n:
+            return True
+        i = order[k]
+        for j in cands[i]:
+            if not used[j] and fits(i, j):
+                mapping[i] = j
+                used[j] = True
+                if extend(k + 1):
+                    return True
+                mapping[i] = -1
+                used[j] = False
+        return False
+
+    if extend(0):
+        iso = PosetIso(tuple(mapping))
+        assert iso.is_valid(p, q)
+        return iso
+    return None
+
+
+def restrict_to_factors(res: OperationResult, factor_indices) -> InducedSubposet:
+    """Induced subposet on the elements coming from the given factors.
+
+    Glue points whose sources meet the chosen factors are kept, so the
+    restriction of a diamond to two factors is again their diamond.
+    """
+    wanted = set(factor_indices)
+    ids = [i for i, rec in enumerate(res.provenance.sources)
+           if any(f in wanted for f, _ in rec)]
+    return induced_subposet(res.poset, ids)
+
+
+def restrict_order(o: LevelOrderFamily, sub: InducedSubposet) -> LevelOrderFamily:
+    """Filter each level list to the surviving elements, order preserved."""
+    keep = sub.new_of_old
+    per_level = []
+    for d in range(sub.poset.max_rank + 1):
+        per_level.append(tuple(keep[i] for i in o.descending(d) if i in keep))
+    return LevelOrderFamily(sub.poset, tuple(per_level))
 
 
 @pytest.fixture

@@ -72,6 +72,20 @@ class TestExitCodes:
         assert run(["additive", "wedge(path(1), path(2))",
                     "--order", 'lists("/dev/null")']) == 2
 
+    @pytest.mark.parametrize("triples, message", [
+        ("1\n0 9 0\n", "out of range"),
+        ("2\n0 0 0\n1 0 0\n", "not distinct"),
+    ], ids=["out-of-range", "repeated"])
+    def test_bad_fiber_map_factor_a_ids_are_input_errors(
+            self, tmp_path, capsys, triples, message):
+        # an out-of-range id used to exit 4 with an IndexError, and a
+        # repeated one to exit 0 with one of its base elements dropped
+        f = tmp_path / "m.txt"
+        f.write_text("macposet-fibermap 1\n" + triples)
+        assert run(["show", f'fiber(path(2), box(2,2), "{f}")']) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+
     def test_verify_family_ok(self):
         assert run(["verify-family", "cartesian-counterexamples"]) == 0
 

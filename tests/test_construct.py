@@ -3,14 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_glue, small_ranked_posets
-from macposet import (PosetError, RankedPoset, are_isomorphic, box,
-                      cartesian_product, construct, diamond, disjoint_union,
-                      fiber_product, path, pure_power_ideal, spider,
-                      validate_poset, wedge)
+from conftest import (are_isomorphic, reference_glue, restrict_to_factors,
+                      small_ranked_posets)
+from macposet import (PosetError, RankedPoset, box, cartesian_product,
+                      construct, diamond, disjoint_union, fiber_product, path,
+                      pure_power_ideal, spider, validate_poset, wedge)
 from macposet.construct import (GLUED, OperationResult, adjoin_extreme,
-                                build_heart, remove_extreme,
-                                restrict_to_factors)
+                                build_heart, remove_extreme)
 from macposet.ideals import inclusion_map, standard_monomial_poset
 from macposet.serialize import poset_to_text
 

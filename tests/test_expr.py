@@ -1,7 +1,8 @@
 import pytest
 
-from macposet import (are_isomorphic, box, check_macaulay,
-                      ideal_from_generators, path, spider, wedge)
+from conftest import are_isomorphic
+from macposet import (box, check_macaulay, ideal_from_generators, path, spider,
+                      wedge)
 from macposet.expr import (MAX_NESTING, Explicit, Mono, Node, ParseError,
                            evaluate, parse_expression, parse_order,
                            print_expression, print_order, resolve_order)

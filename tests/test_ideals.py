@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from macposet import (MonomialIdeal, PosetError, are_isomorphic, box, divides,
-                      fiber_product, ideal_contains, ideal_from_generators,
+from conftest import are_isomorphic
+from macposet import (MonomialIdeal, PosetError, box, divides, fiber_product,
+                      ideal_contains, ideal_from_generators,
                       ideal_intersection, ideal_sum, inclusion_map,
                       pure_power_ideal, quotient_is_finite,
                       standard_monomial_poset, wedge)

@@ -13,9 +13,11 @@ run.  Its ``kernel_by_width`` section holds the in-process time of one
 one-word masks: median and quartiles over every timed call, from a fresh
 interpreter per tree and round.  Its ``reproduce_by_target`` section
 holds the in-process wall time of each ``macposet reproduce`` target:
-a fresh interpreter per tree and round runs the targets once each, in
-the order of a paper-reproduce pass, and each target's median and
-quartiles are over the rounds.  Its ``tier1_s`` holds the wall time of
+each target runs alone in its own fresh interpreter, per tree and
+round, so its time does not depend on what the targets before it left
+behind (it pays every first-use cost itself, such as the kernel's
+per-width plans), and each target's median and quartiles are over the
+rounds.  Its ``tier1_s`` holds the wall time of
 the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
 run in TREE with TREE's ``src/`` on the path: median and quartiles over
 TIER1_ROUNDS runs per tree.
@@ -67,20 +69,25 @@ for n in map(int, sys.argv[1:]):
 print(json.dumps(out))
 """
 REPRODUCE_ROUNDS = 5
-# timed in a fresh interpreter: each target once, in the order of a
-# paper-reproduce pass, so each pays the first-use costs it pays there
+REPRODUCE_TARGETS = """
+import json
+from macposet import cli
+print(json.dumps({"targets": list(cli.REPRODUCE)}))
+"""
+# timed in a fresh interpreter that runs only the target named in argv,
+# so no target's time depends on state that earlier targets left in the
+# process, such as the row memo's contents
 REPRODUCE_TIMER = """
 import contextlib, io, json, sys, time
 from macposet import cli
-out = {}
-for name in cli.REPRODUCE:
-    with contextlib.redirect_stdout(io.StringIO()):
-        t0 = time.perf_counter()
-        code = cli.run_command(["reproduce", name])
-        out[name] = [time.perf_counter() - t0]
-    if code not in (0, 1):
-        sys.exit(f"reproduce {name} exited {code}")
-print(json.dumps(out))
+name = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    t0 = time.perf_counter()
+    code = cli.run_command(["reproduce", name])
+    elapsed = time.perf_counter() - t0
+if code not in (0, 1):
+    sys.exit(f"reproduce {name} exited {code}")
+print(json.dumps({name: [elapsed]}))
 """
 TIER1_ROUNDS = 3
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -140,6 +147,14 @@ def fresh_times(tree: Path, timer: str, args=()):
         sys.exit(f"error: in-process timing in {tree} exited {proc.returncode}: "
                  f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
+
+
+def reproduce_times(tree: Path, targets):
+    """Each reproduce target's time, each from its own fresh interpreter."""
+    out = {}
+    for name in targets:
+        out.update(fresh_times(tree, REPRODUCE_TIMER, [name]))
+    return out
 
 
 def tier1_times(tree: Path):
@@ -205,8 +220,9 @@ def main():
             traced[t, w] = run_bench(t, w, SEEDS[0], seconds, 1)
     kernel = fresh_rounds(trees, KERNEL_ROUNDS,
                           lambda t: fresh_times(t, KERNEL_TIMER, KERNEL_WIDTHS))
+    targets = fresh_times(trees[0], REPRODUCE_TARGETS)["targets"]
     reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS,
-                             lambda t: fresh_times(t, REPRODUCE_TIMER))
+                             lambda t: reproduce_times(t, targets))
     tier1 = fresh_rounds(trees, TIER1_ROUNDS, tier1_times)
 
     for t, out in zip(trees, outs):
