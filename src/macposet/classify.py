@@ -5,7 +5,9 @@ search."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
                         diamond, disjoint_union, path, relabel_swap_xy,
@@ -144,15 +146,14 @@ class FamilySpec:
 class GridReport:
     family: str
     rows: list = field(default_factory=list)
-    disagreements: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
 
-    def record(self, row: dict):
-        self.rows.append(row)
-        if row.get("agree") is False:
-            self.disagreements.append(row)
-        if row.get("search") == "budget-exceeded":
-            self.inconclusive.append(row)
+    @property
+    def disagreements(self) -> list:
+        return [r for r in self.rows if r.get("agree") is False]
+
+    @property
+    def inconclusive(self) -> list:
+        return [r for r in self.rows if r.get("search") == "budget-exceeded"]
 
     @property
     def all_agree(self) -> bool:
@@ -173,127 +174,82 @@ class GridReport:
         }
 
 
-def verify_heart_grid(spec: FamilySpec) -> GridReport:
-    lo, hi = spec.bounds.get("side", (1, 5))
-    tuples = list(itertools.product(range(lo, hi + 1), repeat=4))
+def _searched(poset, budget, level_cap, predicate=None) -> dict:
+    """One search as grid-row fields: its status, nodes and subsets and,
+    given a predicate, the predicate and whether the search agrees with
+    it (None when the budget ran out)."""
+    sr = find_macaulay_order(poset, budget=budget, level_cap=level_cap)
+    row = {} if predicate is None else {"predicate": predicate}
+    row.update(search=sr.status, nodes=sr.stats.nodes,
+               subsets=sr.stats.subsets_enumerated)
+    if predicate is not None:
+        row["agree"] = (None if sr.status == "budget-exceeded"
+                        else predicate == (sr.status == "found"))
+    return row
 
-    def job(t):
-        a0, a1, b0, b1 = t
-        pred = heart_predicate(a0, a1, b0, b1)
-        hp = build_heart(a0, a1, b0, b1)
-        sr = find_macaulay_order(hp, budget=spec.budget, level_cap=spec.level_cap)
-        row = {"params": list(t), "predicate": pred, "search": sr.status,
-               "nodes": sr.stats.nodes, "subsets": sr.stats.subsets_enumerated}
-        if sr.status == "budget-exceeded":
-            row["agree"] = None
-        else:
-            row["agree"] = pred == (sr.status == "found")
-        if pred and sr.status != "budget-exceeded":
-            choice = heart_order_choice(a0, a1, b0, b1)
-            fam = resolve_heart_order(hp, choice)
+
+def _span(bound):
+    lo, hi = bound
+    return range(lo, hi + 1)
+
+
+def _heart_rows(bounds, budget, level_cap):
+    """heart(a0, a1, b0, b1), every parameter in the side bound; where the
+    predicate says Macaulay and the search is conclusive, the recommended
+    order is checked too."""
+    for t in itertools.product(_span(bounds["side"]), repeat=4):
+        pred = heart_predicate(*t)
+        hp = build_heart(*t)
+        row = {"params": list(t), **_searched(hp, budget, level_cap, pred)}
+        if pred and row["search"] != "budget-exceeded":
+            choice = heart_order_choice(*t)
             row["recommended"] = choice.to_json()
-            row["recommended_ok"] = check_macaulay(hp, fam,
-                                                   level_cap=spec.level_cap).ok
+            row["recommended_ok"] = check_macaulay(
+                hp, resolve_heart_order(hp, choice), level_cap=level_cap).ok
             if not row["recommended_ok"]:
                 row["agree"] = False
-        return row
-
-    report = GridReport("heart")
-    for t in tuples:
-        report.record(job(t))
-    return report
+        yield row
 
 
-def _boxes_up_to(side_lo, side_hi, max_dims):
-    out = []
-    for nd in range(1, max_dims + 1):
-        for dims in itertools.combinations_with_replacement(
-                range(side_lo, side_hi + 1), nd):
-            out.append(dims)
-    return out
-
-
-def verify_diamond_grid(spec: FamilySpec) -> GridReport:
-    side_lo, side_hi = spec.bounds.get("side", (2, 5))
-    max_dims = spec.bounds.get("dims", (1, 3))[1]
-    max_elements = spec.bounds.get("elements", (0, 80))[1]
-    boxes = _boxes_up_to(side_lo, side_hi, max_dims)
-    pairs = []
+def _diamond_rows(bounds, budget, level_cap):
+    """Pairs of boxes of equal top rank, sides and dimension counts in
+    their bounds, with the diamond's size (|P| + |Q| - 2) in its bound."""
+    boxes = [dims for nd in _span(bounds["dims"])
+             for dims in itertools.combinations_with_replacement(
+                 _span(bounds["side"]), nd)]
+    sizes = _span(bounds["elements"])
     for i, dp in enumerate(boxes):
         for dq in boxes[i:]:
-            if sum(d - 1 for d in dp) != sum(d - 1 for d in dq):
-                continue
-            size = 1
-            for d in dp:
-                size *= d
-            size2 = 1
-            for d in dq:
-                size2 *= d
-            if size + size2 - 2 <= max_elements:
-                pairs.append((dp, dq))
-
-    def job(pair):
-        dp, dq = pair
-        pred = diamond_box_predicate(dp, dq)
-        res = diamond([box(*dp), box(*dq)])
-        sr = find_macaulay_order(res.poset, budget=spec.budget,
-                                 level_cap=spec.level_cap)
-        row = {"params": [list(dp), list(dq)], "predicate": pred,
-               "search": sr.status, "nodes": sr.stats.nodes,
-               "subsets": sr.stats.subsets_enumerated}
-        row["agree"] = (None if sr.status == "budget-exceeded"
-                        else pred == (sr.status == "found"))
-        return row
-
-    report = GridReport("diamond-box")
-    for pair in pairs:
-        report.record(job(pair))
-    return report
+            if (sum(d - 1 for d in dp) == sum(d - 1 for d in dq)
+                    and math.prod(dp) + math.prod(dq) - 2 in sizes):
+                pred = diamond_box_predicate(dp, dq)
+                res = diamond([box(*dp), box(*dq)])
+                yield {"params": [list(dp), list(dq)],
+                       **_searched(res.poset, budget, level_cap, pred)}
 
 
-def verify_wedge_grid(spec: FamilySpec, kinds=("2d", "path")) -> GridReport:
-    """Wedge classifications: 2-D vs 2-D boxes and/or path vs 2-D box."""
-    lo, hi = spec.bounds.get("side", (2, 5))
-    n_hi = spec.bounds.get("path", (1, 6))[1]
-    m2_hi = spec.bounds.get("pb_short", (1, 3))[1]
-    n2_hi = spec.bounds.get("pb_long", (1, 6))[1]
-    report = GridReport("wedge-box")
-
-    jobs = []
-    if "2d" in kinds:
-        for m in range(lo, hi + 1):
-            for n in range(m, hi + 1):
-                for m2 in range(lo, hi + 1):
-                    for n2 in range(m2, hi + 1):
-                        if (m, n) <= (m2, n2):
-                            jobs.append(("2d", (m, n, m2, n2)))
-    if "path" in kinds:
-        for n in range(1, n_hi + 1):
-            for m2 in range(1, m2_hi + 1):
-                for n2 in range(m2, n2_hi + 1):
-                    jobs.append(("path", (n, m2, n2)))
-
-    def job(item):
-        kind, params = item
-        pred = wedge_box_predicate(kind, params)
-        if kind == "2d":
-            m, n, m2, n2 = params
+def _wedge_2d_rows(bounds, budget, level_cap):
+    """Two 2-D boxes m x n <= m' x n' (lexicographically), every side in
+    the bound, m <= n and m' <= n'."""
+    for t in itertools.product(_span(bounds["side"]), repeat=4):
+        m, n, m2, n2 = t
+        if m <= n and m2 <= n2 and (m, n) <= (m2, n2):
+            pred = wedge_box_predicate("2d", t)
             res = wedge([box(m, n), box(m2, n2)])
-        else:
-            n, m2, n2 = params
-            res = wedge([path(n - 1), box(m2, n2)])
-        sr = find_macaulay_order(res.poset, budget=spec.budget,
-                                 level_cap=spec.level_cap)
-        row = {"kind": kind, "params": list(params), "predicate": pred,
-               "search": sr.status, "nodes": sr.stats.nodes,
-               "subsets": sr.stats.subsets_enumerated}
-        row["agree"] = (None if sr.status == "budget-exceeded"
-                        else pred == (sr.status == "found"))
-        return row
+            yield {"kind": "2d", "params": list(t),
+                   **_searched(res.poset, budget, level_cap, pred)}
 
-    for item in jobs:
-        report.record(job(item))
-    return report
+
+def _wedge_path_rows(bounds, budget, level_cap):
+    """A path of n elements and an m' x n' box, m' <= n'."""
+    long_lo, long_hi = bounds["pb_long"]
+    for n in _span(bounds["path"]):
+        for m2 in _span(bounds["pb_short"]):
+            for n2 in range(max(m2, long_lo), long_hi + 1):
+                pred = wedge_box_predicate("path", (n, m2, n2))
+                res = wedge([path(n - 1), box(m2, n2)])
+                yield {"kind": "path", "params": [n, m2, n2],
+                       **_searched(res.poset, budget, level_cap, pred)}
 
 
 # ------------------------------------------------- union/wedge/diamond suite
@@ -326,13 +282,12 @@ def union_simplicial_equivalence_check(ps, budget=DEFAULT_BUDGET,
         "union": outcome(lambda: disjoint_union(ps).poset),
         "diamond": outcome(lambda: diamond(ps).poset),
     }
-    verdicts = {}
-    for k, v in forms.items():
-        verdicts[k] = v.get("search") if v["defined"] else None
+    verdicts = {k: v.get("search") if v["defined"] else None
+                for k, v in forms.items()}
 
     equiv = [verdicts[k] for k in ("union-of-min-removed", "wedge", "diamond-of-hats")
              if verdicts[k] is not None]
-    equivalent = len({v for v in equiv}) <= 1
+    equivalent = len(set(equiv)) <= 1
     rank = {"found": 1, "none": 0}
     chain_ok = True
     seq = [verdicts["union"], verdicts["wedge"], verdicts["diamond"]]
@@ -363,7 +318,6 @@ def _random_hat_corpus(count=50, max_elements=20, seed=20240511):
             ranks += [d] * s
         starts = [sum(sizes[:d]) for d in range(depth + 1)]
         covers = []
-        ok = True
         for d in range(depth):
             for i in range(sizes[d]):
                 a = starts[d] + i
@@ -371,12 +325,8 @@ def _random_hat_corpus(count=50, max_elements=20, seed=20240511):
                                  rng.randint(1, sizes[d + 1]))
                 covers += [(a, starts[d + 1] + u) for u in ups]
         p = RankedPoset(ranks, covers, name=f"rand{len(out)}")
-        if max(p.rank[m] for m in p.maximal_elements()) != depth:
-            ok = False
-        if min(p.rank[m] for m in p.maximal_elements()) != depth:
-            ok = False  # hat needs all maxima at one rank
-        if ok:
-            out.append(p)
+        if {p.rank[m] for m in p.maximal_elements()} == {depth}:
+            out.append(p)  # a hat needs all maxima at one rank
     return out
 
 
@@ -393,7 +343,7 @@ def hat_preservation_report(count=50, max_elements=20, seed=20240511,
                "base": base.status, "hat": hatted.status,
                "nodes": base.stats.nodes + hatted.stats.nodes,
                "agree": base.status == hatted.status}
-        report.record(row)
+        report.rows.append(row)
     return report
 
 
@@ -418,11 +368,9 @@ def equivalence_suite(budget=DEFAULT_BUDGET,
                "chain_holds": res["chain_holds"],
                "forms": {k: (v.get("search") if v["defined"] else "undefined")
                          for k, v in res["forms"].items()}}
-        report.record(row)
-    hats = hat_preservation_report(budget=budget, level_cap=level_cap)
-    report.rows.extend(hats.rows)
-    report.disagreements.extend(hats.disagreements)
-    report.inconclusive.extend(hats.inconclusive)
+        report.rows.append(row)
+    report.rows.extend(hat_preservation_report(budget=budget,
+                                               level_cap=level_cap).rows)
     return report
 
 
@@ -460,32 +408,69 @@ def cartesian_counterexamples(budget=DEFAULT_BUDGET,
          cartesian_product(ring_product_factor(), path(1)).poset, 10),
     ]
     for name, poset, expected_n in items:
-        sr = find_macaulay_order(poset, budget=budget, level_cap=level_cap)
-        row = {"instance": name, "elements": poset.n,
-               "expected_elements": expected_n,
-               "search": sr.status, "nodes": sr.stats.nodes,
-               "agree": poset.n == expected_n and sr.status == "none"}
-        report.record(row)
+        found = _searched(poset, budget, level_cap)
+        # these rows record no subset count
+        report.rows.append({"instance": name, "elements": poset.n,
+                            "expected_elements": expected_n,
+                            "search": found["search"], "nodes": found["nodes"],
+                            "agree": (poset.n == expected_n
+                                      and found["search"] == "none")})
     return report
 
 
+class Family(NamedTuple):
+    """A verify-family entry: the name its report carries, its row source
+    ``rows(bounds, budget, level_cap)`` and the bounds that source reads,
+    with their defaults.  A bound (lo, hi) keeps lo <= value <= hi."""
+
+    report: str
+    rows: Callable
+    bounds: dict
+
+
+_WEDGE_PATH_BOUNDS = {"path": (1, 6), "pb_short": (1, 3), "pb_long": (1, 6)}
+FAMILIES = {
+    "heart": Family("heart", _heart_rows, {"side": (1, 5)}),
+    "diamond-box": Family("diamond-box", _diamond_rows,
+                          {"side": (2, 5), "dims": (1, 3), "elements": (0, 80)}),
+    "wedge-box": Family(
+        "wedge-box",
+        lambda *a: itertools.chain(_wedge_2d_rows(*a), _wedge_path_rows(*a)),
+        {"side": (2, 5), **_WEDGE_PATH_BOUNDS}),
+    "wedge-2d-box": Family("wedge-box", _wedge_2d_rows, {"side": (2, 5)}),
+    "wedge-path-box": Family("wedge-box", _wedge_path_rows, _WEDGE_PATH_BOUNDS),
+    "union-wedge-diamond-equiv": Family(
+        "union-wedge-diamond-equiv",
+        lambda bounds, budget, level_cap: equivalence_suite(budget, level_cap).rows,
+        {}),
+    "cartesian-counterexamples": Family(
+        "cartesian-counterexamples",
+        lambda bounds, budget, level_cap: cartesian_counterexamples(budget, level_cap).rows,
+        {}),
+}
+
+# the reproduce targets that run a family's grid with its default bounds
+GRID_TARGETS = {"thmA-grid": "union-wedge-diamond-equiv",
+                "thmB-wedge-grid": "wedge-box",
+                "thmB-diamond-grid": "diamond-box",
+                "thmC-grid": "heart"}
+
+
 def verify_family(spec: FamilySpec) -> GridReport:
-    if spec.family == "heart":
-        return verify_heart_grid(spec)
-    if spec.family == "diamond-box":
-        return verify_diamond_grid(spec)
-    if spec.family == "wedge-2d-box":
-        return verify_wedge_grid(spec, kinds=("2d",))
-    if spec.family == "wedge-path-box":
-        return verify_wedge_grid(spec, kinds=("path",))
-    if spec.family == "wedge-box":
-        return verify_wedge_grid(spec)
-    if spec.family == "union-wedge-diamond-equiv":
-        return equivalence_suite(budget=spec.budget, level_cap=spec.level_cap)
-    if spec.family == "cartesian-counterexamples":
-        return cartesian_counterexamples(budget=spec.budget,
-                                         level_cap=spec.level_cap)
-    raise PosetError(f"unknown family {spec.family!r}")
+    """Check the family's bounds, fill in their defaults and run its grid."""
+    if spec.family not in FAMILIES:
+        raise PosetError(f"unknown family {spec.family!r}")
+    family = FAMILIES[spec.family]
+    for key, (lo, hi) in spec.bounds.items():
+        if key not in family.bounds:
+            reads = ", ".join(f"{k}={a}:{b}" for k, (a, b) in family.bounds.items())
+            raise PosetError(f"{spec.family} reads no bound {key!r}; " + (
+                f"its bounds and defaults: {reads}" if reads else "it takes no bounds"))
+        if lo > hi:
+            raise PosetError(f"bound {key}={lo}:{hi} is empty (lo > hi)")
+    bounds = {**family.bounds, **spec.bounds}
+    return GridReport(family.report,
+                      list(family.rows(bounds, spec.budget, spec.level_cap)))
 
 
 # ----------------------------------------------------------- conjecture scan
@@ -539,46 +524,34 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
         ideals = itertools.chain(
             ideals, [("special(y3,y2z,yz2,z3)", conj66_quotient_ideal())])
 
-    def job(item):
-        name, ideal = item
+    for name, ideal in ideals:
         ps = standard_monomial_poset(ideal)
         base = find_macaulay_order(ps, budget=budget, level_cap=level_cap)
-        rows = []
         if base.status != "found":
-            rows.append({"quotient": name, "slice": "base",
-                         "base": base.status, "agree": None,
-                         "nodes": base.stats.nodes,
-                         "subsets": base.stats.subsets_enumerated,
-                         "note": "not in conjecture scope" if base.status == "none"
-                         else "base search inconclusive"})
-            return rows
+            report.rows.append({"quotient": name, "slice": "base",
+                                "base": base.status, "agree": None,
+                                "nodes": base.stats.nodes,
+                                "subsets": base.stats.subsets_enumerated,
+                                "note": "not in conjecture scope" if base.status == "none"
+                                else "base search inconclusive"})
+            continue
         top = ps.max_rank
         for n in range(top + 1, top + 1 + extra_steps):
             prod = cartesian_product(ps, path(n - 1)).poset
-            sr = find_macaulay_order(prod, budget=budget, level_cap=level_cap)
-            counterexample = sr.status == "none"
-            rows.append({"quotient": name, "slice": "conjecture67", "n": n,
-                         "elements": prod.n, "search": sr.status,
-                         "nodes": sr.stats.nodes,
-                         "subsets": sr.stats.subsets_enumerated,
-                         "counterexample": counterexample,
-                         "agree": (None if sr.status == "budget-exceeded"
-                                   else not counterexample)})
-        return rows
-
-    for item in ideals:
-        for row in job(item):
-            report.record(row)
+            row = {"quotient": name, "slice": "conjecture67", "n": n,
+                   "elements": prod.n, **_searched(prod, budget, level_cap)}
+            row["counterexample"] = row["search"] == "none"
+            row["agree"] = (None if row["search"] == "budget-exceeded"
+                            else not row["counterexample"])
+            report.rows.append(row)
 
     if include_special:
         # known failure at n = top degree, kept as a regression row
         ps = standard_monomial_poset(conj66_quotient_ideal())
         prod = cartesian_product(ps, path(1)).poset
-        sr = find_macaulay_order(prod, budget=budget, level_cap=level_cap)
-        report.record({"quotient": "special(y3,y2z,yz2,z3)",
-                       "slice": "conj66-regression", "n": 2,
-                       "elements": prod.n, "search": sr.status,
-                       "nodes": sr.stats.nodes,
-                       "subsets": sr.stats.subsets_enumerated,
-                       "agree": sr.status == "none"})
+        row = {"quotient": "special(y3,y2z,yz2,z3)",
+               "slice": "conj66-regression", "n": 2, "elements": prod.n,
+               **_searched(prod, budget, level_cap)}
+        row["agree"] = row["search"] == "none"
+        report.rows.append(row)
     return report

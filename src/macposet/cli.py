@@ -55,7 +55,11 @@ def _parse_set(text, poset):
     for item in text.split(","):
         item = item.strip()
         if item.startswith("#"):
-            ids.append(int(item[1:]))
+            k = int(item[1:])
+            if not 0 <= k < poset.n:
+                raise PosetError(f"element {item} is not in this poset "
+                                 f"of {poset.n} elements")
+            ids.append(k)
             continue
         if poset.labels is None:
             raise PosetError(f"poset is unlabeled; name elements as #id, not {item!r}")
@@ -168,31 +172,33 @@ def _parse_bounds(pairs):
     for item in pairs or []:
         key, _, rng = item.partition("=")
         lo, _, hi = rng.partition(":")
-        bounds[key] = (int(lo), int(hi))
+        try:
+            bounds[key] = (int(lo), int(hi))
+        except ValueError:
+            raise PosetError(f"--bound {item!r}: expected key=lo:hi "
+                             "with integers lo and hi") from None
     return bounds
 
 
-def _grid_exit(rep):
-    if rep.disagreements:
-        return 1
-    if rep.inconclusive:
-        return 3
-    return 0
+def _grid_outcome(rep):
+    """Print a grid's one-line summary; return its exit code."""
+    print(f"{rep.family}: {len(rep.rows)} rows, "
+          f"{len(rep.disagreements)} disagreements, "
+          f"{len(rep.inconclusive)} inconclusive")
+    return 1 if rep.disagreements else 3 if rep.inconclusive else 0
 
 
 def cmd_verify_family(args):
     spec = classify.FamilySpec(args.family, _parse_bounds(args.bound),
                                budget=args.budget, level_cap=args.level_cap)
     rep = classify.verify_family(spec)
-    print(f"{rep.family}: {len(rep.rows)} rows, "
-          f"{len(rep.disagreements)} disagreements, "
-          f"{len(rep.inconclusive)} inconclusive")
+    code = _grid_outcome(rep)
     for d in rep.disagreements:
         print(f"  DISAGREEMENT: {d}")
     report = build_report("verify-family", args.family,
                           verdict="agree" if rep.all_agree else "disagree",
                           grid=rep.to_json(), timings=rep.counters)
-    return _grid_exit(rep), report
+    return code, report
 
 
 def cmd_conjecture67(args):
@@ -320,9 +326,7 @@ def _reproduce_spider_union_fails(args):
 def _grid_target(family, args):
     rep = classify.verify_family(classify.FamilySpec(
         family, budget=args.budget, level_cap=args.level_cap))
-    print(f"{rep.family}: {len(rep.rows)} rows, {len(rep.disagreements)} disagreements, "
-          f"{len(rep.inconclusive)} inconclusive")
-    return _grid_exit(rep), rep.to_json(), rep.counters
+    return _grid_outcome(rep), rep.to_json(), rep.counters
 
 
 def _reproduce_conj67(args):
@@ -339,10 +343,8 @@ REPRODUCE = {
     "conj66-counterexample": _reproduce_conj66,
     "diamond-not-wedge": _reproduce_diamond_not_wedge,
     "spider-union-fails": _reproduce_spider_union_fails,
-    "thmA-grid": functools.partial(_grid_target, "union-wedge-diamond-equiv"),
-    "thmB-wedge-grid": functools.partial(_grid_target, "wedge-box"),
-    "thmB-diamond-grid": functools.partial(_grid_target, "diamond-box"),
-    "thmC-grid": functools.partial(_grid_target, "heart"),
+    **{target: functools.partial(_grid_target, family)
+       for target, family in classify.GRID_TARGETS.items()},
     "conj67-scan": _reproduce_conj67,
 }
 
@@ -429,10 +431,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_order_verdict)
 
     sp = sub.add_parser("verify-family", help="predicate vs search over a grid")
-    sp.add_argument("family", choices=["heart", "diamond-box", "wedge-box",
-                                       "wedge-2d-box", "wedge-path-box",
-                                       "union-wedge-diamond-equiv",
-                                       "cartesian-counterexamples"])
+    sp.add_argument("family", choices=list(classify.FAMILIES))
     sp.add_argument("--bound", action="append", metavar="key=lo:hi")
     _add_flags(sp)
     sp.set_defaults(fn=cmd_verify_family)

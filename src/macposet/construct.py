@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PosetError, RankedPoset, _bit_positions, validate_poset
+from .core import PosetError, RankedPoset, validate_poset
 from .ideals import box_cells, default_var_names, monomial_poset
 
 
@@ -178,10 +178,11 @@ def fiber_product(pa: RankedPoset, pb: RankedPoset, pc: RankedPoset,
                   into_a: dict, into_b: dict) -> OperationResult:
     """Glue pa and pb along rank-preserving embeddings of the base pc.
 
-    The defining clauses give an order relation, not covers; covers are
-    recomputed as the transitive reduction of that relation.  Both
-    images must be down-sets, which every ideal-containment inclusion
-    satisfies; without it the glued relation can skip ranks.
+    Both images must be order-embedded down-sets, which every
+    ideal-containment inclusion satisfies; without it the glued relation
+    can skip ranks.  With it, nothing in one remainder lies below the
+    other's, so the glued order is the union of the two factor orders
+    and its covers are the factors' covers under the new ids.
     """
     _validate_embedding(pc, pa, into_a, "into_a")
     _validate_embedding(pc, pb, into_b, "into_b")
@@ -189,46 +190,18 @@ def fiber_product(pa: RankedPoset, pb: RankedPoset, pc: RankedPoset,
     img_b = set(into_b.values())
     rest_a = [i for i in range(pa.n) if i not in img_a]
     rest_b = [i for i in range(pb.n) if i not in img_b]
-    n = pc.n + len(rest_a) + len(rest_b)
     ranks = [pc.rank[c] for c in range(pc.n)]
     ranks += [pa.rank[i] for i in rest_a]
     ranks += [pb.rank[i] for i in rest_b]
-    a_new = {a: pc.n + k for k, a in enumerate(rest_a)}
-    b_new = {b: pc.n + len(rest_a) + k for k, b in enumerate(rest_b)}
+    a_new = {x: c for c, x in into_a.items()}
+    a_new.update((a, pc.n + k) for k, a in enumerate(rest_a))
+    b_new = {x: c for c, x in into_b.items()}
+    b_new.update((b, pc.n + len(rest_a) + k) for k, b in enumerate(rest_b))
+    covers = [(a_new[x], a_new[y]) for x, y in _cover_pairs(pa)]
+    covers += [(b_new[x], b_new[y]) for x, y in _cover_pairs(pb)]
     sources = [((0, into_a[c]), (1, into_b[c]), (-2, c)) for c in range(pc.n)]
     sources += [((0, a),) for a in rest_a]
     sources += [((1, b),) for b in rest_b]
-
-    # strict order relation as per-element up-masks over new ids
-    rel = [0] * n
-    for c1 in range(pc.n):
-        for c2 in range(pc.n):
-            if c1 != c2 and pc.leq(c1, c2):
-                rel[c1] |= 1 << c2
-    c_of_a = {x: c for c, x in into_a.items()}
-    c_of_b = {x: c for c, x in into_b.items()}
-    for a in rest_a:
-        for x in range(pa.n):
-            if x != a and pa.leq(x, a):
-                rel[c_of_a[x] if x in c_of_a else a_new[x]] |= 1 << a_new[a]
-            if x != a and pa.leq(a, x) and x not in c_of_a:
-                rel[a_new[a]] |= 1 << a_new[x]
-    for b in rest_b:
-        for x in range(pb.n):
-            if x != b and pb.leq(x, b):
-                rel[c_of_b[x] if x in c_of_b else b_new[x]] |= 1 << b_new[b]
-            if x != b and pb.leq(b, x) and x not in c_of_b:
-                rel[b_new[b]] |= 1 << b_new[x]
-
-    pred = [0] * n
-    for a in range(n):
-        for b in _bit_positions(rel[a]):
-            pred[b] |= 1 << a
-    covers = []
-    for a in range(n):
-        for b in _bit_positions(rel[a]):
-            if rel[a] & pred[b] == 0:
-                covers.append((a, b))
 
     labels = None
     var_names = None

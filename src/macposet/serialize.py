@@ -196,6 +196,8 @@ def fibermap_from_text(text: str):
              if l.strip() and not l.strip().startswith("#")]
     if not lines or lines[0] != "macposet-fibermap 1":
         raise FormatError("expected header 'macposet-fibermap 1'", 1)
+    if len(lines) < 2:
+        raise FormatError("expected the count of base elements after the header", 2)
     count = int(lines[1])
     triples = []
     for k, line in enumerate(lines[2:2 + count], start=3):

@@ -17,8 +17,7 @@ from macposet import (LevelSubset, box, check_macaulay, diamond,
                       upper_shadow, wedge)
 from macposet.classify import (FamilySpec, cartesian_counterexamples,
                                conjecture_6_7_search, hat_preservation_report,
-                               verify_diamond_grid, verify_heart_grid,
-                               verify_wedge_grid)
+                               verify_family)
 from macposet.cli import run_command
 from macposet.construct import adjoin_extreme
 
@@ -100,7 +99,7 @@ def test_criterion_02_shadow_formula_lemmas():
 
 def test_criterion_03_heart_classification_grid():
     t0 = time.time()
-    rep = verify_heart_grid(FamilySpec("heart", {"side": (1, 5)}))
+    rep = verify_family(FamilySpec("heart", {"side": (1, 5)}))
     recommended_ok = all(r.get("recommended_ok", True) for r in rep.rows)
     ok = rep.all_agree and not rep.inconclusive and recommended_ok
     report_line(3, ok, f"heart grid 1..5: {len(rep.rows)} tuples, "
@@ -133,7 +132,7 @@ def test_criterion_05_twist_figure():
 
 def test_criterion_06_diamond_classification_grid():
     t0 = time.time()
-    rep = verify_diamond_grid(FamilySpec("diamond-box"))
+    rep = verify_family(FamilySpec("diamond-box"))
     ok = rep.all_agree and not rep.inconclusive
     report_line(6, ok, f"diamond-box grid: {len(rep.rows)} pairs, "
                        f"{len(rep.disagreements)} disagreements", t0)
@@ -141,7 +140,7 @@ def test_criterion_06_diamond_classification_grid():
 
 def test_criterion_07_wedge_classification_grids():
     t0 = time.time()
-    rep = verify_wedge_grid(FamilySpec("wedge-box"))
+    rep = verify_family(FamilySpec("wedge-box"))
     ok = rep.all_agree and not rep.inconclusive
     kinds = {r["kind"] for r in rep.rows}
     ok &= kinds == {"2d", "path"}

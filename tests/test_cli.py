@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from macposet import cli
+from macposet.classify import FAMILIES
 from macposet.cli import REPRODUCE, run_command
 from macposet.expr import MAX_NESTING
 from macposet.macaulay import _level_row
@@ -86,6 +88,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err
 
+    def test_fiber_map_with_only_its_header_is_input_error(self, tmp_path, capsys):
+        # used to exit 4 with an IndexError
+        f = tmp_path / "m.txt"
+        f.write_text("macposet-fibermap 1\n")
+        assert run(["show", f'fiber(path(2), box(2,2), "{f}")']) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("item", ["#99", "#4", "#-1"])
+    def test_shadow_set_id_out_of_range_is_input_error(self, item, capsys):
+        # #99 used to exit 4 with an IndexError, and #-1 to pick the
+        # last element
+        assert run(["shadow", "box(2,2)", "--set", item]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: element {item} is not in this poset")
+        assert err.count("\n") == 1
+
     def test_verify_family_ok(self):
         assert run(["verify-family", "cartesian-counterexamples"]) == 0
 
@@ -165,6 +184,66 @@ class TestExitCodes:
     def test_level_cap_honoured_everywhere(self, argv, capsys):
         assert run(argv + ["--level-cap", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestVerifyFamilyBounds:
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_unknown_key_and_explicit_defaults(self, family, tmp_path, capsys):
+        # an unknown key used to be ignored; the defaults written out
+        # must give the report that no bound gives
+        defaults = FAMILIES[family].bounds
+        assert run(["verify-family", family, "--bound", "sides=1:2"]) == 2
+        err = one_error_line(capsys)
+        assert "'sides'" in err and all(f"{k}=" in err for k in defaults)
+        explicit = [a for k, (lo, hi) in defaults.items()
+                    for a in ("--bound", f"{k}={lo}:{hi}")]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["verify-family", family, "--report", str(a)]) == 0
+        assert run(["verify-family", family, *explicit, "--report", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("bounds, rows, check", [
+        (["path=5:6", "pb_short=1:1", "pb_long=1:1"], 2,
+         lambda r: r["params"][0] >= 5),
+        (["path=1:1", "pb_short=2:3", "pb_long=3:3"], 2,
+         lambda r: r["params"][1:] in ([2, 3], [3, 3])),
+    ], ids=["path", "pb"])
+    def test_lower_bounds_honoured_on_wedge_path_box(self, bounds, rows, check,
+                                                     tmp_path):
+        # only the upper ends were read: the first case ran 6 rows
+        out = tmp_path / "r.json"
+        argv = ["verify-family", "wedge-path-box", "--report", str(out)]
+        for b in bounds:
+            argv += ["--bound", b]
+        assert run(argv) == 0
+        got = json.loads(out.read_text())["grid"]["rows"]
+        assert len(got) == rows and all(check(r) for r in got)
+
+    def test_lower_bounds_honoured_on_diamond_box(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify-family", "diamond-box", "--bound", "dims=2:3",
+                    "--bound", "elements=20:80", "--report", str(out)]) == 0
+        got = json.loads(out.read_text())["grid"]["rows"]
+        assert got and all(
+            len(p) >= 2 and len(q) >= 2
+            and math.prod(p) + math.prod(q) - 2 >= 20 for p, q in
+            (r["params"] for r in got))
+
+    def test_empty_range_is_input_error(self, capsys):
+        # used to "agree" on 0 rows
+        assert run(["verify-family", "heart", "--bound", "side=3:1"]) == 2
+        assert "side=3:1" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("item", ["side", "side=1:", "side=a:b"])
+    def test_malformed_bound_names_the_form(self, item, capsys):
+        assert run(["verify-family", "heart", "--bound", item]) == 2
+        assert "key=lo:hi" in one_error_line(capsys)
 
 
 class TestReports:

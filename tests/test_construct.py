@@ -10,6 +10,7 @@ from macposet import (PosetError, RankedPoset, box, cartesian_product,
                       pure_power_ideal, spider, validate_poset, wedge)
 from macposet.construct import (GLUED, OperationResult, adjoin_extreme,
                                 build_heart, remove_extreme)
+from macposet.core import induced_subposet
 from macposet.ideals import inclusion_map, standard_monomial_poset
 from macposet.serialize import poset_to_text
 
@@ -173,7 +174,55 @@ class TestGlueMatchesReference:
         assert poset_to_text(res.poset, res) == poset_to_text(renamed, want)
 
 
+@st.composite
+def fiber_inputs(draw):
+    """(pa, pb, pc, into_a, into_b): pc is induced on a down-set of pa;
+    pb is pc with new elements stacked on it (each covering only
+    elements one rank down), its ids shuffled."""
+    pa = draw(small_ranked_posets(max_width=4))
+    tops = draw(st.sets(st.integers(0, pa.n - 1), max_size=3))
+    sub = induced_subposet(pa, [x for x in range(pa.n)
+                                if any(pa.leq(x, t) for t in tops)])
+    pc = sub.poset
+    ranks = list(pc.rank)
+    covers = [(a, b) for a in range(pc.n) for b in pc.up[a]]
+    for r in draw(st.lists(st.integers(0, pa.max_rank + 1), max_size=6)):
+        below = [i for i, s in enumerate(ranks) if s == r - 1]
+        if below:
+            covers += [(i, len(ranks)) for i in draw(st.sets(st.sampled_from(below)))]
+        ranks.append(r)
+    perm = draw(st.permutations(range(len(ranks))))
+    pb_ranks = [0] * len(ranks)
+    for old, new in enumerate(perm):
+        pb_ranks[new] = ranks[old]
+    pb = RankedPoset(pb_ranks, [(perm[a], perm[b]) for a, b in covers])
+    return (pa, pb, pc, dict(enumerate(sub.old_of_new)),
+            {c: perm[c] for c in range(pc.n)})
+
+
 class TestFiber:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fiber_inputs())
+    def test_covers_are_rank_one_pairs_of_the_glued_order(self, inputs):
+        pa, pb, pc, into_a, into_b = inputs
+        res = fiber_product(pa, pb, pc, into_a, into_b)
+        p = res.poset
+        # each glued element's id in pa and in pb, where it has one
+        in_a = [dict(rec).get(0) for rec in res.provenance.sources]
+        in_b = [dict(rec).get(1) for rec in res.provenance.sources]
+        leq = [[(in_a[x] is not None and in_a[y] is not None
+                 and pa.leq(in_a[x], in_a[y]))
+                or (in_b[x] is not None and in_b[y] is not None
+                    and pb.leq(in_b[x], in_b[y]))
+                for y in range(p.n)] for x in range(p.n)]
+        for z, x, y in itertools.product(range(p.n), repeat=3):
+            leq[x][y] = leq[x][y] or (leq[x][z] and leq[z][y])
+        assert p.rank == tuple(pa.rank[a] if a is not None else pb.rank[b]
+                               for a, b in zip(in_a, in_b))
+        assert {(x, y) for x in range(p.n) for y in p.up[x]} == {
+            (x, y) for x in range(p.n) for y in range(p.n)
+            if leq[x][y] and p.rank[y] == p.rank[x] + 1}
+
     def test_over_a_point_is_wedge(self):
         for pa, pb in [(box(2, 2), box(2, 3)), (path(2), box(2, 2))]:
             star = path(0)

@@ -86,6 +86,11 @@ class TestFiberMap:
         with pytest.raises(FormatError):
             fibermap_from_text("macposet-fibermap 1\n2\n1 0 0\n0 1 2\n")
 
+    def test_header_alone_is_a_format_error(self):
+        # the missing count line used to raise IndexError
+        with pytest.raises(FormatError, match="line 2"):
+            fibermap_from_text("macposet-fibermap 1\n")
+
 
 class TestReports:
     def test_bytes_are_deterministic(self):
