@@ -421,7 +421,8 @@ def cartesian_counterexamples(budget=DEFAULT_BUDGET,
 class Family(NamedTuple):
     """A verify-family entry: the name its report carries, its row source
     ``rows(bounds, budget, level_cap)`` and the bounds that source reads,
-    with their defaults.  A bound (lo, hi) keeps lo <= value <= hi."""
+    with their defaults.  A bound (lo, hi) keeps lo <= value <= hi; the
+    default's lo is also the least value the key takes."""
 
     report: str
     rows: Callable
@@ -468,6 +469,9 @@ def verify_family(spec: FamilySpec) -> GridReport:
                 f"its bounds and defaults: {reads}" if reads else "it takes no bounds"))
         if lo > hi:
             raise PosetError(f"bound {key}={lo}:{hi} is empty (lo > hi)")
+        if lo < family.bounds[key][0]:
+            raise PosetError(f"bound {key}={lo}:{hi} starts below "
+                             f"{family.bounds[key][0]}, the least value of {key}")
     bounds = {**family.bounds, **spec.bounds}
     return GridReport(family.report,
                       list(family.rows(bounds, spec.budget, spec.level_cap)))

@@ -6,8 +6,9 @@ q-subsets, plus the first subset (in ascending binary order) achieving
 it.  This is the hot loop of the whole package: 2^n subsets per level.
 
 One vectorised numpy kernel (numpy >= 2.0 for ``np.bitwise_count``).
-A subset is split into a high and a low half of the level; the OR of
-every half-subset is tabled once, the low table sorted by cardinality.
+A subset is split into a high and a low half of the level (from n = 17
+on, at least 12 low bits); the OR of every half-subset is tabled once,
+the low table sorted by cardinality.
 The 2^n full subsets are walked in blocks of ``BLOCK_SUBSETS``, and each
 block costs three passes: OR a run of high rows into the low table,
 count bits, and take each row's minimum over every run of equal low
@@ -58,7 +59,10 @@ def _plan(n: int, w: int):
     offset of each q's run in the flattened runs, and what ``_min_keys``
     needs (the low and high cardinality orders, the high rows as keys,
     and the (high card, low card) groups listed by cardinality)."""
-    lo_bits = (n + 1) // 2
+    # from n = 17 on, 12 low bits: at 2^9-2^11 columns numpy's broadcast
+    # OR costs about 3x as much per element as at 2^12, and below n = 17
+    # the recovery of the winning rows over C(12, 6) columns costs more
+    lo_bits = max(12, (n + 1) // 2) if n >= 17 else (n + 1) // 2
     hi_bits = n - lo_bits
     order, starts, runs = _card_runs(lo_bits)
     hi_order, hi_starts, _ = _card_runs(hi_bits)

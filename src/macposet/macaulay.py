@@ -22,9 +22,14 @@ from .orders import LevelOrderFamily, order_from_lists
 
 DEFAULT_LEVEL_CAP = 24
 DEFAULT_BUDGET = 20_000_000
-# memoised level rows: room for the ~620 distinct levels of the 12
-# reproduce targets, a few MB even when the levels are 24 wide
-LEVEL_ROW_CACHE = 1024
+# memoised rows, of whole levels and of components alike: room for the
+# 4912 distinct levels of the 1600 random-search instances.  A full cache
+# holds about 6 MB of 12-wide rows and 11 MB of 24-wide rows, their keys
+# included (tracemalloc, masks of 20 and 40 bits)
+LEVEL_ROW_CACHE = 8192
+# levels at least this wide are split into connected components; below
+# it a kernel call's fixed cost is as much as the subsets a split saves
+SPLIT_MIN = 17
 
 
 class LevelCapExceeded(PosetError):
@@ -35,14 +40,12 @@ class LevelCapExceeded(PosetError):
 class MinShadowTable:
     """entry(d, q) = exact minimum of |shadow(A)| over |A| = q at level d.
 
-    ``argmins[d][q]`` is the first minimizing subset in ascending binary
-    order, as a bitmask over level-d positions (ascending element id).
-    ``subsets_enumerated`` counts 2^n for each level of n elements,
-    whether or not the level's row came from the memo.
+    ``subsets_enumerated`` is nominal: 2^n for each level of n elements,
+    whether the level's row came from the memo, from its components'
+    rows or from the kernel.
     """
 
     mins: tuple
-    argmins: tuple
     subsets_enumerated: int
 
     def entry(self, d: int, q: int) -> int:
@@ -65,14 +68,55 @@ def _masks_as_array(masks):
     return np.array(masks, dtype=np.uint64).reshape(-1, words)
 
 
+def _components(masks):
+    """The connected components of a level over shared cover bits, as
+    mask tuples in position order, each re-indexed densely over its own
+    covers.  Elements with empty masks belong to none."""
+    parts = []  # (cover bits, positions), pairwise disjoint in their bits
+    for k, m in enumerate(masks):
+        if m:
+            bits, ks = m, [k]
+            for joined in [part for part in parts if part[0] & m]:
+                parts.remove(joined)
+                bits |= joined[0]
+                ks += joined[1]
+            parts.append((bits, ks))
+    out = []
+    for bits, ks in parts:
+        cols = [b for b in range(bits.bit_length()) if bits >> b & 1]
+        out.append(tuple(sum(1 << j for j, b in enumerate(cols) if masks[k] >> b & 1)
+                         for k in sorted(ks)))
+    return out
+
+
+def _min_plus(a, b):
+    """(min, +) convolution: the row of two levels with disjoint covers.
+    Rows never decrease, so a[-1] + b[-1] bounds every entry."""
+    out = [a[-1] + b[-1]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = min(out[i + j], x + y)
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
-def _level_row(masks: tuple[int, ...]):
-    """(mins, argmins) of a level whose shadow masks, in position order,
-    are ``masks``.  The key keeps that order: argmins are positions."""
+def _level_row(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Minimum shadow sizes, q = 0..n, of a level whose shadow masks are
+    ``masks``.  A level of at least ``SPLIT_MIN`` elements that is not one
+    connected piece is split: a subset's shadow is the disjoint union of
+    its pieces' shadows, so the row is the (min, +) join of its
+    components' rows, each memoised here too, and every element with an
+    empty mask adds one 0."""
+    if len(masks) >= SPLIT_MIN:
+        parts = _components(masks)
+        if len(parts) != 1 or len(parts[0]) < len(masks):
+            row = (0,) * (len(masks) - sum(map(len, parts)) + 1)
+            for part in parts:
+                row = _min_plus(row, _level_row(part))
+            return row
     if not masks:
-        return (0,), (0,)
-    mins, argm = kernels.level_min_shadows(_masks_as_array(masks))
-    return tuple(mins.tolist()), tuple(argm.tolist())
+        return (0,)
+    return tuple(kernels.level_min_shadows(_masks_as_array(masks))[0].tolist())
 
 
 def min_shadow_table(p: RankedPoset,
@@ -91,9 +135,9 @@ def min_shadow_table(p: RankedPoset,
                 f"level {d} has {len(p.level(d))} elements, cap is {level_cap}; "
                 "raise --level-cap if this is intended")
 
-    rows = [_level_row(shadow_masks(p, d)) for d in range(p.max_rank + 1)]
+    rows = tuple(_level_row(shadow_masks(p, d)) for d in range(p.max_rank + 1))
     total = sum(1 << len(p.level(d)) for d in range(p.max_rank + 1))
-    return MinShadowTable(tuple(r[0] for r in rows), tuple(r[1] for r in rows), total)
+    return MinShadowTable(rows, total)
 
 
 def _prefix_masks(o: LevelOrderFamily, d: int):
@@ -137,11 +181,14 @@ def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
             best = table.entry(d, q)
             if size != best:
                 seg = o.descending(d)[:q]
-                rival_bits = table.argmins[d][q]
+                # the rival is the first minimiser in ascending binary
+                # order; the table keeps no minimisers, so one kernel
+                # call on the whole level finds it
+                _, argmins = kernels.level_min_shadows(_masks_as_array(shadow_masks(p, d)))
                 return Verdict.failing(Witness(
                     "min-shadow-beaten", level=d, q=q,
                     elements=tuple(seg),
-                    rival=_level_pos_bits_to_ids(p, d, rival_bits),
+                    rival=_level_pos_bits_to_ids(p, d, int(argmins[q])),
                     sizes=(size, best),
                     detail=f"initial segment of size {q} at level {d} has shadow "
                            f"{size}, minimum is {best}"))

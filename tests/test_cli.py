@@ -57,6 +57,15 @@ class TestExitCodes:
         assert run(["search-order", "box(2,2)", "--budget", "0"]) == 3
         assert run(["conjecture67", "--max-exp", "0", "--steps", "0"]) == 0
 
+    @pytest.mark.parametrize("bound", ["dims=0:1", "side=1:2"])
+    def test_bound_below_its_domain_names_the_bound(self, bound, capsys):
+        # these reached the builders, whose errors named the empty box
+        # and a one-element diamond factor, not the bound
+        assert run(["verify-family", "diamond-box", "--bound", bound]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bound {bound} starts below")
+        assert err.count("\n") == 1
+
     def test_additive_on_non_macaulay_is_input_error(self):
         assert run(["additive", "poset(ideal(x^4, y^3, x^3*y))",
                     "--order", "lex(y,x)"]) == 2

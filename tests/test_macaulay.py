@@ -18,7 +18,7 @@ from macposet.cli import run_command
 from macposet.expr import evaluate, parse_expression
 from macposet.macaulay import LevelCapExceeded, _level_row
 from macposet.orders import initial_segment
-from macposet import kernels
+from macposet import kernels, macaulay
 
 from conftest import (brute_min_shadow, brute_order_exists, definition_check,
                       layered_order_exists, naive_upper_shadow, reference_search,
@@ -53,6 +53,8 @@ class TestMinShadowTable:
                 assert list(t.mins[d]) == brute_min_shadow(p, d)
 
     def test_argmin_is_first_in_ascending_order(self):
+        # the table keeps mins only; the kernel's argmins, which give a
+        # min-shadow-beaten witness its rival, are the first minimisers
         p = wedge([box(2, 2), box(2, 3)]).poset
         t = min_shadow_table(p)
         for d in range(p.max_rank + 1):
@@ -63,6 +65,7 @@ class TestMinShadowTable:
                 for b in p.up[i]:
                     m |= 1 << p.pos_in_level[b]
                 masks.append(m)
+            _, argm = kernels.level_min_shadows(np.array(masks, dtype=np.uint64)[:, None])
             for q in range(len(lv) + 1):
                 best = None
                 first = None
@@ -77,7 +80,7 @@ class TestMinShadowTable:
                     if best is None or sz < best:
                         best, first = sz, s
                 assert t.mins[d][q] == best
-                assert t.argmins[d][q] == first
+                assert argm[q] == first
 
     def test_level_cap(self):
         wide = disjoint_union([path(0)] * 25).poset
@@ -110,9 +113,10 @@ class TestLevelRowMemo:
         return calls
 
     def test_one_kernel_call_per_distinct_level(self, kernel_calls):
-        # two checks of heart(5,2,2,5), whose 6 levels are all distinct
+        # two checks of heart(5,2,2,5), whose 6 levels are all distinct,
+        # plus one call on the level where lex fails, for its rival
         assert run_command(["reproduce", "twist-figure"]) == 0
-        assert len(kernel_calls) == 6
+        assert len(kernel_calls) == 7
 
     def test_check_after_search_calls_no_kernel(self, kernel_calls):
         p = box(3, 4)
@@ -124,14 +128,39 @@ class TestLevelRowMemo:
 
     def test_key_keeps_mask_order(self):
         # level 0 of both posets has the masks 0b011 and 0b100, in
-        # opposite orders; the argmins differ as positions do
+        # opposite orders; the rivals differ as positions do
         _level_row.cache_clear()
         ranks = [0, 0, 1, 1, 1]
-        for covers, masks in (([(0, 2), (0, 3), (1, 4)], [[3], [4]]),
-                              ([(0, 4), (1, 2), (1, 3)], [[4], [3]])):
+        for covers, masks, one_cover in (([(0, 2), (0, 3), (1, 4)], [[3], [4]], 1),
+                                         ([(0, 4), (1, 2), (1, 3)], [[4], [3]], 0)):
             p = RankedPoset(ranks, covers)
-            _, argm = kernels.level_min_shadows(np.array(masks, dtype=np.uint64))
-            assert min_shadow_table(p).argmins[0] == tuple(int(v) for v in argm)
+            mins, _ = kernels.level_min_shadows(np.array(masks, dtype=np.uint64))
+            assert min_shadow_table(p).mins[0] == tuple(int(v) for v in mins)
+            # the two-cover element first: the one-cover element beats it
+            order = order_from_lists(p, [[1 - one_cover, one_cover], [2, 3, 4]])
+            w = check_macaulay(p, order).witness
+            assert (w.kind, w.q, w.rival, w.sizes) == (
+                "min-shadow-beaten", 1, (one_cover,), (2, 1))
+
+    def test_second_round_past_1024_levels_calls_no_kernel(self, kernel_calls):
+        # more distinct levels than the old 1024-row cache: least recently
+        # used eviction over a longer cycle evicted every row in turn
+        levels = [(k, k + 1) for k in range(1, 1301)]
+        for _ in range(2):
+            for masks in levels:
+                _level_row(masks)
+        assert len(kernel_calls) == len(levels)
+
+    def test_wedge_of_equal_boxes_needs_no_wide_call(self, kernel_calls):
+        # levels 3-6 are 20 and 24 wide, two equal halves each; the
+        # halves, re-indexed over their own covers, share one call
+        p = wedge([box(4, 4, 4), box(4, 4, 4)]).poset
+        assert list(map(len, p.levels)) == [1, 6, 12, 20, 24, 24, 20, 12, 6, 2]
+        t = min_shadow_table(p)
+        assert kernel_calls == [1, 6, 12, 10, 12, 12, 10, 12, 6, 2]
+        for d in range(p.max_rank + 1):
+            masks = macaulay._masks_as_array(macaulay.shadow_masks(p, d))
+            assert t.mins[d] == tuple(kernels.level_min_shadows(masks)[0].tolist())
 
     def test_warm_row_does_not_pass_the_cap(self):
         p = box(2, 2)
@@ -190,6 +219,22 @@ class TestKernelBackends:
         assert (list(mins), list(argm)) == reference_min_shadows(masks)
         assert mins[6] == 320
 
+    @pytest.mark.parametrize("n", [17, 19, 21])
+    def test_twelve_low_bits_match_full_enumeration(self, n):
+        # from n = 17 on the low half keeps 12 bits; the oracle tables
+        # every subset's union by doubling, in ascending binary order
+        masks = np.random.default_rng(n).integers(0, 2**8, size=(n, 1), dtype=np.uint64)
+        unions = np.zeros(1 << n, dtype=np.uint64)
+        for i in range(n):
+            unions[1 << i:2 << i] = unions[:1 << i] | masks[i, 0]
+        sizes = np.bitwise_count(unions)
+        cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+        mins, argm = kernels.level_min_shadows(masks)
+        for q in range(n + 1):
+            subsets = np.flatnonzero(cards == q)
+            first = subsets[sizes[subsets].argmin()]
+            assert (mins[q], argm[q]) == (sizes[first], first)
+
     def test_numpy_backend_table(self, small_corpus):
         for p in small_corpus[:3]:
             t = min_shadow_table(p)
@@ -222,6 +267,21 @@ def wide_level_masks(draw):
     return np.array(rows, dtype=np.uint64)
 
 
+@st.composite
+def split_levels(draw):
+    """Levels of SPLIT_MIN to 20 elements glued from a few component
+    templates, each copy on cover bits of its own, with one-element
+    components and empty masks, in a shuffled position order."""
+    n = draw(st.integers(macaulay.SPLIT_MIN, 20))
+    template = st.lists(st.integers(1, 15), min_size=1, max_size=5)
+    pool = draw(st.lists(template, min_size=1, max_size=3))
+    parts = st.one_of(st.sampled_from(pool), st.just([0]), st.just([1]))
+    masks = []
+    while len(masks) < n:  # 4 cover bits per copy, so up to 80 bits
+        masks += [m << 4 * len(masks) for m in draw(parts)]
+    return tuple(draw(st.permutations(masks[:n])))
+
+
 class TestKernelProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(level_masks())
@@ -235,6 +295,13 @@ class TestKernelProperties:
         # ties between rows and within a low run pin the first subset
         mins, argm = kernels.level_min_shadows(masks)
         assert (list(mins), list(argm)) == reference_min_shadows(masks)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(split_levels())
+    def test_split_row_matches_kernel(self, masks):
+        # the (min, +) join of component rows against the whole level
+        whole = kernels.level_min_shadows(macaulay._masks_as_array(masks))[0]
+        assert _level_row(masks) == tuple(whole.tolist())
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_ranked_posets())
@@ -269,6 +336,18 @@ class TestCheckMacaulay:
         assert (w.kind, w.level, w.q, w.sizes) == ("min-shadow-beaten", 3, 1, (1, 0))
         assert [p.element_name(i) for i in w.elements] == ["x*y^2"]
         assert [p.element_name(i) for i in w.rival] == ["x^3"]
+
+    def test_split_level_witness(self):
+        # level 0 is 18 wide and splits into 18 one-element components;
+        # the rival is still the whole level's first minimiser, a path
+        # minimum, whose single cover beats a box minimum's two
+        expr = "union(" + ", ".join(["box(2,2)"] * 6 + ["path(4)"] * 12) + ")"
+        p = evaluate(parse_expression(expr)).poset
+        assert len(p.level(0)) == 18 >= macaulay.SPLIT_MIN
+        assert len(macaulay._components(macaulay.shadow_masks(p, 0))) == 18
+        w = check_macaulay(p, order_from_lists(p, [sorted(lv) for lv in p.levels])).witness
+        assert (w.kind, w.level, w.q, w.elements, w.rival, w.sizes) == (
+            "min-shadow-beaten", 0, 1, (0,), (24,), (2, 1))
 
     def test_shadow_not_initial_witness(self):
         # mixing priorities across levels of box(3,3) keeps the shadow
