@@ -163,7 +163,12 @@ def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
     """
     if o.poset is not p:
         raise PosetError("order family belongs to a different poset")
-    table = min_shadow_table(p, level_cap=level_cap)
+    return _check_against(p, o, min_shadow_table(p, level_cap=level_cap))
+
+
+def _check_against(p: RankedPoset, o: LevelOrderFamily,
+                   table: MinShadowTable) -> Verdict:
+    """``check_macaulay`` against a table already built for p."""
     for d in range(p.max_rank + 1):
         masks = _prefix_masks(o, d)
         nxt_order = o.descending(d + 1)
@@ -206,8 +211,13 @@ def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
 
 @dataclass
 class SearchStats:
+    """Work counters of one search.  ``nodes`` is nominal: it counts the
+    nodes of twin subtrees that were charged rather than searched, whose
+    number is ``charged``.  Reports carry only the nominal counts."""
+
     nodes: int = 0
     subsets_enumerated: int = 0
+    charged: int = 0
 
     def to_json(self):
         return {"search_nodes": self.nodes,
@@ -223,6 +233,18 @@ class SearchResult:
     @property
     def found(self) -> bool:
         return self.status == "found"
+
+
+@functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
+def _upper_twins(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Per position k of a level whose shadow masks are ``masks``, the
+    bitmask of the positions above k with k's mask: k's twins.  Memoised
+    as the rows are, in a cache of the same size."""
+    out, above = [0] * len(masks), {}
+    for k in range(len(masks) - 1, -1, -1):
+        out[k] = above.get(masks[k], 0)
+        above[masks[k]] = out[k] | 1 << k
+    return tuple(out)
 
 
 def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
@@ -246,51 +268,80 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     completes, the candidates ``U[t]`` not yet tried (a bitmask of level
     positions, lowest first), the positions ``R[t]`` of its block not
     yet placed, the block's index ``B[t]`` in ``blocks[LV[t]]``, the
-    shadow ``S[t]`` of its level's order so far and the position
-    ``K[t]`` placed.  Each candidate tried is one search node, and
-    rejected candidates are skipped in an inner loop.  An accepted
-    candidate moves the search to depth t+1; an exhausted depth moves it
-    back to t-1, whose untried candidates are still recorded.  When a
-    level is complete, the next level's blocks are the steps of the
-    prefix shadows recorded at its depths, then the rest of that level.
+    shadow ``S[t]`` of its level's order so far, the position ``K[t]``
+    placed and the node count ``N[t]`` when it was placed.  Each
+    candidate tried is one search node, and rejected candidates are
+    skipped in an inner loop.  An accepted candidate moves the search to
+    depth t+1; an exhausted depth moves it back to t-1, whose untried
+    candidates are still recorded.  When a level is complete, the next
+    level's blocks are the steps of the prefix shadows recorded at its
+    depths, then the rest of that level.
+
+    Two positions of one block with equal shadow masks are twins:
+    swapping them maps the subtree below one onto the subtree below the
+    other, so when one fails the other fails too, after as many nodes.
+    So when the candidate placed at depth t fails, its untried twins
+    join ``TW[t]`` and its subtree's node count is kept in ``COST``
+    under t and its mask.  A twin in ``TW[t]`` that meets the table
+    minimum is not searched: that count is added to the nodes instead,
+    and if the sum passes the budget the search stops at a count of
+    budget + 1, as the full search would.  So the node count is nominal:
+    at every budget it equals that of the search without the charge.
+    ``stats.charged`` counts the nodes added.
     """
     table = min_shadow_table(p, level_cap=level_cap)
     stats = SearchStats(subsets_enumerated=table.subsets_enumerated)
     levels = p.levels
     level_masks = [shadow_masks(p, d) for d in range(len(levels))]
+    level_twins = [None] * len(levels)  # derived at a level's first failure
     LV = [d for d, lv in enumerate(levels) for _ in lv]
     MASKS = [level_masks[d] for d in LV]
     NEED = [m for row in table.mins for m in row[1:]]  # minimum at each depth
     n = len(LV)
-    U, R, K, B, S = [0] * n, [0] * n, [0] * n, [0] * n, [0] * (n + 1)
+    U, R, K, B, N, S = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n, [0] * (n + 1)
+    TW, COST = [0] * (n + 1), {}
     blocks = [None] * len(levels)
     limit = float("inf") if budget is None else budget
-    nodes = t = 0
+    nodes = charged = t = 0
     if n:  # the lowest level is one block
         blocks[LV[0]] = [(1 << len(levels[LV[0]])) - 1]
         U[0] = R[0] = blocks[LV[0]][0]
     while t < n:
-        untried, masks, need, shadow = U[t], MASKS[t], NEED[t], S[t]
+        untried, masks, need, shadow, twins = U[t], MASKS[t], NEED[t], S[t], TW[t]
         while untried:
             low = untried & -untried
             untried ^= low
             nodes += 1
             if nodes > limit:
-                stats.nodes = nodes
+                stats.nodes, stats.charged = nodes, charged
                 return SearchResult("budget-exceeded", None, stats)
             k = low.bit_length() - 1
             sh = shadow | masks[k]
             if sh.bit_count() == need:
-                break
+                if not low & twins:
+                    break
+                cost = COST[t, masks[k]]
+                if nodes + cost > limit:
+                    stats.nodes, stats.charged = limit + 1, charged + limit + 1 - nodes
+                    return SearchResult("budget-exceeded", None, stats)
+                nodes += cost
+                charged += cost
         else:
             t -= 1
             if t < 0:
-                stats.nodes = nodes
+                stats.nodes, stats.charged = nodes, charged
                 return SearchResult("none", None, stats)
+            if U[t]:  # charge the untried twins of k what k cost
+                k, d = K[t], LV[t]
+                if level_twins[d] is None:
+                    level_twins[d] = _upper_twins(level_masks[d])
+                if twins := level_twins[d][k] & U[t]:
+                    COST[t, MASKS[t][k]] = nodes - N[t]
+                    TW[t] |= twins
             continue
-        U[t], K[t], d, b, rem = untried, k, LV[t], B[t], R[t] ^ low
+        U[t], K[t], N[t], d, b, rem = untried, k, nodes, LV[t], B[t], R[t] ^ low
         t += 1
-        S[t] = sh
+        S[t], TW[t] = sh, 0
         if rem:
             U[t] = R[t] = rem
             B[t] = b
@@ -309,10 +360,10 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
                 bl.append(rest)
             U[t] = R[t] = bl[0]
             S[t] = B[t] = 0
-    stats.nodes = nodes
+    stats.nodes, stats.charged = nodes, charged
     placed = iter(K)  # positions, level by level
     order = order_from_lists(p, [[lv[next(placed)] for _ in lv] for lv in levels])
-    verdict = check_macaulay(p, order, level_cap=level_cap)
+    verdict = _check_against(p, order, table)
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
     return SearchResult("found", order, stats)

@@ -106,17 +106,23 @@ def layered_order_exists(p):
 
 
 @st.composite
-def small_ranked_posets(draw, max_width=6, levels=None):
+def small_ranked_posets(draw, max_width=6, levels=None, twins=False):
     """Random covers between consecutive levels of 1 to 4 levels, or of
-    exactly ``levels`` levels."""
+    exactly ``levels`` levels.  With ``twins`` the elements of a level
+    take their up-cover sets, with repeats, from one to three distinct
+    sets drawn for that level, so equal shadow masks are common."""
     sizes = draw(st.lists(st.integers(1, max_width), min_size=levels or 1,
                           max_size=levels or 4))
     starts = [sum(sizes[:d]) for d in range(len(sizes))]
     ranks = [d for d, s in enumerate(sizes) for _ in range(s)]
     covers = []
     for d in range(len(sizes) - 1):
+        up_sets = st.frozensets(st.integers(0, sizes[d + 1] - 1))
+        if twins:
+            up_sets = st.sampled_from(draw(st.lists(up_sets, min_size=1, max_size=3,
+                                                    unique=True)))
         for i in range(sizes[d]):
-            ups = draw(st.sets(st.integers(0, sizes[d + 1] - 1)))
+            ups = draw(up_sets)
             covers += [(starts[d] + i, starts[d + 1] + u) for u in sorted(ups)]
     return RankedPoset(ranks, covers)
 

@@ -516,6 +516,59 @@ class TestSearchProperties:
         assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
         assert (got.order and got.order.per_level) == (want.order and want.order.per_level)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_ranked_posets(max_width=6, twins=True),
+           st.sampled_from([0, 1, 5, 37, 500, None]))
+    def test_twin_charges_match_reference_search(self, p, budget):
+        # levels with repeated up-cover sets are full of twins, whose
+        # charged counts must add up to the nodes the reference visits
+        got, want = find_macaulay_order(p, budget), reference_search(p, budget)
+        assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
+        assert (got.order and got.order.per_level) == (want.order and want.order.per_level)
+
+
+class TestTwinCharge:
+    """Level 0 is two pairs of twins: 0 and 1 are covered by 4, which
+    covers all of level 2, and 2 and 3 by 5, which covers nothing.
+    Placing 0 first fails after a subtree of C = 9 nodes, two of them
+    charged for a twin inside it.  Its twin 1 is node 11, and its charge
+    brings the count to N = 20."""
+
+    EXPR = "explicit{9; 0 0 0 0 1 1 2 2 2; 0 4, 1 4, 2 5, 3 5, 4 6, 4 7, 4 8}"
+    N, C = 20, 9
+
+    def poset(self):
+        return evaluate(parse_expression(self.EXPR)).poset
+
+    def test_found_with_charged_nodes(self):
+        r = find_macaulay_order(self.poset(), budget=None)
+        assert (r.status, r.stats.nodes, r.stats.charged) == ("found", 31, 2 + self.C)
+        assert r.order.per_level == ((2, 3, 0, 1), (5, 4), (6, 7, 8))
+        assert r.stats.to_json() == {"search_nodes": 31, "subsets_enumerated": 28}
+
+    @pytest.mark.parametrize("budget", range(N - C - 1, N + 2))
+    def test_budgets_around_the_charge(self, budget):
+        # below N the charge overruns the budget and the count stops at
+        # budget + 1, as in the reference; at N and above it fits
+        p = self.poset()
+        got, want = find_macaulay_order(p, budget), reference_search(p, budget)
+        assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
+        assert (got.order and got.order.per_level) == (want.order and want.order.per_level)
+        first = self.N - self.C - 1  # the node count before the twin's own node
+        assert got.stats.charged == 2 + min(self.C, budget - first)
+
+    def test_reentered_depth_forgets_earlier_charges(self):
+        # a depth entered again under another prefix holds other blocks,
+        # so twins charged at its earlier entry are no longer charged;
+        # recorded with reference_search
+        p = evaluate(parse_expression(
+            "explicit{16; 0 0 1 1 1 1 2 2 2 2 2 3 3 3 3 3; 0 2, 0 3, 0 5, 1 3, "
+            "1 4, 1 5, 2 8, 2 9, 3 8, 3 9, 4 6, 4 8, 4 9, 5 8, 5 9, 6 12, 6 13, "
+            "6 14, 6 15, 7 11, 7 13, 7 14, 8 13, 8 15, 9 13, 9 15, 10 11, 10 13, "
+            "10 14}")).poset
+        r = find_macaulay_order(p, budget=None)
+        assert (r.status, r.stats.nodes, r.stats.charged) == ("none", 94, 71)
+
 
 @st.composite
 def posets_with_orders(draw):

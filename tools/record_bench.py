@@ -68,7 +68,9 @@ for n in map(int, sys.argv[1:]):
     out[n] = times
 print(json.dumps(out))
 """
-REPRODUCE_ROUNDS = 5
+# a single target's fresh-interpreter times spread by up to ±30%, so
+# 5 rounds could not resolve a change under about 25%
+REPRODUCE_ROUNDS = 15
 REPRODUCE_TARGETS = """
 import json
 from macposet import cli
