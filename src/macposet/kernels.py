@@ -2,8 +2,8 @@
 
 For one level with n elements and per-element shadow bitmasks, compute
 for every cardinality q the minimum popcount of the OR over all
-q-subsets, plus the first subset (in ascending binary order) achieving
-it.  This is the hot loop of the whole package: 2^n subsets per level.
+q-subsets.  This is the hot loop of the whole package: 2^n subsets per
+level.
 
 One vectorised numpy kernel (numpy >= 2.0 for ``np.bitwise_count``).
 A subset is split into a high and a low half of the level (from n = 17
@@ -13,9 +13,10 @@ The 2^n full subsets are walked in blocks of ``BLOCK_SUBSETS``, and each
 block costs three passes: OR a run of high rows into the low table,
 count bits, and take each row's minimum over every run of equal low
 cardinality.  That leaves a small matrix of group minima (rows x low
-cardinalities) from which the minimum for each q, and the first row
-reaching it, follow; only those n+1 winning rows are enumerated again
-to find the first low half that reaches the minimum.
+cardinalities), whose minimum over each run of equal high cardinality
+and then over each q's groups is the row of minima.  No minimising
+subset is kept: a caller that needs one rebuilds it from rows of
+smaller levels.
 """
 
 from __future__ import annotations
@@ -40,44 +41,33 @@ def _frozen(*arrays):
 
 @functools.cache
 def _card_runs(bits: int):
-    """Half-subsets 0..2^bits-1 sorted stably by cardinality, where each
-    cardinality's run starts, and each run padded to the longest one by
-    repeating its last subset.  Plain Python: numpy's sorting routines
-    would add their code to the resident memory of every process."""
+    """Half-subsets 0..2^bits-1 sorted stably by cardinality, and where
+    each cardinality's run starts.  Plain Python: numpy's sorting
+    routines would add their code to the resident memory of every
+    process."""
     order = sorted(range(1 << bits), key=int.bit_count)
-    counts = [math.comb(bits, k) for k in range(bits + 1)]
-    starts = list(itertools.accumulate(counts[:-1], initial=0))
-    runs = [order[a:a + c] + order[a + c - 1:a + c] * (counts[bits // 2] - c)
-            for a, c in zip(starts, counts)]
-    return _frozen(np.array(order), np.array(starts), np.array(runs))
+    starts = itertools.accumulate((math.comb(bits, k) for k in range(bits)), initial=0)
+    return _frozen(np.array(order), np.array(list(starts)))
 
 
 @functools.cache
 def _plan(n: int, w: int):
     """What a level of n elements with w-word masks needs besides its
-    masks: lo_bits, the padded low runs, the size dtype, q = 0..n, the
-    offset of each q's run in the flattened runs, and what ``_min_keys``
-    needs (the low and high cardinality orders, the high rows as keys,
-    and the (high card, low card) groups listed by cardinality)."""
+    masks: lo_bits, the size dtype, the low and high cardinality orders
+    and run starts, and the (high card, low card) groups listed by q."""
     # from n = 17 on, 12 low bits: at 2^9-2^11 columns numpy's broadcast
-    # OR costs about 3x as much per element as at 2^12, and below n = 17
-    # the recovery of the winning rows over C(12, 6) columns costs more
+    # OR costs about 3x as much per element as at 2^12
     lo_bits = max(12, (n + 1) // 2) if n >= 17 else (n + 1) // 2
     hi_bits = n - lo_bits
-    order, starts, runs = _card_runs(lo_bits)
-    hi_order, hi_starts, _ = _card_runs(hi_bits)
     # a w-word size reaches 64 * w, which passes a uint8 from w = 4 on
     size_t = np.min_scalar_type(64 * w)
-    key_t = np.min_scalar_type((64 * w + 1) << hi_bits)
     # group g = c * (lo_bits + 1) + j holds the subsets with c high and
     # j low elements, of cardinality q = c + j
     cs = [range(max(0, q - lo_bits), min(hi_bits, q) + 1) for q in range(n + 1)]
     diag = [c * lo_bits + q for q, r in enumerate(cs) for c in r]
     diag_starts = list(itertools.accumulate(map(len, cs[:-1]), initial=0))
-    key_plan = (order, starts, hi_order, hi_starts,
-                *_frozen(hi_order[:, None].astype(key_t), np.array(diag), np.array(diag_starts)))
-    q = np.arange(n + 1, dtype=np.uint8)
-    return lo_bits, runs, size_t, *_frozen(q, np.arange(n + 1) * runs.shape[1]), key_plan
+    return (lo_bits, size_t, *_card_runs(lo_bits), *_card_runs(hi_bits),
+            *_frozen(np.array(diag), np.array(diag_starts)))
 
 
 def _sizes(unions: np.ndarray, w: int, size_t) -> np.ndarray:
@@ -86,38 +76,18 @@ def _sizes(unions: np.ndarray, w: int, size_t) -> np.ndarray:
     return sizes.sum(axis=-1, dtype=size_t) if w > 1 else sizes
 
 
-def _min_keys(lo, hi, n, w, lo_bits, size_t, key_plan) -> np.ndarray:
-    """Per cardinality q, (min size << hi_bits) | the first high row
-    holding a q-subset of that size."""
-    order, starts, hi_order, hi_starts, row_ids, diag, diag_starts = key_plan
-    lo_s, hi_s = lo[order], hi[hi_order][:, None]
-    rows = min(len(hi), max(1, BLOCK_SUBSETS >> lo_bits))
-    group = np.empty((len(hi), lo_bits + 1), dtype=row_ids.dtype)
-    for r0 in range(0, len(hi), rows):
-        # the block's three passes: OR, popcount, minimum per low run
-        sizes = _sizes(hi_s[r0:r0 + rows] | lo_s, w, size_t)
-        group[r0:r0 + rows] = np.minimum.reduceat(sizes, starts, axis=1)
-    # rows are in cardinality order but keyed by their own index, so a
-    # minimum key is the smallest size, ties going to the first row
-    group <<= n - lo_bits
-    group |= row_ids
-    best = np.minimum.reduceat(group, hi_starts, axis=0).reshape(-1)
-    return np.minimum.reduceat(best[diag], diag_starts).astype(np.int64)
-
-
-def level_min_shadows(masks: np.ndarray):
+def level_min_shadows(masks: np.ndarray) -> np.ndarray:
     """Per-cardinality minimum shadow sizes for one level.
 
     ``masks`` is a (n, w) uint64 array of shadow bitmasks over the next
-    level.  Returns (mins, argmins) as int64 arrays of length n+1; the
-    argmin is the first subset in ascending binary order achieving the
-    minimum, encoded as a bitmask over level positions.
+    level.  Returns the minima, q = 0..n, as an int64 array of length
+    n+1.
     """
     masks = np.ascontiguousarray(masks, dtype=np.uint64)
     if masks.ndim != 2:
         raise ValueError("masks must be 2-D (n, words)")
     n, w = masks.shape
-    lo_bits, runs, size_t, q, run_offsets, key_plan = _plan(n, w)
+    lo_bits, size_t, order, starts, hi_order, hi_starts, diag, diag_starts = _plan(n, w)
     # OR tables of the low and the high rows, doubled side by side
     pairs = np.zeros((2, lo_bits, w), dtype=np.uint64)
     pairs.reshape(-1, w)[:n] = masks
@@ -127,13 +97,12 @@ def level_min_shadows(masks: np.ndarray):
     lo, hi = table[:, 0], table[:1 << (n - lo_bits), 1]
     if w == 1:
         lo, hi = lo[:, 0], hi[:, 0]
-    # subset s = (row << lo_bits) | col: a smaller row is a smaller s
-    mins, row = np.divmod(_min_keys(lo, hi, n, w, lo_bits, size_t, key_plan), 1 << (n - lo_bits))
-    # enumerate each winning row again over its low run only; the run's
-    # minimum is that row's group minimum, so argmin finds the first
-    # column reaching it, and the padding only repeats the run's last
-    cols = runs[q - np.bitwise_count(row)]
-    unions = lo[cols]
-    unions |= hi[row][:, None]
-    first = _sizes(unions, w, size_t).argmin(axis=1)
-    return mins, (row << lo_bits) | cols.reshape(-1)[run_offsets + first]
+    lo_s, hi_s = lo[order], hi[hi_order][:, None]
+    rows = min(len(hi), max(1, BLOCK_SUBSETS >> lo_bits))
+    group = np.empty((len(hi), lo_bits + 1), dtype=size_t)
+    for r0 in range(0, len(hi), rows):
+        # the block's three passes: OR, popcount, minimum per low run
+        sizes = _sizes(hi_s[r0:r0 + rows] | lo_s, w, size_t)
+        group[r0:r0 + rows] = np.minimum.reduceat(sizes, starts, axis=1)
+    best = np.minimum.reduceat(group, hi_starts, axis=0).reshape(-1)
+    return np.minimum.reduceat(best[diag], diag_starts).astype(np.int64)

@@ -116,7 +116,26 @@ def _level_row(masks: tuple[int, ...]) -> tuple[int, ...]:
             return row
     if not masks:
         return (0,)
-    return tuple(kernels.level_min_shadows(_masks_as_array(masks))[0].tolist())
+    return tuple(kernels.level_min_shadows(_masks_as_array(masks)).tolist())
+
+
+def _first_minimiser(masks: tuple[int, ...], q: int, best: int) -> int:
+    """The first q-subset, in ascending binary order, of a level whose
+    shadow masks are ``masks`` and whose minimum at q is ``best``, as a
+    bitmask of positions.  Positions are decided from the top: k stays
+    out when the positions below it can still complete the subset to a
+    shadow of ``best`` elements, a question the row of those positions,
+    less the shadow already taken, answers."""
+    chosen = shadow = 0
+    for k in range(len(masks) - 1, -1, -1):
+        need = q - chosen.bit_count()
+        if not need:
+            break
+        rest = tuple(m & ~shadow for m in masks[:k])
+        if need > k or _level_row(rest)[need] + shadow.bit_count() != best:
+            chosen |= 1 << k
+            shadow |= masks[k]
+    return chosen
 
 
 def min_shadow_table(p: RankedPoset,
@@ -187,13 +206,13 @@ def _check_against(p: RankedPoset, o: LevelOrderFamily,
             if size != best:
                 seg = o.descending(d)[:q]
                 # the rival is the first minimiser in ascending binary
-                # order; the table keeps no minimisers, so one kernel
-                # call on the whole level finds it
-                _, argmins = kernels.level_min_shadows(_masks_as_array(shadow_masks(p, d)))
+                # order; the table keeps no minimisers, so it is rebuilt
+                # from the memoised rows of the level's lower positions
+                rival = _first_minimiser(shadow_masks(p, d), q, best)
                 return Verdict.failing(Witness(
                     "min-shadow-beaten", level=d, q=q,
                     elements=tuple(seg),
-                    rival=_level_pos_bits_to_ids(p, d, int(argmins[q])),
+                    rival=_level_pos_bits_to_ids(p, d, rival),
                     sizes=(size, best),
                     detail=f"initial segment of size {q} at level {d} has shadow "
                            f"{size}, minimum is {best}"))

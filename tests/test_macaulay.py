@@ -53,8 +53,8 @@ class TestMinShadowTable:
                 assert list(t.mins[d]) == brute_min_shadow(p, d)
 
     def test_argmin_is_first_in_ascending_order(self):
-        # the table keeps mins only; the kernel's argmins, which give a
-        # min-shadow-beaten witness its rival, are the first minimisers
+        # the table keeps mins only; _first_minimiser, which gives a
+        # min-shadow-beaten witness its rival, finds the first minimiser
         p = wedge([box(2, 2), box(2, 3)]).poset
         t = min_shadow_table(p)
         for d in range(p.max_rank + 1):
@@ -65,7 +65,6 @@ class TestMinShadowTable:
                 for b in p.up[i]:
                     m |= 1 << p.pos_in_level[b]
                 masks.append(m)
-            _, argm = kernels.level_min_shadows(np.array(masks, dtype=np.uint64)[:, None])
             for q in range(len(lv) + 1):
                 best = None
                 first = None
@@ -80,7 +79,7 @@ class TestMinShadowTable:
                     if best is None or sz < best:
                         best, first = sz, s
                 assert t.mins[d][q] == best
-                assert argm[q] == first
+                assert macaulay._first_minimiser(tuple(masks), q, best) == first
 
     def test_level_cap(self):
         wide = disjoint_union([path(0)] * 25).poset
@@ -96,27 +95,40 @@ class TestMinShadowTable:
                 assert list(row) == sorted(row)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The width of every kernel call, from an empty row memo."""
+    _level_row.cache_clear()
+    calls = []
+    real = kernels.level_min_shadows
+
+    def counted(masks):
+        calls.append(len(masks))
+        return real(masks)
+
+    monkeypatch.setattr(kernels, "level_min_shadows", counted)
+    return calls
+
+
 class TestLevelRowMemo:
     """Level rows are memoised on their ordered shadow masks."""
 
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        _level_row.cache_clear()
-        calls = []
-        real = kernels.level_min_shadows
-
-        def counted(masks):
-            calls.append(len(masks))
-            return real(masks)
-
-        monkeypatch.setattr(kernels, "level_min_shadows", counted)
-        return calls
-
-    def test_one_kernel_call_per_distinct_level(self, kernel_calls):
+    def test_one_kernel_call_per_distinct_level(self, kernel_calls, monkeypatch):
         # two checks of heart(5,2,2,5), whose 6 levels are all distinct,
-        # plus one call on the level where lex fails, for its rival
+        # make 6 table calls; the rival of the level where lex fails is
+        # rebuilt from rows of its lower positions, 2 of them not memoised
+        rival_calls = []
+        real = macaulay._first_minimiser
+
+        def counted(masks, q, best):
+            seen = len(kernel_calls)
+            rival = real(masks, q, best)
+            rival_calls.append(len(kernel_calls) - seen)
+            return rival
+
+        monkeypatch.setattr(macaulay, "_first_minimiser", counted)
         assert run_command(["reproduce", "twist-figure"]) == 0
-        assert len(kernel_calls) == 7
+        assert (len(kernel_calls) - sum(rival_calls), rival_calls) == (6, [2])
 
     def test_check_after_search_calls_no_kernel(self, kernel_calls):
         p = box(3, 4)
@@ -134,7 +146,7 @@ class TestLevelRowMemo:
         for covers, masks, one_cover in (([(0, 2), (0, 3), (1, 4)], [[3], [4]], 1),
                                          ([(0, 4), (1, 2), (1, 3)], [[4], [3]], 0)):
             p = RankedPoset(ranks, covers)
-            mins, _ = kernels.level_min_shadows(np.array(masks, dtype=np.uint64))
+            mins = kernels.level_min_shadows(np.array(masks, dtype=np.uint64))
             assert min_shadow_table(p).mins[0] == tuple(int(v) for v in mins)
             # the two-cover element first: the one-cover element beats it
             order = order_from_lists(p, [[1 - one_cover, one_cover], [2, 3, 4]])
@@ -160,7 +172,7 @@ class TestLevelRowMemo:
         assert kernel_calls == [1, 6, 12, 10, 12, 12, 10, 12, 6, 2]
         for d in range(p.max_rank + 1):
             masks = macaulay._masks_as_array(macaulay.shadow_masks(p, d))
-            assert t.mins[d] == tuple(kernels.level_min_shadows(masks)[0].tolist())
+            assert t.mins[d] == tuple(kernels.level_min_shadows(masks).tolist())
 
     def test_warm_row_does_not_pass_the_cap(self):
         p = box(2, 2)
@@ -188,9 +200,41 @@ def reference_min_shadows(masks):
     return mins, argm
 
 
+def joined(masks):
+    """The rows of an (n, w) mask array as ints, least significant word
+    first: the shadow masks ``_first_minimiser`` takes."""
+    return tuple(sum(int(x) << (64 * k) for k, x in enumerate(row)) for row in masks)
+
+
+def doubling_oracle(masks):
+    """Mins and first minimisers of an (n, w) mask array from a numpy
+    table of every subset's union, built by doubling in ascending
+    binary order."""
+    n, w = masks.shape
+    unions = np.zeros((1 << n, w), dtype=np.uint64)
+    for i in range(n):
+        unions[1 << i:2 << i] = unions[:1 << i] | masks[i]
+    sizes = np.bitwise_count(unions).sum(axis=1)
+    cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+    firsts = []
+    for q in range(n + 1):
+        subsets = np.flatnonzero(cards == q)
+        firsts.append(int(subsets[sizes[subsets].argmin()]))
+    return [int(sizes[s]) for s in firsts], firsts
+
+
+def assert_matches(masks, oracle=reference_min_shadows):
+    """The kernel's minima and, for every q, ``_first_minimiser``'s
+    rival against the oracle's mins and argmins."""
+    mins, argm = oracle(masks)
+    assert kernels.level_min_shadows(masks).tolist() == mins
+    words = joined(masks)
+    assert [macaulay._first_minimiser(words, q, m) for q, m in enumerate(mins)] == argm
+
+
 class TestKernelBackends:
     def test_selected_backend_matches_reference(self):
-        # mins and argmins against a plain-Python enumeration: one- and
+        # mins and rivals against a plain-Python enumeration: one- and
         # two-word masks, n = 0, and levels wide enough that the kernel
         # walks more than one block of subsets
         wide = kernels.BLOCK_SUBSETS.bit_length()
@@ -205,8 +249,7 @@ class TestKernelBackends:
         zeros = np.zeros((wide, 1), dtype=np.uint64)
         assert reference_min_shadows(zeros)[1] == [(1 << q) - 1 for q in range(wide + 1)]
         for masks in levels + [zeros, np.zeros((0, 1), dtype=np.uint64)]:
-            mins, argm = kernels.level_min_shadows(masks)
-            assert (list(mins), list(argm)) == reference_min_shadows(masks)
+            assert_matches(masks)
 
     def test_wide_sizes_do_not_wrap(self):
         # five full 64-bit words: a subset's shadow has up to 320 bits,
@@ -215,25 +258,15 @@ class TestKernelBackends:
         rows = [[full] * 4 + [0], [full] * 5, [full, 0, full, 0, 1],
                 [7, 0, 0, 0, 3], [full] * 3 + [0, 2**63], [1, 1, 1, 1, 1]]
         masks = np.array(rows, dtype=np.uint64)
-        mins, argm = kernels.level_min_shadows(masks)
-        assert (list(mins), list(argm)) == reference_min_shadows(masks)
-        assert mins[6] == 320
+        assert_matches(masks)
+        assert kernels.level_min_shadows(masks)[6] == 320
 
     @pytest.mark.parametrize("n", [17, 19, 21])
     def test_twelve_low_bits_match_full_enumeration(self, n):
         # from n = 17 on the low half keeps 12 bits; the oracle tables
         # every subset's union by doubling, in ascending binary order
         masks = np.random.default_rng(n).integers(0, 2**8, size=(n, 1), dtype=np.uint64)
-        unions = np.zeros(1 << n, dtype=np.uint64)
-        for i in range(n):
-            unions[1 << i:2 << i] = unions[:1 << i] | masks[i, 0]
-        sizes = np.bitwise_count(unions)
-        cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
-        mins, argm = kernels.level_min_shadows(masks)
-        for q in range(n + 1):
-            subsets = np.flatnonzero(cards == q)
-            first = subsets[sizes[subsets].argmin()]
-            assert (mins[q], argm[q]) == (sizes[first], first)
+        assert_matches(masks, doubling_oracle)
 
     def test_numpy_backend_table(self, small_corpus):
         for p in small_corpus[:3]:
@@ -286,22 +319,22 @@ class TestKernelProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(level_masks())
     def test_kernel_matches_reference(self, masks):
-        mins, argm = kernels.level_min_shadows(masks)
-        assert (list(mins), list(argm)) == reference_min_shadows(masks)
+        assert_matches(masks)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(wide_level_masks())
     def test_wide_kernel_matches_reference(self, masks):
         # ties between rows and within a low run pin the first subset
-        mins, argm = kernels.level_min_shadows(masks)
-        assert (list(mins), list(argm)) == reference_min_shadows(masks)
+        assert_matches(masks)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(split_levels())
     def test_split_row_matches_kernel(self, masks):
-        # the (min, +) join of component rows against the whole level
-        whole = kernels.level_min_shadows(macaulay._masks_as_array(masks))[0]
-        assert _level_row(masks) == tuple(whole.tolist())
+        # the (min, +) join of component rows against the whole level,
+        # and the rival, rebuilt through those rows, against the oracle
+        array = macaulay._masks_as_array(masks)
+        assert _level_row(masks) == tuple(kernels.level_min_shadows(array).tolist())
+        assert_matches(array, doubling_oracle)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_ranked_posets())
@@ -348,6 +381,19 @@ class TestCheckMacaulay:
         w = check_macaulay(p, order_from_lists(p, [sorted(lv) for lv in p.levels])).witness
         assert (w.kind, w.level, w.q, w.elements, w.rival, w.sizes) == (
             "min-shadow-beaten", 0, 1, (0,), (24,), (2, 1))
+
+    def test_split_level_rival_needs_no_wide_call(self, kernel_calls):
+        # level 0 is 24 wide: four box minima with two covers each, then
+        # twenty elements with none.  The rival is rebuilt from rows of
+        # the level's lower positions, split where 17 or more wide, so no
+        # kernel call covers more than 16 positions
+        expr = "union(" + ", ".join(["box(2,2)"] * 4 + ["path(0)"] * 20) + ")"
+        p = evaluate(parse_expression(expr)).poset
+        assert len(p.level(0)) == 24
+        w = check_macaulay(p, order_from_lists(p, [sorted(lv) for lv in p.levels])).witness
+        assert (w.kind, w.level, w.q, w.rival, w.sizes) == (
+            "min-shadow-beaten", 0, 1, (16,), (2, 0))
+        assert max(kernel_calls) <= 16
 
     def test_shadow_not_initial_witness(self):
         # mixing priorities across levels of box(3,3) keeps the shadow

@@ -17,7 +17,13 @@ each target runs alone in its own fresh interpreter, per tree and
 round, so its time does not depend on what the targets before it left
 behind (it pays every first-use cost itself, such as the kernel's
 per-width plans), and each target's median and quartiles are over the
-rounds.  Its ``tier1_s`` holds the wall time of
+rounds.  A single target's fresh-interpreter times spread so widely
+that two trees' medians can differ by 20% with no change between them,
+so with several trees each round's two runs of a target are also
+paired: in every tree after the first, each target records
+``pairs_won``, the rounds in which it ran faster than in the first
+tree, out of ``pairs``, and ``median_ratio``, the median over the
+rounds of its time over the first tree's.  Its ``tier1_s`` holds the wall time of
 the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
 run in TREE with TREE's ``src/`` on the path: median and quartiles over
 TIER1_ROUNDS runs per tree.
@@ -194,6 +200,17 @@ def summarise_times(samples):
     return out
 
 
+def paired(samples, base):
+    """Per key, the rounds whose time beat ``base``'s in the same round
+    and the median of the per-round time ratios to ``base``."""
+    out = {}
+    for key in samples[0]:
+        ratios = [s[key][0] / b[key][0] for s, b in zip(samples, base)]
+        out[key] = {"pairs": len(ratios), "pairs_won": sum(r < 1 for r in ratios),
+                    "median_ratio": statistics.median(ratios)}
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("pairs", nargs="+", metavar="TREE OUT")
@@ -228,10 +245,14 @@ def main():
     tier1 = fresh_rounds(trees, TIER1_ROUNDS, tier1_times)
 
     for t, out in zip(trees, outs):
+        by_target = summarise_times(reproduce[t])
+        if t != trees[0]:
+            for name, pair in paired(reproduce[t], reproduce[trees[0]]).items():
+                by_target[name].update(pair)
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
                "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
                "kernel_by_width": summarise_times(kernel[t]),
-               "reproduce_by_target": summarise_times(reproduce[t]),
+               "reproduce_by_target": by_target,
                "tier1_s": summarise_times(tier1[t])["tier1_s"]}
         for w in workloads:
             runs = plain[t, w]
