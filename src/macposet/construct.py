@@ -17,20 +17,14 @@ class Provenance:
 
     ``sources[i]`` is a tuple of (factor_index, source_id) pairs; glue
     points created by identifying factor extremes carry one pair per
-    factor and are flagged merged.  Fiber products additionally record
-    the base-poset id with the sentinel factor index -2.
+    factor.  Fiber products additionally record the base-poset id with
+    the sentinel factor index -2.
     """
 
     sources: tuple
 
-    def is_merged(self, i: int) -> bool:
-        return len(self.sources[i]) > 1
-
     def arity(self) -> int:
         return 1 + max(f for rec in self.sources for f, _ in rec if f >= 0)
-
-    def to_json(self):
-        return [[list(p) for p in rec] for rec in self.sources]
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,6 @@ class Verdict:
     def failing(witness: Witness) -> "Verdict":
         return Verdict("violation", witness)
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness.to_json() if self.witness else None,
-        }
-
 
 class RankedPoset:
     """Finite poset presented by a rank function and a cover relation.
@@ -190,7 +184,7 @@ def validate_poset(p: RankedPoset) -> Verdict:
                 return Verdict.failing(Witness(
                     "cover-rank", level=p.rank[a], elements=(a, b),
                     sizes=(delta,),
-                    detail=f"cover raises rank by {delta}"))
+                    detail=f"cover ({a},{b}) raises rank by {delta}"))
     for d, l in enumerate(p.levels):
         for i in l:
             if p.rank[i] != d:

@@ -14,8 +14,10 @@ Order expressions::
 
     lex(x,y)   us(lex(x,y), lex(x,y))   twist   lists("order.txt")
 
-print() of a parse tree is canonical: parse -> print -> parse is the
-identity.
+Each call's arguments have a kind (``CALLS``): integers, posets, one
+``ideal(...)``, monomials, or fiber's map-file string.  The parser
+rejects an argument of the wrong kind at its position, and ``evaluate``
+rejects an ``explicit`` literal whose covers break the rank law.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import construct, ideals
-from .core import PosetError, RankedPoset
+from .core import PosetError, RankedPoset, validate_poset
 
 
 class ParseError(ValueError):
@@ -116,41 +118,51 @@ class _Tokens:
 # ParseError, not a RecursionError
 MAX_NESTING = 100
 
-_POSET_FNS = {"path", "box", "spider", "heart", "poset", "union", "wedge",
-              "diamond", "cart", "fiber", "hat", "uhat", "bar", "ubar"}
-_ARITY = {"path": (1, 1), "box": (1, None), "spider": (1, None),
-          "heart": (4, 4), "poset": (1, 1), "union": (1, None),
-          "wedge": (1, None), "diamond": (1, None), "cart": (2, 2),
-          "fiber": (2, 3), "hat": (1, 1), "uhat": (1, 1), "bar": (1, 1),
-          "ubar": (1, 1)}
+# each call's (argument kinds, fewest, most arguments); argument i has
+# kind kinds[min(i, len(kinds) - 1)], and most=None means no limit
+CALLS = {"path": (("int",), 1, 1), "box": (("int",), 1, None),
+         "spider": (("int",), 1, None), "heart": (("int",), 4, 4),
+         "poset": (("ideal",), 1, 1), "ideal": (("mono",), 1, None),
+         "union": (("poset",), 1, None), "wedge": (("poset",), 1, None),
+         "diamond": (("poset",), 1, None), "cart": (("poset",), 2, 2),
+         "fiber": (("poset", "poset", "str"), 2, 3),
+         "hat": (("poset",), 1, 1), "uhat": (("poset",), 1, 1),
+         "bar": (("poset",), 1, 1), "ubar": (("poset",), 1, 1)}
+_KIND_NAMES = {"int": "an integer", "poset": "a poset expression",
+               "ideal": "ideal(...)", "mono": "a monomial",
+               "str": "a map-file string"}
 
 
 def parse_expression(text: str) -> Node | Explicit:
     toks = _Tokens(text)
-    node = _parse_expr(toks)
+    node = _parse_arg(toks, "poset", "", 0)
     t = toks.peek()
     if t[0] != "EOF":
         raise ParseError(f"trailing input {t[1]!r}", t[2])
     return node
 
 
-def _parse_expr(toks: _Tokens, depth: int = 0):
-    kind, val, pos = toks.peek()
-    if kind != "NAME":
-        raise ParseError(f"expected an expression, found {val!r}", pos)
+def _parse_call(toks: _Tokens, depth: int):
+    _, val, pos = toks.peek()
     if depth >= MAX_NESTING:
         raise ParseError(f"expression nested more than {MAX_NESTING} deep", pos)
     if val == "explicit":
         return _parse_explicit(toks)
     toks.next()
     fn = val
-    if fn not in _POSET_FNS and fn != "ideal":
+    if fn not in CALLS:
         raise ParseError(f"unknown function {fn!r}", pos)
+    kinds, lo, hi = CALLS[fn]
     toks.expect("(")
     args = []
     if toks.peek()[0] != ")":
         while True:
-            args.append(_parse_arg(toks, fn, depth))
+            if len(args) == hi:
+                raise ParseError(f"{fn} takes {_arity(lo, hi)} arguments",
+                                 toks.peek()[2])
+            kind = kinds[min(len(args), len(kinds) - 1)]
+            args.append(_parse_arg(toks, kind, f" as {fn} argument {len(args) + 1}",
+                                   depth + 1))
             if toks.peek()[0] == ",":
                 toks.next()
                 continue
@@ -158,35 +170,34 @@ def _parse_expr(toks: _Tokens, depth: int = 0):
     close = toks.next()
     if close[0] != ")":
         raise ParseError(f"expected ')' or ',', found {close[1]!r}", close[2])
-    lo, hi = _ARITY.get(fn, (1, None))
-    if len(args) < lo or (hi is not None and len(args) > hi):
-        raise ParseError(f"{fn} takes {lo}{'' if hi == lo else '+' if hi is None else f'..{hi}'}"
-                         f" arguments, got {len(args)}", pos)
+    if len(args) < lo:
+        raise ParseError(f"{fn} takes {_arity(lo, hi)} arguments, got {len(args)}", pos)
     return Node(fn, tuple(args))
 
 
-def _parse_arg(toks: _Tokens, fn: str, depth: int):
-    kind, val, pos = toks.peek()
-    if kind == "INT":
-        nxt = toks.toks[toks.k + 1]
-        if fn == "ideal":
-            # a bare integer inside ideal() is the monomial 1
-            toks.next()
-            if val != 1:
-                raise ParseError("only the monomial 1 may be a bare integer", pos)
-            return Mono(())
+def _arity(lo: int, hi: int | None) -> str:
+    return f"{lo}{'' if hi == lo else '+' if hi is None else f'..{hi}'}"
+
+
+def _parse_arg(toks: _Tokens, kind: str, where: str, depth: int):
+    """One argument of the given kind, a call nested ``depth`` deep;
+    ``where`` names its place in the error for another kind."""
+    tok, val, pos = toks.peek()
+    if kind == "int" and tok == "INT":
+        return toks.next()[1]
+    if kind == "str" and tok == "STR":
+        return FileRef(toks.next()[1])
+    if kind == "mono" and tok == "INT":
+        # a bare integer inside ideal() is the monomial 1
         toks.next()
-        if nxt[0] in ("^", "*"):
-            raise ParseError("monomials may not start with a number", nxt[2])
-        return val
-    if kind == "STR":
-        toks.next()
-        return FileRef(val)
-    if kind == "NAME":
-        if fn == "ideal":
-            return _parse_monomial(toks)
-        return _parse_expr(toks, depth + 1)
-    raise ParseError(f"unexpected token {val!r}", pos)
+        if val != 1:
+            raise ParseError("only the monomial 1 may be a bare integer", pos)
+        return Mono(())
+    if kind == "mono" and tok == "NAME":
+        return _parse_monomial(toks)
+    if tok == "NAME" and kind == ("ideal" if val == "ideal" else "poset"):
+        return _parse_call(toks, depth)
+    raise ParseError(f"expected {_KIND_NAMES[kind]}{where}, found {val!r}", pos)
 
 
 def _parse_monomial(toks: _Tokens) -> Mono:
@@ -230,22 +241,6 @@ def _parse_explicit(toks: _Tokens) -> Explicit:
     return Explicit(count, tuple(ranks), tuple(covers))
 
 
-def print_expression(node) -> str:
-    if isinstance(node, int):
-        return str(node)
-    if isinstance(node, FileRef):
-        return f'"{node.path}"'
-    if isinstance(node, Mono):
-        if not node.factors:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in node.factors)
-    if isinstance(node, Explicit):
-        ranks = " ".join(str(r) for r in node.ranks)
-        covers = ", ".join(f"{a} {b}" for a, b in node.covers)
-        return f"explicit{{{node.count}; {ranks}; {covers}}}"
-    return f"{node.fn}(" + ", ".join(print_expression(a) for a in node.args) + ")"
-
-
 # ------------------------------------------------------------------ evaluator
 
 @dataclass
@@ -261,8 +256,6 @@ def _eval_ideal(node: Node) -> ideals.MonomialIdeal:
     names: list = []
     raw = []
     for m in node.args:
-        if not isinstance(m, Mono):
-            raise PosetError("ideal() takes monomial literals")
         exps: dict = {}
         for v, e in m.factors:
             if not v.isidentifier():
@@ -283,6 +276,9 @@ def evaluate(node, read_fibermap=None) -> EvalResult:
     """
     if isinstance(node, Explicit):
         p = RankedPoset(node.ranks, node.covers, name="explicit")
+        verdict = validate_poset(p)
+        if not verdict.ok:
+            raise PosetError(f"explicit literal: {verdict.witness.detail}")
         return EvalResult(p, "explicit")
     fn = node.fn
     if fn == "path":
@@ -326,8 +322,6 @@ def evaluate(node, read_fibermap=None) -> EvalResult:
 def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
     children = [evaluate(a, read_fibermap) for a in node.args[:2]]
     if len(node.args) == 3:
-        if not isinstance(node.args[2], FileRef):
-            raise PosetError("third fiber argument must be a map file string")
         if read_fibermap is None:
             raise PosetError("no map-file reader available in this context")
         triples = read_fibermap(node.args[2].path)
@@ -412,16 +406,6 @@ def _parse_order(toks: _Tokens, depth: int = 0) -> OrderNode:
         toks.expect(")")
         return OrderNode("lists", (FileRef(path),))
     raise ParseError(f"unknown order {val!r}", pos)
-
-
-def print_order(node: OrderNode) -> str:
-    if node.fn == "twist":
-        return "twist"
-    if node.fn == "lex":
-        return "lex(" + ", ".join(node.args) + ")"
-    if node.fn == "us":
-        return "us(" + ", ".join(print_order(a) for a in node.args) + ")"
-    return f'lists("{node.args[0].path}")'
 
 
 def resolve_order(node: OrderNode, ev: EvalResult, read_order_lists=None):

@@ -249,10 +249,6 @@ class SearchResult:
     order: LevelOrderFamily | None
     stats: SearchStats
 
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
-
 
 @functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
 def _upper_twins(masks: tuple[int, ...]) -> tuple[int, ...]:

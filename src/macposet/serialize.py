@@ -1,6 +1,7 @@
 """File formats and report emission.
 
-Poset files are line-oriented text (diff-able golden files)::
+``build`` writes poset files, line-oriented text (diff-able golden
+files); macposet reads none back::
 
     macposet 1
     name box(2,2)
@@ -32,8 +33,8 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .construct import OperationResult, Provenance
-from .core import PosetError, RankedPoset, validate_poset
+from .construct import OperationResult
+from .core import RankedPoset
 
 
 class FormatError(ValueError):
@@ -58,120 +59,6 @@ def poset_to_text(p: RankedPoset, result: OperationResult | None = None) -> str:
         out.append(f"provenance {result.operation} {p.n}")
         for rec in result.provenance.sources:
             out.append(" ".join(f"{f}:{s}" for f, s in rec))
-    return "\n".join(out) + "\n"
-
-
-def poset_from_text(text: str):
-    """Parse a poset file; returns (poset, operation_result_or_None).
-
-    The loaded poset is validated; a cover violating the rank law is a
-    load error citing its line.
-    """
-    lines = text.splitlines()
-    k = 0
-
-    def take():
-        nonlocal k
-        while k < len(lines) and not lines[k].strip():
-            k += 1
-        if k >= len(lines):
-            return None, k
-        k += 1
-        return lines[k - 1].strip(), k
-
-    header, ln = take()
-    if header != "macposet 1":
-        raise FormatError("expected header 'macposet 1'", ln)
-    name = ""
-    line, ln = take()
-    if line is not None and line.startswith("name "):
-        name = line[5:]
-        line, ln = take()
-    if line is None or not line.startswith("elements "):
-        raise FormatError("expected 'elements N'", ln)
-    n = int(line.split()[1])
-    line, ln = take()
-    if line is None or not line.startswith("ranks"):
-        raise FormatError("expected 'ranks ...'", ln)
-    ranks = [int(t) for t in line.split()[1:]]
-    if len(ranks) != n:
-        raise FormatError(f"expected {n} ranks, found {len(ranks)}", ln)
-    line, ln = take()
-    if line is None or not line.startswith("covers "):
-        raise FormatError("expected 'covers K'", ln)
-    ncov = int(line.split()[1])
-    covers = []
-    cover_lines = []
-    for _ in range(ncov):
-        line, ln = take()
-        if line is None:
-            raise FormatError("unexpected end of file inside covers", ln)
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad cover line {line!r}", ln)
-        covers.append((int(parts[0]), int(parts[1])))
-        cover_lines.append(ln)
-    labels = None
-    var_names = None
-    op = None
-    sources = None
-    line, ln = take()
-    while line is not None:
-        if line.startswith("labels "):
-            parts = line.split()
-            arity = int(parts[1])
-            var_names = tuple(parts[2:])
-            if len(var_names) != arity:
-                raise FormatError("label header names disagree with arity", ln)
-            labels = []
-            for _ in range(n):
-                line, ln = take()
-                if line is None:
-                    raise FormatError("unexpected end of file inside labels", ln)
-                vec = tuple(int(t) for t in line.split())
-                if len(vec) != arity:
-                    raise FormatError(f"label needs {arity} exponents", ln)
-                labels.append(vec)
-        elif line.startswith("provenance "):
-            parts = line.split()
-            op = parts[1]
-            count = int(parts[2])
-            sources = []
-            for _ in range(count):
-                line, ln = take()
-                if line is None:
-                    raise FormatError("unexpected end of file inside provenance", ln)
-                rec = []
-                for item in line.split():
-                    f, _, s = item.partition(":")
-                    rec.append((int(f), int(s)))
-                sources.append(tuple(rec))
-        else:
-            raise FormatError(f"unknown section {line.split()[0]!r}", ln)
-        line, ln = take()
-    try:
-        p = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
-    except PosetError as e:
-        raise FormatError(str(e), cover_lines[-1] if cover_lines else 1)
-    verdict = validate_poset(p)
-    if not verdict.ok:
-        w = verdict.witness
-        bad = cover_lines[0]
-        for (a, b), l in zip(covers, cover_lines):
-            if (a, b) == tuple(w.elements) or (len(w.elements) == 1 and a == w.elements[0]):
-                bad = l
-                break
-        raise FormatError(f"invalid poset: {w.detail}", bad)
-    result = None
-    if op is not None:
-        result = OperationResult(p, Provenance(tuple(sources)), op)
-    return p, result
-
-
-def order_lists_to_text(per_level) -> str:
-    out = ["macorder 1"]
-    for d, l in enumerate(per_level):
-        out.append(f"level {d}: " + " ".join(str(i) for i in l))
     return "\n".join(out) + "\n"
 
 

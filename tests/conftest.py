@@ -8,11 +8,14 @@ checked node for node, and ``reference_glue``, the previous union,
 wedge and diamond builders, against which the one glue builder is
 checked byte for byte.
 
-Two groups of helpers live here because only the tests use them:
+Three groups of helpers live here because only the tests use them:
 ``are_isomorphic`` (with ``PosetIso``), the isomorphism oracle behind
-the construction identities, and ``restrict_to_factors`` /
+the construction identities; ``restrict_to_factors`` /
 ``restrict_order``, which restrict an operation output and an order
-family to some factors for the paper's restriction claims.
+family to some factors for the paper's restriction claims; and the
+round-trip oracles ``print_expression`` / ``print_order``, whose output
+parses back to the same tree, and ``read_poset_text``, which reads back
+what ``build`` writes.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from macposet import (InducedSubposet, PosetError, RankedPoset, box,
                       induced_subposet, path, spider, wedge)
 from macposet.construct import OperationResult, Provenance, _cover_pairs
+from macposet.expr import Explicit, FileRef, Mono
 from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
                                SearchStats, check_macaulay, min_shadow_table,
                                shadow_masks)
@@ -442,6 +446,59 @@ def restrict_order(o: LevelOrderFamily, sub: InducedSubposet) -> LevelOrderFamil
     for d in range(sub.poset.max_rank + 1):
         per_level.append(tuple(keep[i] for i in o.descending(d) if i in keep))
     return LevelOrderFamily(sub.poset, tuple(per_level))
+
+
+def print_expression(node) -> str:
+    if isinstance(node, int):
+        return str(node)
+    if isinstance(node, FileRef):
+        return f'"{node.path}"'
+    if isinstance(node, Mono):
+        if not node.factors:
+            return "1"
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in node.factors)
+    if isinstance(node, Explicit):
+        ranks = " ".join(str(r) for r in node.ranks)
+        covers = ", ".join(f"{a} {b}" for a, b in node.covers)
+        return f"explicit{{{node.count}; {ranks}; {covers}}}"
+    return f"{node.fn}(" + ", ".join(print_expression(a) for a in node.args) + ")"
+
+
+def print_order(node) -> str:
+    if node.fn == "twist":
+        return "twist"
+    if node.fn == "lex":
+        return "lex(" + ", ".join(node.args) + ")"
+    if node.fn == "us":
+        return "us(" + ", ".join(print_order(a) for a in node.args) + ")"
+    return f'lists("{node.args[0].path}")'
+
+
+def read_poset_text(text):
+    """(poset, operation result or None) from ``serialize.poset_to_text``'s
+    output; it trusts its input, which only that writer makes."""
+    lines = iter(text.splitlines())
+    assert next(lines) == "macposet 1"
+    line, name = next(lines), ""
+    if line.startswith("name "):
+        line, name = next(lines), line[5:]
+    n = int(line.split()[1])
+    ranks = [int(t) for t in next(lines).split()[1:]]
+    covers = [tuple(int(t) for t in next(lines).split())
+              for _ in range(int(next(lines).split()[1]))]
+    labels = var_names = op = None
+    for line in lines:
+        head = line.split()
+        if head[0] == "labels":
+            var_names = tuple(head[2:])
+            labels = [tuple(int(t) for t in next(lines).split()) for _ in range(n)]
+        else:  # provenance OP N
+            op = head[1]
+            sources = tuple(tuple(tuple(int(t) for t in item.split(":"))
+                                  for item in next(lines).split())
+                            for _ in range(int(head[2])))
+    p = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
+    return p, (OperationResult(p, Provenance(sources), op) if op else None)
 
 
 @pytest.fixture

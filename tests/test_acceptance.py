@@ -4,6 +4,7 @@ All comparisons are exact integers; run with -s (or see captured output)
 for the per-criterion lines.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -211,17 +212,63 @@ TARGETS = ["heart-example", "twist-figure", "prop61-product",
            "thmB-diamond-grid", "thmC-grid", "conj67-scan"]
 
 
-def test_criterion_11_reproduce_determinism(tmp_path):
+# each target's exit code and the sha256 of its stdout and of its
+# --report bytes, counters included; a change that alters a report on
+# purpose updates its pin and says so
+PINNED = {
+    "heart-example": (1,
+        "b04f4eb75a876b0b912f19b41fa86d795b354342cd88481d2fb4620e0b6033d1",
+        "78a5d4ca17fa71c8251db8d04f807d9641c3d3a3a313b01c05dd308c07825806"),
+    "twist-figure": (0,
+        "cae59fceafaf5201b6846b8b3252c59e93caefe90818174d55e1f6d1928bba33",
+        "7e0aadd281c61cac2de835c3f8d2cdb27eb4ad42273e710254b797e0c6509301"),
+    "prop61-product": (1,
+        "1d22f6c45d7cb46584589bed7a928c117425929b9b62a551d764543368e108d3",
+        "ef73b801dc8ccb75ca345908ea955c46dd90a5e0b4e0fde8a9b1640b7cdbdd62"),
+    "prop61-ring-product": (1,
+        "24bd177b7043037a8724d7bc2c36985a7fcc6a17dda74867ec166cc1e087f0e0",
+        "30d9d46a59d4961f035d1830cf16dfaf347e2a85b081bc9e6bf4a72ce1962dea"),
+    "conj66-counterexample": (1,
+        "c9d95e2a9756cfb5dd3cd219ccf20036a34fc90e8a3c1ad5435db4cd02075744",
+        "0d0c2f020217a072b731d15183f602b3c05de5dcd249719976753d12a50c95dc"),
+    "diamond-not-wedge": (1,
+        "05c332ae5c71627b91c1a553fdaf4c71b8f8d6ebca04ebd7a9fd414ee02cb0b0",
+        "38ca3fd485e1386fd7d3ae363e384d9bc694b41c5fc1308ff114f79af1427bb2"),
+    "spider-union-fails": (1,
+        "15f3a022e66bfbb6298603c2eb8f1bc92e6de3605dff9199658276a3ef132060",
+        "5b2d114bbf62c7a0f1dbfe943186c791b185d0a7e1f4e393439b71547ff6f055"),
+    "thmA-grid": (0,
+        "6ccc5f085d0376603c59259b26d6dfe490eabf3d9d5dfb01e86b140271897fb4",
+        "78741ed3ff5a081a66940b943eb754ab947d16997d58f345ed29f3f6806edbde"),
+    "thmB-wedge-grid": (0,
+        "9514043ce4d02b845380dbaa7b20b44fd54899c2287094cbcc2a53d0f791f98b",
+        "c5f359a32aa1e05c3991e875b7ef552a7ff40a682a7eef8e73b55c5636526b3d"),
+    "thmB-diamond-grid": (0,
+        "4e0da2b163030f877931ac769374707e7225b379b158c1160e40c884f1874e6a",
+        "ecff6b80617855c9d3e798042de7b15c3f71e2cc7a4985316989a272d871c97a"),
+    "thmC-grid": (0,
+        "ba598c2cab23a8b2ee30108525176223918f9ab9895d500d05eb9a88d39c3e33",
+        "6a76ca9a648b8a1a27f267789eea83020263063aaff0bcbd5d15ab88827acd70"),
+    "conj67-scan": (0,
+        "d50839e200cc39bc25814e233b81778488633f45337f0f013cc910dd93ac1ea3",
+        "eced7f560690d48baefea44a58ec4975236a9c19954a4e7a4f85fdb82603e02e"),
+}
+
+
+def test_criterion_11_reproduce_determinism(tmp_path, capsys):
     t0 = time.time()
     ok = True
     for name in TARGETS:
-        a = tmp_path / f"{name}-a.json"
-        b = tmp_path / f"{name}-b.json"
-        run_command(["reproduce", name, "--report", str(a)])
-        run_command(["reproduce", name, "--report", str(b)])
-        same = a.read_bytes() == b.read_bytes()
+        runs = []
+        for rnd in "ab":
+            report = tmp_path / f"{name}-{rnd}.json"
+            code = run_command(["reproduce", name, "--report", str(report)])
+            out = capsys.readouterr().out.encode()
+            runs.append((code, hashlib.sha256(out).hexdigest(),
+                         hashlib.sha256(report.read_bytes()).hexdigest()))
+        same = runs[0] == runs[1] == PINNED[name]
         if not same:
-            print(f"ACCEPTANCE 11 MISMATCH in target {name}")
+            print(f"ACCEPTANCE 11 MISMATCH in target {name}: {runs}")
         ok &= same
-    report_line(11, ok, f"byte-identical reports across runs "
+    report_line(11, ok, f"pinned stdout, exit codes and reports across runs "
                         f"({len(TARGETS)} targets x 2 runs)", t0)

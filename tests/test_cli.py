@@ -4,16 +4,23 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macposet import cli
+from macposet import box, cli, validate_poset, wedge
 from macposet.classify import FAMILIES
 from macposet.cli import REPRODUCE, run_command
-from macposet.expr import MAX_NESTING
+from macposet.expr import CALLS, MAX_NESTING
 from macposet.macaulay import _level_row
+from macposet.serialize import poset_to_text
 
 
 def run(argv):
     return run_command(argv)
+
+
+# an order file listing level 0 as [0], level 1 as [1, 2], level 2 as [3]
+ORDER_0_12_3 = "macorder 1\nlevel 0: 0\nlevel 1: 1 2\nlevel 2: 3\n"
 
 
 class TestExitCodes:
@@ -73,9 +80,8 @@ class TestExitCodes:
     def test_additive_violation_exits_one(self, tmp_path):
         # spider(1,2) is Macaulay but not additive; ids: glue 0, leg-1 top
         # 1, leg-2 elements 2 < 3
-        from macposet.serialize import order_lists_to_text
         f = tmp_path / "o.txt"
-        f.write_text(order_lists_to_text([[0], [1, 2], [3]]))
+        f.write_text(ORDER_0_12_3)
         assert run(["additive", "wedge(path(1), path(2))",
                     "--order", f'lists("{f}")']) == 1
 
@@ -166,6 +172,28 @@ class TestExitCodes:
     def test_deep_search_gets_a_verdict(self):
         assert run(["search-order", "path(600)"]) == 0
 
+    @pytest.mark.parametrize("argv, named", [
+        (["search-order", "explicit{6; 0 0 1 2 2 2; 2 5, 3 2, 4 0, 5 4}"],
+         "cover (3,2) raises rank by -1"),
+        (["search-order", "explicit{2; 0 2; 0 1}"], "cover (0,1) raises rank by 2"),
+        (["show", "explicit{3; 0 1 2; 0 0, 0 1, 0 2}"], "element 0 covers itself"),
+    ], ids=["search-none", "search-index-error", "show-self-cover"])
+    def test_literal_breaking_the_rank_law_is_input_error(self, argv, named, capsys):
+        # these exited 1 ("no Macaulay order exists"), 4 (an IndexError
+        # in the certifying check) and 0 (printing `#0 < #0`)
+        assert run(argv) == 2
+        assert one_error_line(capsys) == f"error: explicit literal: {named}\n"
+
+    @pytest.mark.parametrize("expr", [
+        "wedge(1)", "hat(3)", "cart(1, path(1))", "path(box(2,2))",
+        "box(path(1))", "spider(path(1))", 'path("x")', 'union("a")',
+        "poset(3)", "heart(1,2,3,path(1))"])
+    def test_argument_of_the_wrong_kind_is_usage_error(self, expr, capsys):
+        # each exited 4 with a TypeError or an AttributeError
+        assert run(["show", expr]) == 2
+        err = one_error_line(capsys)
+        assert " argument " in err and "(at position " in err
+
     # without the limit, `show` evaluated up to 493 deep and crashed
     # past that; the limit refuses both alike
     @pytest.mark.parametrize("depth", [MAX_NESTING, 493, 500])
@@ -199,6 +227,88 @@ def one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+_INT = st.integers(0, 3).map(str)
+_MONO = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+    lambda e: "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip("xy", e) if k) or "1")
+_IDEAL = st.lists(_MONO, min_size=1, max_size=3).map(lambda m: f"ideal({', '.join(m)})")
+
+
+def _call(fn, args):
+    return f"{fn}({', '.join(args)})"
+
+
+@st.composite
+def _explicit(draw):
+    """A literal of 1-6 elements with arbitrary ranks and covers, one id
+    past the end included."""
+    n = draw(st.integers(1, 6))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    covers = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=6))
+    return (f"explicit{{{n}; {' '.join(map(str, ranks))}; "
+            f"{', '.join(f'{a} {b}' for a, b in covers)}}}")
+
+
+_LEAF = st.one_of(
+    _INT.map(lambda n: f"path({n})"),
+    st.lists(_INT, min_size=1, max_size=2).map(lambda a: _call("box", a)),
+    st.lists(_INT, min_size=1, max_size=3).map(lambda a: _call("spider", a)),
+    st.lists(_INT, min_size=4, max_size=4).map(lambda a: _call("heart", a)),
+    _IDEAL.map(lambda i: f"poset({i})"),
+    _explicit())
+
+
+def _calls(children):
+    """Calls over ``children``: well-typed ones, and any call on
+    arguments of any kind and number."""
+    typed = st.one_of(
+        st.tuples(st.sampled_from(["union", "wedge", "diamond"]),
+                  st.lists(children, min_size=1, max_size=3)),
+        st.tuples(st.sampled_from(["hat", "uhat", "bar", "ubar"]),
+                  st.lists(children, min_size=1, max_size=1)),
+        st.tuples(st.just("fiber"), st.lists(children, min_size=2, max_size=2)))
+    any_kind = st.tuples(
+        st.sampled_from(sorted(CALLS)),
+        st.lists(st.one_of(_INT, children, _IDEAL, _MONO, st.just('"no-such-map"')),
+                 max_size=4))
+    return st.one_of(typed, any_kind).map(lambda t: _call(*t))
+
+
+# cart only over leaves, so that no input has more than a few thousand
+# elements
+_EXPR = st.recursive(
+    st.one_of(_LEAF, st.lists(_LEAF, min_size=2, max_size=2).map(
+        lambda a: _call("cart", a))),
+    _calls, max_leaves=4)
+
+
+@st.composite
+def _grammar_inputs(draw):
+    """A generated expression or a bare literal, or either with one
+    character replaced, inserted or deleted."""
+    text = draw(st.one_of(_explicit(), _EXPR))
+    if draw(st.booleans()):
+        return text
+    k = draw(st.integers(0, len(text) - 1))
+    c = draw(st.sampled_from('(){},;^*"0123456789 xyz'))
+    edit = draw(st.sampled_from([c, text[k] + c, ""]))
+    return text[:k] + edit + text[k + 1:]
+
+
+class TestGrammarFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_grammar_inputs())
+    def test_exit_codes_keep_their_meaning(self, text):
+        """No input crashes (exit 4), and exit 1, a scientific verdict,
+        comes only from a poset that validates."""
+        for argv in (["show", text], ["shadow", text, "--set", "#0"],
+                     ["check", text, "--order", "lex(x,y)", "--level-cap", "8"],
+                     ["search-order", text, "--level-cap", "8", "--budget", "300"]):
+            code = run(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code == 1:
+                assert validate_poset(cli._build(text).poset).ok, argv
 
 
 class TestVerifyFamilyBounds:
@@ -269,14 +379,12 @@ class TestReports:
     def test_build_and_reload(self, tmp_path):
         out = tmp_path / "p.poset"
         assert run(["build", "wedge(box(2,2), box(2,3))", "--out", str(out)]) == 0
-        from macposet.serialize import poset_from_text
-        p, res = poset_from_text(out.read_text())
-        assert res is not None and res.operation == "wedge"
+        res = wedge([box(2, 2), box(2, 3)])
+        assert out.read_text() == poset_to_text(res.poset, res)
 
     def test_order_lists_file(self, tmp_path):
-        from macposet.serialize import order_lists_to_text
         f = tmp_path / "o.txt"
-        f.write_text(order_lists_to_text([[0], [1, 2], [3]]))
+        f.write_text(ORDER_0_12_3)
         code = run(["check", "box(2,2)", "--order", f'lists("{f}")'])
         assert code == 0
 

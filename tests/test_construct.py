@@ -387,7 +387,7 @@ class TestProvenanceAndValidation:
     def test_provenance_covers_every_element(self):
         res = diamond([box(2, 2), box(2, 2)])
         assert len(res.provenance.sources) == res.poset.n
-        merged = [i for i in range(res.poset.n) if res.provenance.is_merged(i)]
+        merged = [i for i, rec in enumerate(res.provenance.sources) if len(rec) > 1]
         assert len(merged) == 2  # glued bottom and top
 
     def test_restrict_to_factors_of_diamond(self):

@@ -1,11 +1,11 @@
 import pytest
 
-from conftest import are_isomorphic
+from conftest import are_isomorphic, print_expression, print_order
 from macposet import (box, check_macaulay, ideal_from_generators, path, spider,
                       wedge)
 from macposet.expr import (MAX_NESTING, Explicit, Mono, Node, ParseError,
                            evaluate, parse_expression, parse_order,
-                           print_expression, print_order, resolve_order)
+                           resolve_order)
 
 
 class TestParsing:

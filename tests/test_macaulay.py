@@ -543,13 +543,13 @@ class TestSearchProperties:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(small_ranked_posets(max_width=4))
     def test_status_matches_layered_oracle(self, p):
-        assert find_macaulay_order(p).found == layered_order_exists(p)
+        assert (find_macaulay_order(p).status == "found") == layered_order_exists(p)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(small_ranked_posets(max_width=4))
     def test_found_order_is_certified(self, p):
         r = find_macaulay_order(p)
-        if r.found:
+        if r.status == "found":
             assert check_macaulay(p, r.order).ok
             assert definition_check(p, [list(l) for l in r.order.per_level] + [[]])
 
@@ -694,7 +694,7 @@ class TestAdditive:
     def test_spider_12_not_additive(self):
         p = spider(1, 2).poset
         r = find_macaulay_order(p)
-        assert r.found
+        assert r.status == "found"
         v = is_additive(p, r.order)
         assert not v.ok
         assert v.witness.kind == "segment-inequality"

