@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
-                        diamond, disjoint_union, path, relabel_swap_xy,
-                        remove_extreme, spider, wedge)
+                        diamond, disjoint_union, path, remove_extreme, spider, wedge)
 from .core import PosetError, RankedPoset
 from .ideals import ideal_from_generators, standard_monomial_poset
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
@@ -46,9 +45,8 @@ class HeartOrderChoice:
     """Which order certifies a Macaulay heart, after normalization.
 
     ``kind`` is "lex" or "twist", both with priority y > x on the
-    normalized labels; ``swap_xy`` says the poset must first be
-    mirrored (exponent coordinates exchanged).  ``params`` are the
-    normalized (a0, a1, b0, b1).
+    normalized labels; ``swap_xy`` says the labels are read mirrored
+    (x-exponent first).  ``params`` are the normalized (a0, a1, b0, b1).
     """
 
     kind: str
@@ -86,13 +84,12 @@ def heart_order_choice(a0: int, a1: int, b0: int, b1: int) -> HeartOrderChoice:
 
 
 def resolve_heart_order(heart: RankedPoset, choice: HeartOrderChoice) -> LevelOrderFamily:
-    """Materialize the chosen order on a heart poset built by build_heart."""
-    view = relabel_swap_xy(heart) if choice.swap_xy else heart
+    """Materialize the chosen order on a heart poset built by build_heart,
+    reading its labels mirrored when the choice says so."""
+    prio = ("x", "y") if choice.swap_xy else ("y", "x")
     if choice.kind == "lex":
-        fam = lex_order(view, ("y", "x"))
-    else:
-        fam = twist_order(view, *choice.params)
-    return LevelOrderFamily(heart, fam.per_level)
+        return lex_order(heart, prio)
+    return twist_order(heart, *choice.params, priority=prio)
 
 
 def diamond_box_predicate(dims_p, dims_q) -> bool:
@@ -378,9 +375,7 @@ def equivalence_suite(budget=DEFAULT_BUDGET,
 
 def y_poset() -> RankedPoset:
     """Bottom element adjoined under two incomparable tops over a stem."""
-    p = adjoin_extreme(spider(1, 1).poset, "bottom")
-    return RankedPoset(p.rank, [(a, b) for a in range(p.n) for b in p.up[a]],
-                       name="Y")
+    return adjoin_extreme(spider(1, 1).poset, "bottom")
 
 
 def ring_product_factor() -> RankedPoset:

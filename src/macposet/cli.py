@@ -64,7 +64,10 @@ def _parse_set(text, poset):
         if poset.labels is None:
             raise PosetError(f"poset is unlabeled; name elements as #id, not {item!r}")
         exps, _ = parse_monomial(item, poset.var_names)
-        vec = tuple(exps.get(v, 0) for v in poset.var_names)
+        vec = tuple(exps.pop(v, 0) for v in poset.var_names)
+        if exps:  # a variable the poset lacks
+            raise PosetError(f"variable {next(iter(exps))!r} in {item!r} is not one "
+                             f"of this poset's variables {', '.join(poset.var_names)}")
         try:
             ids.append(poset.labels.index(vec))
         except ValueError:

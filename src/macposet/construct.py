@@ -290,11 +290,3 @@ def remove_extreme(p: RankedPoset, which: str) -> RankedPoset:
     return RankedPoset(ranks, covers, labels=labels, var_names=p.var_names,
                        name=f"{tag}({p.name or '?'})")
 
-
-def relabel_swap_xy(p: RankedPoset) -> RankedPoset:
-    """Mirror a two-variable labeled poset by swapping exponent coordinates."""
-    if p.labels is None or len(p.var_names or ()) != 2:
-        raise PosetError("swap needs a two-variable labeled poset")
-    labels = [(b, a) for a, b in p.labels]
-    return RankedPoset(p.rank, _cover_pairs(p), labels=labels,
-                       var_names=p.var_names, name=f"swapxy({p.name or '?'})")

@@ -76,24 +76,21 @@ class RankedPoset:
         self.rank = tuple(int(r) for r in ranks)
         if any(r < 0 for r in self.rank):
             raise PosetError("ranks must be nonnegative")
-        up = [set() for _ in range(self.n)]
-        down = [set() for _ in range(self.n)]
-        for a, b in covers:  # b covers a
+        up = [[] for _ in range(self.n)]
+        down = [[] for _ in range(self.n)]
+        for a, b in sorted(set(covers)):  # b covers a; up and down come out sorted
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise PosetError(f"cover ({a},{b}) references unknown element")
-            up[a].add(b)
-            down[b].add(a)
-        self.up = tuple(tuple(sorted(s)) for s in up)
-        self.down = tuple(tuple(sorted(s)) for s in down)
-        height = max(self.rank, default=-1) + 1
-        lv = [[] for _ in range(height)]
-        for i, r in enumerate(self.rank):
-            lv[r].append(i)
-        self.levels = tuple(tuple(l) for l in lv)
+            up[a].append(b)
+            down[b].append(a)
+        self.up = tuple(map(tuple, up))
+        self.down = tuple(map(tuple, down))
+        lv = [[] for _ in range(max(self.rank, default=-1) + 1)]
         pos = [0] * self.n
-        for l in self.levels:
-            for k, i in enumerate(l):
-                pos[i] = k
+        for i, r in enumerate(self.rank):
+            pos[i] = len(lv[r])
+            lv[r].append(i)
+        self.levels = tuple(map(tuple, lv))
         self.pos_in_level = tuple(pos)
         self.labels = tuple(tuple(v) for v in labels) if labels is not None else None
         self.var_names = tuple(var_names) if var_names is not None else None
@@ -142,7 +139,7 @@ class RankedPoset:
         if self._shadow is None:
             pos = self.pos_in_level
             self._shadow = tuple(
-                tuple(sum({1 << pos[b] for b in self.up[i]}) for i in lv)
+                tuple(sum(1 << pos[b] for b in self.up[i]) for i in lv)
                 for lv in self.levels)
         return self._shadow
 

@@ -355,8 +355,7 @@ def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
         pa, pb, pc,
         ideals.inclusion_map(ia, base, poset_i=pa, poset_j=pc),
         ideals.inclusion_map(ib, base, poset_i=pb, poset_j=pc))
-    return EvalResult(res.poset, "fiber", result=res, children=children,
-                      meta={"base_ideal": base})
+    return EvalResult(res.poset, "fiber", result=res, children=children)
 
 
 # ------------------------------------------------------------- order language

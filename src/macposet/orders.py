@@ -53,23 +53,26 @@ def lex_order(p: RankedPoset, priority=None) -> LevelOrderFamily:
     ``priority`` permutes the variables; the first listed variable is
     compared first (so lex with y > x compares the y-exponent first).
     """
-    if p.labels is None:
-        raise PosetError("lex order needs exponent labels")
-    names = p.var_names or ()
-    if priority is None:
-        priority = names
-    priority = tuple(priority)
-    if sorted(priority) != sorted(names):
-        raise PosetError(f"priority {priority} does not permute variables {names}")
-    perm = [names.index(v) for v in priority]
-    key = {i: tuple(p.labels[i][k] for k in perm) for i in range(p.n)}
+    key = _labels_read_by(p, priority)
     per_level = []
-    for d in range(p.max_rank + 1):
-        lv = p.level(d)
+    for d, lv in enumerate(p.levels):
         if len({key[i] for i in lv}) != len(lv):
             raise PosetError(f"duplicate labels within level {d}")
         per_level.append(tuple(sorted(lv, key=lambda i: key[i], reverse=True)))
     return LevelOrderFamily(p, tuple(per_level))
+
+
+def _labels_read_by(p: RankedPoset, priority) -> list:
+    """Each element's exponent label with its coordinates in ``priority``
+    order (all of ``p.var_names``, permuted; None keeps their order)."""
+    if p.labels is None:
+        raise PosetError("this order needs exponent labels")
+    names = p.var_names or ()
+    priority = names if priority is None else tuple(priority)
+    if sorted(priority) != sorted(names):
+        raise PosetError(f"priority {priority} does not permute variables {names}")
+    perm = [names.index(v) for v in priority]
+    return [tuple(lab[k] for k in perm) for lab in p.labels]
 
 
 def union_simplicial_order(result: OperationResult, factor_orders) -> LevelOrderFamily:
@@ -82,8 +85,6 @@ def union_simplicial_order(result: OperationResult, factor_orders) -> LevelOrder
     if result.operation not in ("disjoint_union", "wedge", "diamond"):
         raise PosetError(f"union simplicial order undefined for {result.operation}")
     prov = result.provenance
-    if prov is None:
-        raise PosetError("operation result carries no provenance")
     factor_orders = list(factor_orders)
     arity = prov.arity()
     if len(factor_orders) != arity:
@@ -97,38 +98,31 @@ def union_simplicial_order(result: OperationResult, factor_orders) -> LevelOrder
         k, src = rec[0]
         return (k, -factor_orders[k].position(src))
 
-    per_level = []
-    for d in range(p.max_rank + 1):
-        lv = sorted(p.level(d), key=sort_key, reverse=True)
-        per_level.append(tuple(lv))
-    return LevelOrderFamily(p, tuple(per_level))
+    return LevelOrderFamily(p, tuple(tuple(sorted(lv, key=sort_key, reverse=True))
+                                     for lv in p.levels))
 
 
-def twist_order(heart: RankedPoset, a0: int, a1: int, b0: int, b1: int) -> LevelOrderFamily:
+def twist_order(heart: RankedPoset, a0: int, a1: int, b0: int, b1: int,
+                priority=("y", "x")) -> LevelOrderFamily:
     """Twist order on a heart-shaped poset, for parameters with b1 >= a1.
 
-    The low strip (y-exponent below a1) is ordered by lex with y > x,
-    the high strip by reversed lex, and every low-strip element sits
-    below every high-strip element of its rank.
+    Labels are read in ``priority`` order; (x, y) reads them mirrored.
+    The low strip (first exponent below a1) is ordered by lex, the high
+    strip by reversed lex, and every low-strip element sits below every
+    high-strip element of its rank.
     """
-    if heart.labels is None or len(heart.var_names or ()) != 2:
-        raise PosetError("twist order needs a two-variable labeled poset")
     if b1 < a1:
         raise PosetError("twist order expects parameters with b1 >= a1")
-    if set(heart.labels) != set(heart_cells(a0, a1, b0, b1)):
+    key = _labels_read_by(heart, priority)
+    if {(k1, k0) for k0, k1 in key} != set(heart_cells(a0, a1, b0, b1)):
         raise PosetError("labels are not the heart poset of these parameters")
-    lexkey = {i: (heart.labels[i][1], heart.labels[i][0]) for i in range(heart.n)}
 
     def sort_key(i):
-        high = heart.labels[i][1] >= a1
-        if high:
-            return (1, tuple(-c for c in lexkey[i]))
-        return (0, lexkey[i])
+        k0, k1 = key[i]
+        return (1, (-k0, -k1)) if k0 >= a1 else (0, key[i])
 
-    per_level = []
-    for d in range(heart.max_rank + 1):
-        per_level.append(tuple(sorted(heart.level(d), key=sort_key, reverse=True)))
-    return LevelOrderFamily(heart, tuple(per_level))
+    return LevelOrderFamily(heart, tuple(tuple(sorted(lv, key=sort_key, reverse=True))
+                                         for lv in heart.levels))
 
 
 def initial_segment(o: LevelOrderFamily, d: int, q: int) -> LevelSubset:

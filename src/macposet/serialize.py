@@ -62,36 +62,55 @@ def poset_to_text(p: RankedPoset, result: OperationResult | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _body_lines(text: str, header: str, comment: str | None = None) -> list:
+    """(line number, stripped text) of the lines after ``header``, which
+    must come first, skipping blank lines and ``comment`` lines."""
+    lines = [(k, l.strip()) for k, l in enumerate(text.splitlines(), start=1)
+             if l.strip() and not (comment and l.strip().startswith(comment))]
+    if not lines or lines[0][1] != header:
+        raise FormatError(f"expected header {header!r}", lines[0][0] if lines else 1)
+    return lines[1:]
+
+
+def _ints(fields, what: str, line: int) -> list:
+    try:
+        return [int(t) for t in fields]
+    except ValueError:
+        raise FormatError(f"expected integer {what}, got {' '.join(fields)!r}",
+                          line) from None
+
+
 def order_lists_from_text(text: str):
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "macorder 1":
-        raise FormatError("expected header 'macorder 1'", 1)
     lists = []
-    for k, line in enumerate(lines[1:], start=2):
-        if not line.startswith("level "):
+    for k, line in _body_lines(text, "macorder 1"):
+        head, colon, rest = line.partition(":")
+        head = head.split()
+        if len(head) != 2 or head[0] != "level" or not colon:
             raise FormatError("expected 'level d: ids'", k)
-        head, _, rest = line.partition(":")
-        d = int(head.split()[1])
+        d = _ints(head[1:], "level number", k)[0]
         if d != len(lists):
             raise FormatError(f"levels out of order at level {d}", k)
-        lists.append([int(t) for t in rest.split()])
+        lists.append(_ints(rest.split(), "ids", k))
     return lists
 
 
 def fibermap_from_text(text: str):
-    lines = [l.strip() for l in text.splitlines()
-             if l.strip() and not l.strip().startswith("#")]
-    if not lines or lines[0] != "macposet-fibermap 1":
-        raise FormatError("expected header 'macposet-fibermap 1'", 1)
-    if len(lines) < 2:
-        raise FormatError("expected the count of base elements after the header", 2)
-    count = int(lines[1])
+    lines = _body_lines(text, "macposet-fibermap 1", comment="#")
+    if not lines:
+        raise FormatError("expected the count of base elements after the header",
+                          len(text.splitlines()) + 1)
+    at, head = lines[0]
+    count = _ints([head], "count of base elements", at)[0]
     triples = []
-    for k, line in enumerate(lines[2:2 + count], start=3):
-        c, a, b = (int(t) for t in line.split())
-        triples.append((c, a, b))
-    if len(triples) != count or [c for c, _, _ in triples] != list(range(count)):
-        raise FormatError("fiber map must list base ids 0..k-1 in order", 2)
+    for k, line in lines[1:]:
+        triple = tuple(_ints(line.split(), "ids", k))
+        if len(triple) != 3:
+            raise FormatError(f"expected 'c a b', got {len(triple)} ids", k)
+        triples.append(triple)
+    if len(triples) != count:
+        raise FormatError(f"the count is {count}, but {len(triples)} triples follow", at)
+    if [c for c, _, _ in triples] != list(range(count)):
+        raise FormatError("fiber map must list base ids 0..k-1 in order", at)
     return triples
 
 

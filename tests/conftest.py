@@ -15,7 +15,9 @@ the construction identities; ``restrict_to_factors`` /
 family to some factors for the paper's restriction claims; and the
 round-trip oracles ``print_expression`` / ``print_order``, whose output
 parses back to the same tree, and ``read_poset_text``, which reads back
-what ``build`` writes.
+what ``build`` writes.  ``relabel_swap_xy`` builds the mirrored copy of
+a heart that heart orders once read; it is the oracle for reading the
+heart's own labels mirrored.
 """
 
 import itertools
@@ -446,6 +448,15 @@ def restrict_order(o: LevelOrderFamily, sub: InducedSubposet) -> LevelOrderFamil
     for d in range(sub.poset.max_rank + 1):
         per_level.append(tuple(keep[i] for i in o.descending(d) if i in keep))
     return LevelOrderFamily(sub.poset, tuple(per_level))
+
+
+def relabel_swap_xy(p: RankedPoset) -> RankedPoset:
+    """Mirror a two-variable labeled poset by swapping exponent coordinates."""
+    if p.labels is None or len(p.var_names or ()) != 2:
+        raise PosetError("swap needs a two-variable labeled poset")
+    labels = [(b, a) for a, b in p.labels]
+    return RankedPoset(p.rank, _cover_pairs(p), labels=labels,
+                       var_names=p.var_names, name=f"swapxy({p.name or '?'})")
 
 
 def print_expression(node) -> str:

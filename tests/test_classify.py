@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from macposet import (LevelSubset, PosetError, box, check_macaulay,
+from macposet import (LevelSubset, PosetError, RankedPoset, box, check_macaulay,
                       disjoint_union, find_macaulay_order, lex_order, path,
-                      upper_shadow)
+                      twist_order, upper_shadow)
 from macposet.classify import (FamilySpec, build_heart, cartesian_counterexamples,
                                conjecture_6_7_search, diamond_box_predicate,
                                heart_order_choice, heart_predicate,
@@ -13,6 +13,15 @@ from macposet.classify import (FamilySpec, build_heart, cartesian_counterexample
                                union_simplicial_equivalence_check,
                                verify_family, y_poset)
 from macposet.orders import initial_segment
+
+from conftest import relabel_swap_xy
+
+
+def swapped_macaulay_hearts():
+    """(heart, choice) for each Macaulay heart with sides in 1..5 whose
+    order is read mirrored: 198 take lex and 42 twist."""
+    return [(build_heart(*t), c) for t in itertools.product(range(1, 6), repeat=4)
+            if heart_predicate(*t) and (c := heart_order_choice(*t)).swap_xy]
 
 
 class TestHeartPredicate:
@@ -56,6 +65,34 @@ class TestHeartOrderChoice:
             hp = build_heart(*t)
             fam = resolve_heart_order(hp, heart_order_choice(*t))
             assert check_macaulay(hp, fam).ok, t
+
+    def test_mirrored_orders_match_relabeled_copies(self):
+        hearts = swapped_macaulay_hearts()
+        assert len(hearts) == 240
+        assert sum(c.kind == "twist" for _, c in hearts) == 42
+        for hp, c in hearts:
+            mirror = relabel_swap_xy(hp)
+            ref = (lex_order(mirror, ("y", "x")) if c.kind == "lex"
+                   else twist_order(mirror, *c.params))
+            fam = resolve_heart_order(hp, c)
+            assert fam.poset is hp
+            assert fam.per_level == ref.per_level, hp.name
+
+    def test_resolving_builds_no_poset(self, monkeypatch):
+        hearts = swapped_macaulay_hearts()
+        built = []
+        init = RankedPoset.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("name", ""))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RankedPoset, "__init__", counting_init)
+        for hp, c in hearts:
+            resolve_heart_order(hp, c)
+        assert built == []
+        relabel_swap_xy(hearts[0][0])  # the counter sees a build
+        assert len(built) == 1
 
 
 class TestDiamondBoxPredicate:

@@ -120,6 +120,42 @@ class TestExitCodes:
         assert err.startswith(f"error: element {item} is not in this poset")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("item", ["z", "x*z^5"])
+    def test_shadow_set_foreign_variable_is_input_error(self, item, capsys):
+        # z was dropped, so these named the elements 1 and x and exited 0
+        assert run(["shadow", "box(2,2)", "--set", item]) == 2
+        err = one_error_line(capsys)
+        assert "variable 'z'" in err and "x, y" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("level  : 0", "expected 'level d: ids'"),
+        ("level x: 0", "expected integer level number, got 'x'"),
+        ("level 0: 0 a", "expected integer ids, got '0 a'"),
+    ], ids=["no-level-number", "non-integer-level", "non-integer-id"])
+    def test_malformed_order_file_line_is_named(self, tmp_path, capsys, line, message):
+        # the first exited 4 with an IndexError, the others 2 with
+        # Python's own message and no line number
+        f = tmp_path / "o.txt"
+        f.write_text(f"macorder 1\n\n{line}\n")
+        assert run(["check", "box(2,2)", "--order", f'lists("{f}")']) == 2
+        assert one_error_line(capsys) == f"error: line 3: {message}\n"
+
+    @pytest.mark.parametrize("lines, message", [
+        ("2\n0 0 0\n1 1", "line 5: expected 'c a b', got 2 ids"),
+        ("1\n0 0 0 0", "line 4: expected 'c a b', got 4 ids"),
+        ("1\n0 0 y", "line 4: expected integer ids, got '0 0 y'"),
+        ("one\n0 0 0", "line 3: expected integer count of base elements, got 'one'"),
+        ("1\n0 0 0\n1 1 1", "line 3: the count is 1, but 2 triples follow"),
+    ], ids=["short-triple", "long-triple", "non-integer-id", "non-integer-count",
+            "past-the-count"])
+    def test_malformed_fiber_map_line_is_named(self, tmp_path, capsys, lines, message):
+        # these exited 2 with Python's own message and no line number,
+        # and a line past the counted triples was ignored (exit 0)
+        f = tmp_path / "m.txt"
+        f.write_text(f"macposet-fibermap 1\n# base, factor-a and factor-b ids\n{lines}\n")
+        assert run(["show", f'fiber(path(2), path(2), "{f}")']) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
+
     def test_verify_family_ok(self):
         assert run(["verify-family", "cartesian-counterexamples"]) == 0
 
@@ -311,6 +347,49 @@ class TestGrammarFuzz:
                 assert validate_poset(cli._build(text).poset).ok, argv
 
 
+# valid files to edit: box(2,3)'s lex order, and a fiber map whose base
+# is the chain 0 < 1 of the first box(2,2) mapped onto the same chain of
+# the second
+ORDER_BOX_2_3 = "macorder 1\nlevel 0: 0\nlevel 1: 1 2\nlevel 2: 3 4\nlevel 3: 5\n"
+FIBER_MAP_CHAIN = "macposet-fibermap 1\n# c a b\n2\n0 0 0\n1 1 1\n"
+
+
+@st.composite
+def _one_line_edited(draw, text):
+    """``text`` with one line changed: one character replaced, inserted
+    or deleted, or the line deleted or repeated."""
+    lines = text.splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    line = lines[k]
+    j = draw(st.integers(0, len(line)))
+    c = draw(st.sampled_from("0123456789 :-x#\t"))
+    edit = draw(st.sampled_from([[line[:j] + c + line[j + 1:]], [line[:j] + c + line[j:]],
+                                 [line[:j] + line[j + 1:]], [], [line, line]]))
+    return "\n".join(lines[:k] + edit + lines[k + 1:]) + "\n"
+
+
+class TestFileFuzz:
+    """No edited order or fiber-map file crashes (exit 4)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_one_line_edited(ORDER_BOX_2_3))
+    def test_order_file(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("order") / "o.txt"
+        f.write_text(text)
+        for command in ("check", "additive"):
+            argv = [command, "box(2,3)", "--order", f'lists("{f}")']
+            assert run(argv) in (0, 1, 2), (argv, text)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_one_line_edited(FIBER_MAP_CHAIN))
+    def test_fiber_map_file(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("map") / "m.txt"
+        f.write_text(text)
+        expr = f'fiber(box(2,2), box(2,2), "{f}")'
+        for argv in (["show", expr], ["search-order", expr, "--budget", "300"]):
+            assert run(argv) in (0, 1, 2, 3), (argv, text)
+
+
 class TestVerifyFamilyBounds:
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_unknown_key_and_explicit_defaults(self, family, tmp_path, capsys):
@@ -392,6 +471,13 @@ class TestReports:
         f = tmp_path / "m.txt"
         f.write_text("macposet-fibermap 1\n1\n0 0 0\n")
         assert run(["search-order", f'fiber(path(2), path(2), "{f}")']) == 0
+
+    def test_fuzzed_files_are_valid_before_editing(self, tmp_path):
+        o, m = tmp_path / "o.txt", tmp_path / "m.txt"
+        o.write_text(ORDER_BOX_2_3)
+        m.write_text(FIBER_MAP_CHAIN)
+        assert run(["check", "box(2,3)", "--order", f'lists("{o}")']) == 0
+        assert run(["show", f'fiber(box(2,2), box(2,2), "{m}")']) == 0
 
 
 class TestDeterminism:

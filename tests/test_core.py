@@ -42,6 +42,47 @@ class TestValidation:
         assert not v.ok and v.witness.kind == "self-cover"
 
 
+@st.composite
+def _ranks_and_covers(draw):
+    """Ranks and a cover list with repeats, in random order.  The covers
+    keep the rank law or, as only validate_poset checks it, need not."""
+    n = draw(st.integers(0, 8))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    lawful = [(a, b) for a in range(n) for b in range(n) if ranks[b] == ranks[a] + 1]
+    if lawful and draw(st.booleans()):
+        pairs = st.sampled_from(lawful)
+    elif n:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    else:
+        return ranks, []
+    covers = draw(st.lists(pairs, max_size=16))
+    repeats = draw(st.lists(st.sampled_from(covers), max_size=8)) if covers else []
+    return ranks, draw(st.permutations(covers + repeats))
+
+
+class TestConstruction:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_ranks_and_covers())
+    def test_matches_sets_and_sorts(self, ranks_covers):
+        ranks, covers = ranks_covers
+        p = RankedPoset(ranks, covers)
+        n = len(ranks)
+        up = tuple(tuple(sorted({b for a, b in covers if a == i})) for i in range(n))
+        down = tuple(tuple(sorted({a for a, b in covers if b == i})) for i in range(n))
+        levels = tuple(tuple(i for i in range(n) if ranks[i] == d)
+                       for d in range(max(ranks, default=-1) + 1))
+        assert (p.up, p.down, p.levels) == (up, down, levels)
+        assert p.pos_in_level == tuple(levels[ranks[i]].index(i) for i in range(n))
+        if validate_poset(p).ok:  # each up list then sits in one level
+            assert p._shadow_masks() == tuple(
+                tuple(sum({1 << p.pos_in_level[b] for b in up[i]}) for i in lv)
+                for lv in levels)
+
+    def test_unknown_element_in_a_cover(self):
+        with pytest.raises(PosetError, match="unknown element"):
+            RankedPoset([0, 1], [(0, 1), (1, 2)])
+
+
 class TestShadows:
     def test_upper_shadow_paper_example(self):
         p = degree_le_3_poset()

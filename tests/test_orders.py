@@ -162,6 +162,20 @@ class TestTwistOrder:
         with pytest.raises(PosetError, match="heart"):
             twist_order(box(3, 3), 3, 2, 2, 3)
 
+    @pytest.mark.parametrize("priority", [("x",), ("y", "y"), ("x", "z"),
+                                          ("x", "y", "z"), ()])
+    def test_rejects_priority_not_permuting_the_variables(self, priority):
+        h = build_heart(5, 2, 2, 5)
+        with pytest.raises(PosetError, match="does not permute variables"):
+            twist_order(h, 5, 2, 2, 5, priority=priority)
+
+    def test_priority_is_checked_against_the_heart_read_through_it(self):
+        # heart(2,4,3,2) read x-first is heart(4,2,2,3)
+        h = build_heart(2, 4, 3, 2)
+        assert twist_order(h, 4, 2, 2, 3, priority=("x", "y")).poset is h
+        with pytest.raises(PosetError, match="not the heart"):
+            twist_order(h, 4, 2, 2, 3)
+
     def test_rejects_b1_below_a1(self):
         h = build_heart(2, 5, 5, 2)
         with pytest.raises(PosetError, match="b1 >= a1"):
