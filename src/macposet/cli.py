@@ -17,9 +17,9 @@ from . import __version__, classify
 from .construct import (adjoin_extreme, box, cartesian_product, diamond,
                         disjoint_union, path, spider, wedge)
 from .core import LevelSubset, PosetError, lower_shadow, upper_shadow
-from .expr import ParseError, evaluate, parse_expression, parse_order, resolve_order
-from .ideals import (ideal_intersection, parse_monomial, pure_power_ideal,
-                     standard_monomial_poset)
+from .expr import (ParseError, evaluate, parse_expression, parse_monomial,
+                   parse_order, resolve_order)
+from .ideals import ideal_intersection, pure_power_ideal, standard_monomial_poset
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, LevelCapExceeded,
                        check_macaulay, find_macaulay_order, is_additive,
                        min_shadow_table)
@@ -55,7 +55,8 @@ def _parse_set(text, poset):
     for item in text.split(","):
         item = item.strip()
         if item.startswith("#"):
-            k = int(item[1:])
+            digits = item[1:]
+            k = int(digits) if digits.isascii() and digits.isdigit() else -1
             if not 0 <= k < poset.n:
                 raise PosetError(f"element {item} is not in this poset "
                                  f"of {poset.n} elements")
@@ -63,7 +64,7 @@ def _parse_set(text, poset):
             continue
         if poset.labels is None:
             raise PosetError(f"poset is unlabeled; name elements as #id, not {item!r}")
-        exps, _ = parse_monomial(item, poset.var_names)
+        exps = parse_monomial(item)
         vec = tuple(exps.pop(v, 0) for v in poset.var_names)
         if exps:  # a variable the poset lacks
             raise PosetError(f"variable {next(iter(exps))!r} in {item!r} is not one "
@@ -113,9 +114,7 @@ def cmd_shadow(args):
     ev = _build(args.expr)
     p = ev.poset
     ids = _parse_set(args.set, p)
-    sub = LevelSubset.of(p, ids) if ids else None
-    if sub is None:
-        raise PosetError("--set must name at least one element")
+    sub = LevelSubset.of(p, ids)
     shade = lower_shadow(p, sub) if args.lower else upper_shadow(p, sub)
     names = [p.element_name(i) for i in shade.ids()]
     print(("lower" if args.lower else "upper") + " shadow: "

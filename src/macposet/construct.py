@@ -44,8 +44,6 @@ def path(d: int) -> RankedPoset:
 
 def box(*dims) -> RankedPoset:
     """Box poset: exponent vectors below the given caps, ordered by divisibility."""
-    if len(dims) == 1 and not isinstance(dims[0], int):
-        dims = tuple(dims[0])
     if not dims or any(d < 1 for d in dims):
         raise PosetError("box needs side lengths >= 1")
     tag = "box(" + ",".join(str(d) for d in dims) + ")"
@@ -73,8 +71,6 @@ def build_heart(a0: int, a1: int, b0: int, b1: int) -> RankedPoset:
 
 def spider(*legs) -> OperationResult:
     """Wedge of paths sharing their minimum."""
-    if len(legs) == 1 and not isinstance(legs[0], int):
-        legs = tuple(legs[0])
     if not legs or any(l < 1 for l in legs):
         raise PosetError("spider needs leg lengths >= 1")
     return _glue([path(l) for l in legs], "wedge",
@@ -248,6 +244,8 @@ def adjoin_extreme(p: RankedPoset, which: str) -> RankedPoset:
     bottom shifts all ranks up by one and needs every minimal element
     at old rank 0, so the new rank-0 minimum covers them lawfully.
     """
+    if p.n == 0:
+        raise PosetError(f"cannot adjoin a {which} to the empty poset")
     covers = _cover_pairs(p)
     if which == "top":
         maxs = p.maximal_elements()

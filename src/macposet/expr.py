@@ -14,10 +14,13 @@ Order expressions::
 
     lex(x,y)   us(lex(x,y), lex(x,y))   twist   lists("order.txt")
 
-Each call's arguments have a kind (``CALLS``): integers, posets, one
-``ideal(...)``, monomials, or fiber's map-file string.  The parser
-rejects an argument of the wrong kind at its position, and ``evaluate``
-rejects an ``explicit`` literal whose covers break the rank law.
+One table (``CALLS``) gives each call its result kind (poset, ideal or
+order) and its argument kinds: integers, posets, one ``ideal(...)``,
+monomials, orders, variable names, or a file-name string.  The parser
+enters a call only where its result kind is asked for and rejects an
+argument of the wrong kind at its position; ``parse_monomial`` reads a
+monomial with the same grammar.  ``evaluate`` rejects an ``explicit``
+literal whose covers break the rank law.
 """
 
 from __future__ import annotations
@@ -114,45 +117,57 @@ class _Tokens:
         return t
 
 
-# deepest nesting of calls the parsers accept; deeper input is a
+# deepest nesting of calls the parser accepts; deeper input is a
 # ParseError, not a RecursionError
 MAX_NESTING = 100
 
-# each call's (argument kinds, fewest, most arguments); argument i has
-# kind kinds[min(i, len(kinds) - 1)], and most=None means no limit
-CALLS = {"path": (("int",), 1, 1), "box": (("int",), 1, None),
-         "spider": (("int",), 1, None), "heart": (("int",), 4, 4),
-         "poset": (("ideal",), 1, 1), "ideal": (("mono",), 1, None),
-         "union": (("poset",), 1, None), "wedge": (("poset",), 1, None),
-         "diamond": (("poset",), 1, None), "cart": (("poset",), 2, 2),
-         "fiber": (("poset", "poset", "str"), 2, 3),
-         "hat": (("poset",), 1, 1), "uhat": (("poset",), 1, 1),
-         "bar": (("poset",), 1, 1), "ubar": (("poset",), 1, 1)}
+# each call's (result kind, argument kinds, fewest, most arguments);
+# argument i has kind kinds[min(i, len(kinds) - 1)], most=None means no
+# limit, and a call that takes no arguments is written bare
+CALLS = {"path": ("poset", ("int",), 1, 1), "box": ("poset", ("int",), 1, None),
+         "spider": ("poset", ("int",), 1, None), "heart": ("poset", ("int",), 4, 4),
+         "poset": ("poset", ("ideal",), 1, 1), "ideal": ("ideal", ("mono",), 1, None),
+         "union": ("poset", ("poset",), 1, None), "wedge": ("poset", ("poset",), 1, None),
+         "diamond": ("poset", ("poset",), 1, None), "cart": ("poset", ("poset",), 2, 2),
+         "fiber": ("poset", ("poset", "poset", "str"), 2, 3),
+         "hat": ("poset", ("poset",), 1, 1), "uhat": ("poset", ("poset",), 1, 1),
+         "bar": ("poset", ("poset",), 1, 1), "ubar": ("poset", ("poset",), 1, 1),
+         "lex": ("order", ("name",), 1, None), "us": ("order", ("order",), 1, None),
+         "twist": ("order", (), 0, 0), "lists": ("order", ("str",), 1, 1)}
 _KIND_NAMES = {"int": "an integer", "poset": "a poset expression",
                "ideal": "ideal(...)", "mono": "a monomial",
-               "str": "a map-file string"}
+               "str": "a file-name string", "order": "an order expression",
+               "name": "a variable name"}
 
 
 def parse_expression(text: str) -> Node | Explicit:
+    return _parse_text(text, "poset")
+
+
+def parse_order(text: str) -> Node:
+    return _parse_text(text, "order")
+
+
+def parse_monomial(text: str) -> dict:
+    """Each variable of a monomial such as ``x^2*y`` with its exponent,
+    in the order first written; ``1`` has none."""
+    return _exponents(_parse_text(text, "mono"))
+
+
+def _parse_text(text: str, kind: str):
     toks = _Tokens(text)
-    node = _parse_arg(toks, "poset", "", 0)
+    node = _parse_arg(toks, kind, "", 0)
     t = toks.peek()
     if t[0] != "EOF":
         raise ParseError(f"trailing input {t[1]!r}", t[2])
     return node
 
 
-def _parse_call(toks: _Tokens, depth: int):
-    _, val, pos = toks.peek()
-    if depth >= MAX_NESTING:
-        raise ParseError(f"expression nested more than {MAX_NESTING} deep", pos)
-    if val == "explicit":
-        return _parse_explicit(toks)
-    toks.next()
-    fn = val
-    if fn not in CALLS:
-        raise ParseError(f"unknown function {fn!r}", pos)
-    kinds, lo, hi = CALLS[fn]
+def _parse_call(toks: _Tokens, depth: int) -> Node:
+    _, fn, pos = toks.next()
+    _, kinds, lo, hi = CALLS[fn]
+    if hi == 0:
+        return Node(fn, ())
     toks.expect("(")
     args = []
     if toks.peek()[0] != ")":
@@ -187,16 +202,27 @@ def _parse_arg(toks: _Tokens, kind: str, where: str, depth: int):
         return toks.next()[1]
     if kind == "str" and tok == "STR":
         return FileRef(toks.next()[1])
+    if kind == "name" and tok == "NAME":
+        return toks.next()[1]
     if kind == "mono" and tok == "INT":
-        # a bare integer inside ideal() is the monomial 1
+        # a bare integer in a monomial's place is the monomial 1
         toks.next()
         if val != 1:
             raise ParseError("only the monomial 1 may be a bare integer", pos)
         return Mono(())
     if kind == "mono" and tok == "NAME":
         return _parse_monomial(toks)
-    if tok == "NAME" and kind == ("ideal" if val == "ideal" else "poset"):
-        return _parse_call(toks, depth)
+    if tok == "NAME" and kind in ("poset", "ideal", "order"):
+        if depth >= MAX_NESTING:
+            raise ParseError(f"{'order' if kind == 'order' else 'expression'} "
+                             f"nested more than {MAX_NESTING} deep", pos)
+        if val == "explicit" and kind == "poset":
+            return _parse_explicit(toks)
+        if val in CALLS and CALLS[val][0] == kind:
+            return _parse_call(toks, depth)
+        if val not in CALLS and kind != "ideal":
+            raise ParseError(f"unknown {'order' if kind == 'order' else 'function'} "
+                             f"{val!r}", pos)
     raise ParseError(f"expected {_KIND_NAMES[kind]}{where}, found {val!r}", pos)
 
 
@@ -252,20 +278,21 @@ class EvalResult:
     meta: dict = field(default_factory=dict)
 
 
+def _exponents(mono: Mono) -> dict:
+    """A monomial's exponent of each variable, summed over its factors."""
+    exps: dict = {}
+    for v, e in mono.factors:
+        if not v.isidentifier():
+            raise PosetError(f"bad variable name {v!r}")
+        exps[v] = exps.get(v, 0) + e
+    return exps
+
+
 def _eval_ideal(node: Node) -> ideals.MonomialIdeal:
-    names: list = []
-    raw = []
-    for m in node.args:
-        exps: dict = {}
-        for v, e in m.factors:
-            if not v.isidentifier():
-                raise PosetError(f"bad variable name {v!r}")
-            if v not in names:
-                names.append(v)
-            exps[v] = exps.get(v, 0) + e
-        raw.append(exps)
-    gens = [tuple(e.get(v, 0) for v in names) for e in raw]
-    return ideals.ideal_from_generators(gens, tuple(names))
+    raw = [_exponents(m) for m in node.args]
+    names = tuple(dict.fromkeys(v for exps in raw for v in exps))
+    gens = [tuple(exps.get(v, 0) for v in names) for exps in raw]
+    return ideals.ideal_from_generators(gens, names)
 
 
 def evaluate(node, read_fibermap=None) -> EvalResult:
@@ -360,54 +387,7 @@ def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
 
 # ------------------------------------------------------------- order language
 
-@dataclass(frozen=True)
-class OrderNode:
-    fn: str  # lex | us | twist | lists
-    args: tuple
-
-
-def parse_order(text: str) -> OrderNode:
-    toks = _Tokens(text)
-    node = _parse_order(toks)
-    t = toks.peek()
-    if t[0] != "EOF":
-        raise ParseError(f"trailing input {t[1]!r}", t[2])
-    return node
-
-
-def _parse_order(toks: _Tokens, depth: int = 0) -> OrderNode:
-    kind, val, pos = toks.next()
-    if kind != "NAME":
-        raise ParseError(f"expected an order expression, found {val!r}", pos)
-    if depth >= MAX_NESTING:
-        raise ParseError(f"order nested more than {MAX_NESTING} deep", pos)
-    if val == "twist":
-        return OrderNode("twist", ())
-    if val == "lex":
-        toks.expect("(")
-        names = [toks.expect("NAME")[1]]
-        while toks.peek()[0] == ",":
-            toks.next()
-            names.append(toks.expect("NAME")[1])
-        toks.expect(")")
-        return OrderNode("lex", tuple(names))
-    if val == "us":
-        toks.expect("(")
-        subs = [_parse_order(toks, depth + 1)]
-        while toks.peek()[0] == ",":
-            toks.next()
-            subs.append(_parse_order(toks, depth + 1))
-        toks.expect(")")
-        return OrderNode("us", tuple(subs))
-    if val == "lists":
-        toks.expect("(")
-        path = toks.expect("STR")[1]
-        toks.expect(")")
-        return OrderNode("lists", (FileRef(path),))
-    raise ParseError(f"unknown order {val!r}", pos)
-
-
-def resolve_order(node: OrderNode, ev: EvalResult, read_order_lists=None):
+def resolve_order(node: Node, ev: EvalResult, read_order_lists=None):
     """Resolve an order expression against the structure of a built poset."""
     from .orders import lex_order, order_from_lists, twist_order, union_simplicial_order
     if node.fn == "lex":

@@ -198,25 +198,3 @@ def inclusion_map(i: MonomialIdeal, j: MonomialIdeal,
     pj = poset_j if poset_j is not None else standard_monomial_poset(j)
     of_label = {m: k for k, m in enumerate(pi.labels)}
     return {a: of_label[m] for a, m in enumerate(pj.labels)}
-
-
-def parse_monomial(text: str, var_names=None):
-    """Parse '1', 'x', 'x^4', 'x1^3*x2' into (exponents, names-in-order-seen)."""
-    text = text.strip()
-    seen: list = list(var_names) if var_names else []
-    exps: dict = {}
-    if text == "1":
-        return exps, seen
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            v, _, e = factor.partition("^")
-            v, e = v.strip(), int(e)
-        else:
-            v, e = factor, 1
-        if not v.isidentifier():
-            raise PosetError(f"bad variable name {v!r}")
-        if v not in seen:
-            seen.append(v)
-        exps[v] = exps.get(v, 0) + e
-    return exps, seen

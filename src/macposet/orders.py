@@ -36,8 +36,6 @@ class LevelOrderFamily:
 
 def order_from_lists(p: RankedPoset, lists) -> LevelOrderFamily:
     """Wrap explicit per-level lists, rejecting anything but a permutation."""
-    if isinstance(lists, dict):
-        lists = [lists.get(d, []) for d in range(p.max_rank + 1)]
     lists = [list(l) for l in lists]
     if len(lists) != p.max_rank + 1:
         raise PosetError(f"expected {p.max_rank + 1} level lists, got {len(lists)}")

@@ -111,10 +111,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("item", ["#99", "#4", "#-1"])
+    @pytest.mark.parametrize("item", ["#99", "#4", "#-1", "#1_0", "# 3",
+                                      "#\u0663", "#"])
     def test_shadow_set_id_out_of_range_is_input_error(self, item, capsys):
         # #99 used to exit 4 with an IndexError, and #-1 to pick the
-        # last element
+        # last element; int() read "# 3" and "#\u0663" (an Arabic-Indic
+        # three) as element 3 and "#1_0" as element 10, and refused "#"
+        # with its own message
         assert run(["shadow", "box(2,2)", "--set", item]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: element {item} is not in this poset")
@@ -126,6 +129,15 @@ class TestExitCodes:
         assert run(["shadow", "box(2,2)", "--set", item]) == 2
         err = one_error_line(capsys)
         assert "variable 'z'" in err and "x, y" in err
+
+    @pytest.mark.parametrize("expr, item, message", [
+        ("path(2)", "x", "poset is unlabeled; name elements as #id, not 'x'"),
+        ("box(2,2)", "x^5", "monomial 'x^5' is not an element of this poset"),
+    ], ids=["unlabeled", "not-an-element"])
+    def test_shadow_set_monomial_naming_no_element_is_input_error(
+            self, expr, item, message, capsys):
+        assert run(["shadow", expr, "--set", item]) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
 
     @pytest.mark.parametrize("line, message", [
         ("level  : 0", "expected 'level d: ids'"),
@@ -187,6 +199,12 @@ class TestExitCodes:
     def test_unit_ideal_is_the_empty_poset(self, capsys):
         assert run(["show", "poset(ideal(1))"]) == 0
         assert capsys.readouterr().out.startswith("poset(1): 0 elements")
+        # these named "maximal elements at mixed ranks []" and "minimal
+        # elements at ranks [], need all 0"
+        for fn, which in (("hat", "top"), ("uhat", "bottom")):
+            assert run(["show", f"{fn}(poset(ideal(1)))"]) == 2
+            assert one_error_line(capsys) == (
+                f"error: cannot adjoin a {which} to the empty poset\n")
 
     def test_long_staircases_reach_the_level_cap(self, capsys):
         # staircases with up to 1100 parts: the scan meets the level cap
@@ -320,10 +338,10 @@ _EXPR = st.recursive(
 
 
 @st.composite
-def _grammar_inputs(draw):
-    """A generated expression or a bare literal, or either with one
-    character replaced, inserted or deleted."""
-    text = draw(st.one_of(_explicit(), _EXPR))
+def _edited(draw, texts):
+    """A text drawn from ``texts``, or one with one character replaced,
+    inserted or deleted."""
+    text = draw(texts)
     if draw(st.booleans()):
         return text
     k = draw(st.integers(0, len(text) - 1))
@@ -332,9 +350,18 @@ def _grammar_inputs(draw):
     return text[:k] + edit + text[k + 1:]
 
 
+_ORDER = st.recursive(
+    st.one_of(st.permutations("xy").map(lambda v: _call("lex", v)),
+              st.just("twist"), st.just('lists("no-such-order")')),
+    lambda kids: st.lists(kids, min_size=1, max_size=3).map(lambda a: _call("us", a)),
+    max_leaves=4)
+_SET = st.lists(st.one_of(_MONO, st.integers(0, 9).map(lambda k: f"#{k}")),
+                min_size=1, max_size=3).map(", ".join)
+
+
 class TestGrammarFuzz:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(_grammar_inputs())
+    @given(_edited(st.one_of(_explicit(), _EXPR)))
     def test_exit_codes_keep_their_meaning(self, text):
         """No input crashes (exit 4), and exit 1, a scientific verdict,
         comes only from a poset that validates."""
@@ -345,6 +372,22 @@ class TestGrammarFuzz:
             assert code in (0, 1, 2, 3), argv
             if code == 1:
                 assert validate_poset(cli._build(text).poset).ok, argv
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_edited(_ORDER))
+    def test_order_exit_codes_keep_their_meaning(self, text):
+        for expr in ("union(box(2,2), box(2,3))", "heart(5,2,2,5)"):
+            for command in ("check", "additive"):
+                argv = [command, expr, "--order", text]
+                assert run(argv) in (0, 1, 2, 3), argv
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_edited(_SET))
+    def test_set_exit_codes_keep_their_meaning(self, text):
+        for expr in ("box(3,3)", "path(2)"):
+            for lower in ([], ["--lower"]):
+                argv = ["shadow", expr, "--set", text] + lower
+                assert run(argv) in (0, 2), argv
 
 
 # valid files to edit: box(2,3)'s lex order, and a fiber map whose base

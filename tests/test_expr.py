@@ -1,11 +1,16 @@
+import pathlib
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import are_isomorphic, print_expression, print_order
 from macposet import (box, check_macaulay, ideal_from_generators, path, spider,
                       wedge)
-from macposet.expr import (MAX_NESTING, Explicit, Mono, Node, ParseError,
-                           evaluate, parse_expression, parse_order,
-                           resolve_order)
+from macposet.expr import (CALLS, MAX_NESTING, Explicit, FileRef, Mono, Node,
+                           ParseError, evaluate, parse_expression,
+                           parse_monomial, parse_order, resolve_order)
 
 
 class TestParsing:
@@ -59,8 +64,37 @@ class TestParsing:
             with pytest.raises(ParseError, match="nested more than"):
                 parse_expression(nested("hat", n, "path(2)"))
         assert parse_order(nested("us", MAX_NESTING - 1, "twist"))
-        with pytest.raises(ParseError, match="nested more than"):
+        with pytest.raises(ParseError, match="order nested more than 100 deep"):
             parse_order(nested("us", 5000, "twist"))
+
+    @pytest.mark.parametrize("parse, text, message, pos", [
+        (parse_expression, "hat(lex(x))", "expected a poset expression as hat", 4),
+        (parse_order, "path(1)", "expected an order expression, found 'path'", 0),
+        (parse_order, "us(twist, hat(path(1)))", "expected an order expression as us", 10),
+        (parse_order, "explicit{1; 0;}", "unknown order 'explicit'", 0),
+        (parse_order, "lex(x, 1)", "expected a variable name as lex argument 2", 7),
+    ])
+    def test_call_of_another_kind_is_rejected_at_its_position(
+            self, parse, text, message, pos):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse(text)
+        assert err.value.pos == pos
+
+    def test_readme_grammar_names_the_calls(self):
+        """The README's grammar lists the poset and ideal calls as
+        ``name`` and the order calls as ``order``."""
+        readme = pathlib.Path(__file__).parent.parent / "README.md"
+        block = readme.read_text().split("```ebnf\n")[1].split("```")[0]
+
+        def alternatives(rule):
+            rhs = re.search(rf"^{rule}\s*=(.*?);\s*$", block, re.M | re.S)[1]
+            return {re.match(r'\s*"(\w+)"', alt)[1] for alt in rhs.split("|")}
+
+        def calls(*kinds):
+            return {fn for fn, (result, *_) in CALLS.items() if result in kinds}
+
+        assert alternatives("name") == calls("poset", "ideal")
+        assert alternatives("order") == calls("order")
 
 
 CORPUS = [
@@ -120,11 +154,29 @@ class TestEvaluation:
         from macposet import PosetError
         with pytest.raises(PosetError, match="bad variable name"):
             evaluate(parse_expression("poset(ideal(x\u00b2, y))"))
+        with pytest.raises(PosetError, match="bad variable name"):
+            parse_monomial("y*x\u00b2")
+
+    def test_monomial_exponents_add_up(self):
+        assert parse_monomial("y^2*x*y") == {"y": 3, "x": 1}
+        assert parse_monomial("1") == {}
 
     def test_fiber_needs_ideals_or_map(self):
         from macposet import PosetError
         with pytest.raises(PosetError, match="ideal containment"):
             evaluate(parse_expression("fiber(path(2), path(2))"))
+
+
+# order ASTs; a variable may share its name with a call
+_ORDER_NODES = st.recursive(
+    st.one_of(st.just(Node("twist", ())),
+              st.lists(st.sampled_from(["x", "y", "x1", "lex", "twist"]),
+                       min_size=1, max_size=3).map(lambda v: Node("lex", tuple(v))),
+              st.text(st.characters(exclude_characters='"'), max_size=6).map(
+                  lambda f: Node("lists", (FileRef(f),)))),
+    lambda kids: st.lists(kids, min_size=1, max_size=3).map(
+        lambda a: Node("us", tuple(a))),
+    max_leaves=6)
 
 
 class TestOrderExpressions:
@@ -133,6 +185,11 @@ class TestOrderExpressions:
                      'lists("order.txt")']:
             node = parse_order(text)
             assert print_order(parse_order(print_order(node))) == print_order(node)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_ORDER_NODES)
+    def test_generated_round_trip(self, node):
+        assert parse_order(print_order(node)) == node
 
     def test_lex_resolution(self):
         ev = evaluate(parse_expression("box(3,4)"))
