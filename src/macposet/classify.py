@@ -12,6 +12,7 @@ from typing import Callable, NamedTuple
 from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
                         diamond, disjoint_union, path, remove_extreme, spider, wedge)
 from .core import PosetError, RankedPoset
+from .expr import evaluate, parse_expression
 from .ideals import ideal_from_generators, standard_monomial_poset
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
                        find_macaulay_order)
@@ -131,14 +132,6 @@ def wedge_box_predicate(kind: str, params) -> bool:
 
 # ------------------------------------------------------------------ harness
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    bounds: dict = field(default_factory=dict)
-    budget: int | None = DEFAULT_BUDGET
-    level_cap: int = DEFAULT_LEVEL_CAP
-
-
 @dataclass
 class GridReport:
     family: str
@@ -150,7 +143,8 @@ class GridReport:
 
     @property
     def inconclusive(self) -> list:
-        return [r for r in self.rows if r.get("search") == "budget-exceeded"]
+        return [r for r in self.rows if "budget-exceeded" in (
+            r.get("search"), r.get("base"), r.get("hat"), *r.get("forms", {}).values())]
 
     @property
     def all_agree(self) -> bool:
@@ -171,17 +165,20 @@ class GridReport:
         }
 
 
-def _searched(poset, budget, level_cap, predicate=None) -> dict:
+def _agree(claim, *statuses):
+    """A row's agreement: its claim, or None (inconclusive) when any
+    search the row rests on ran out of budget."""
+    return None if "budget-exceeded" in statuses else claim
+
+
+def _searched(poset, budget, level_cap, expect=None) -> dict:
     """One search as grid-row fields: its status, nodes and subsets and,
-    given a predicate, the predicate and whether the search agrees with
-    it (None when the budget ran out)."""
+    given whether an order is expected, whether the search agrees."""
     sr = find_macaulay_order(poset, budget=budget, level_cap=level_cap)
-    row = {} if predicate is None else {"predicate": predicate}
-    row.update(search=sr.status, nodes=sr.stats.nodes,
-               subsets=sr.stats.subsets_enumerated)
-    if predicate is not None:
-        row["agree"] = (None if sr.status == "budget-exceeded"
-                        else predicate == (sr.status == "found"))
+    row = {"search": sr.status, "nodes": sr.stats.nodes,
+           "subsets": sr.stats.subsets_enumerated}
+    if expect is not None:
+        row["agree"] = _agree(expect == (sr.status == "found"), sr.status)
     return row
 
 
@@ -197,8 +194,9 @@ def _heart_rows(bounds, budget, level_cap):
     for t in itertools.product(_span(bounds["side"]), repeat=4):
         pred = heart_predicate(*t)
         hp = build_heart(*t)
-        row = {"params": list(t), **_searched(hp, budget, level_cap, pred)}
-        if pred and row["search"] != "budget-exceeded":
+        row = {"params": list(t), "predicate": pred,
+               **_searched(hp, budget, level_cap, pred)}
+        if pred and row["agree"] is not None:
             choice = heart_order_choice(*t)
             row["recommended"] = choice.to_json()
             row["recommended_ok"] = check_macaulay(
@@ -221,7 +219,7 @@ def _diamond_rows(bounds, budget, level_cap):
                     and math.prod(dp) + math.prod(dq) - 2 in sizes):
                 pred = diamond_box_predicate(dp, dq)
                 res = diamond([box(*dp), box(*dq)])
-                yield {"params": [list(dp), list(dq)],
+                yield {"params": [list(dp), list(dq)], "predicate": pred,
                        **_searched(res.poset, budget, level_cap, pred)}
 
 
@@ -233,7 +231,7 @@ def _wedge_2d_rows(bounds, budget, level_cap):
         if m <= n and m2 <= n2 and (m, n) <= (m2, n2):
             pred = wedge_box_predicate("2d", t)
             res = wedge([box(m, n), box(m2, n2)])
-            yield {"kind": "2d", "params": list(t),
+            yield {"kind": "2d", "params": list(t), "predicate": pred,
                    **_searched(res.poset, budget, level_cap, pred)}
 
 
@@ -245,7 +243,7 @@ def _wedge_path_rows(bounds, budget, level_cap):
             for n2 in range(max(m2, long_lo), long_hi + 1):
                 pred = wedge_box_predicate("path", (n, m2, n2))
                 res = wedge([path(n - 1), box(m2, n2)])
-                yield {"kind": "path", "params": [n, m2, n2],
+                yield {"kind": "path", "params": [n, m2, n2], "predicate": pred,
                        **_searched(res.poset, budget, level_cap, pred)}
 
 
@@ -258,46 +256,39 @@ def union_simplicial_equivalence_check(ps, budget=DEFAULT_BUDGET,
     Forms (1)(2)(3): disjoint union of the min-removed factors, the
     wedge, and the diamond of the top-adjoined factors must agree
     whenever defined.  Chain (1')(2')(3'): plain union => wedge =>
-    diamond, Macaulayness may only appear, never disappear.
+    diamond, Macaulayness may only appear, never disappear.  Each form
+    maps to its search status, or "undefined"; only the forms whose
+    search finished are compared.
     """
     ps = list(ps)
 
-    def outcome(thunk):
+    def status(build):
         try:
-            target = thunk()
-        except PosetError as e:
-            return {"defined": False, "reason": str(e)}
-        sr = find_macaulay_order(target, budget=budget, level_cap=level_cap)
-        return {"defined": True, "search": sr.status, "nodes": sr.stats.nodes}
+            target = build()
+        except PosetError:
+            return "undefined"
+        return _searched(target, budget, level_cap)["search"]
 
     forms = {
-        "union-of-min-removed": outcome(
+        "union-of-min-removed": status(
             lambda: disjoint_union([remove_extreme(p, "bottom") for p in ps]).poset),
-        "wedge": outcome(lambda: wedge(ps).poset),
-        "diamond-of-hats": outcome(
+        "wedge": status(lambda: wedge(ps).poset),
+        "diamond-of-hats": status(
             lambda: diamond([adjoin_extreme(p, "top") for p in ps]).poset),
-        "union": outcome(lambda: disjoint_union(ps).poset),
-        "diamond": outcome(lambda: diamond(ps).poset),
+        "union": status(lambda: disjoint_union(ps).poset),
+        "diamond": status(lambda: diamond(ps).poset),
     }
-    verdicts = {k: v.get("search") if v["defined"] else None
-                for k, v in forms.items()}
-
-    equiv = [verdicts[k] for k in ("union-of-min-removed", "wedge", "diamond-of-hats")
-             if verdicts[k] is not None]
-    equivalent = len(set(equiv)) <= 1
-    rank = {"found": 1, "none": 0}
-    chain_ok = True
-    seq = [verdicts["union"], verdicts["wedge"], verdicts["diamond"]]
-    prev = None
-    for v in seq:
-        if v is None or v == "budget-exceeded":
-            continue
-        if prev is not None and rank[prev] > rank[v]:
-            chain_ok = False
-        prev = v
-    return {"forms": forms, "equivalent_forms_agree": equivalent,
-            "chain_holds": chain_ok,
-            "agree": equivalent and chain_ok}
+    finished = {k: v for k, v in forms.items() if v in ("found", "none")}
+    equiv = {finished[k] for k in ("union-of-min-removed", "wedge", "diamond-of-hats")
+             if k in finished}
+    equivalent = len(equiv) <= 1
+    # found after none is allowed along the chain, none after found is not
+    chain = [finished[k] == "found" for k in ("union", "wedge", "diamond")
+             if k in finished]
+    chain_holds = chain == sorted(chain)
+    return {"agree": _agree(equivalent and chain_holds, *forms.values()),
+            "equivalent_forms_agree": equivalent, "chain_holds": chain_holds,
+            "forms": forms}
 
 
 def _random_hat_corpus(count=50, max_elements=20, seed=20240511):
@@ -327,27 +318,9 @@ def _random_hat_corpus(count=50, max_elements=20, seed=20240511):
     return out
 
 
-def hat_preservation_report(count=50, max_elements=20, seed=20240511,
-                            budget=DEFAULT_BUDGET,
-                            level_cap=DEFAULT_LEVEL_CAP) -> GridReport:
-    """Order existence must be preserved by adjoining a top element."""
-    report = GridReport("hat-preservation")
-    for p in _random_hat_corpus(count, max_elements, seed):
-        base = find_macaulay_order(p, budget=budget, level_cap=level_cap)
-        hatted = find_macaulay_order(adjoin_extreme(p, "top"), budget=budget,
-                                     level_cap=level_cap)
-        row = {"poset": p.name, "elements": p.n,
-               "base": base.status, "hat": hatted.status,
-               "nodes": base.stats.nodes + hatted.stats.nodes,
-               "agree": base.status == hatted.status}
-        report.rows.append(row)
-    return report
-
-
-def equivalence_suite(budget=DEFAULT_BUDGET,
-                      level_cap=DEFAULT_LEVEL_CAP) -> GridReport:
-    """The named union/wedge/diamond instances plus the hat corpus."""
-    report = GridReport("union-wedge-diamond-equiv")
+def _equivalence_rows(bounds, budget, level_cap):
+    """The named union/wedge/diamond instances, then the hat corpus,
+    where adjoining a top element must preserve order existence."""
     b22 = box(2, 2)
     instances = [
         ("two-box(2,2)", [b22, b22]),
@@ -358,59 +331,47 @@ def equivalence_suite(budget=DEFAULT_BUDGET,
         ("path1-path2", [path(1), path(2)]),
     ]
     for name, ps in instances:
-        res = union_simplicial_equivalence_check(ps, budget=budget,
-                                                 level_cap=level_cap)
-        row = {"instance": name, "agree": res["agree"],
-               "equivalent_forms_agree": res["equivalent_forms_agree"],
-               "chain_holds": res["chain_holds"],
-               "forms": {k: (v.get("search") if v["defined"] else "undefined")
-                         for k, v in res["forms"].items()}}
-        report.rows.append(row)
-    report.rows.extend(hat_preservation_report(budget=budget,
-                                               level_cap=level_cap).rows)
-    return report
+        yield {"instance": name,
+               **union_simplicial_equivalence_check(ps, budget, level_cap)}
+    for p in _random_hat_corpus():
+        base = _searched(p, budget, level_cap)
+        hat = _searched(adjoin_extreme(p, "top"), budget, level_cap)
+        yield {"poset": p.name, "elements": p.n,
+               "base": base["search"], "hat": hat["search"],
+               "nodes": base["nodes"] + hat["nodes"],
+               "agree": _agree(base["search"] == hat["search"],
+                               base["search"], hat["search"])}
 
 
 # ------------------------------------------------------- named counterexamples
 
-def y_poset() -> RankedPoset:
-    """Bottom element adjoined under two incomparable tops over a stem."""
-    return adjoin_extreme(spider(1, 1).poset, "bottom")
+# the named cartesian products that have no Macaulay order, keyed by the
+# reproduce target that searches each: the grid row's name, the
+# product's expression and its element count.  Y = uhat(spider(1,1)) is
+# a bottom under two incomparable tops over a stem; the explicit factor
+# is the monomial poset of K[y,z]/(y^2 - z^2, y^3, z^3), 1 < {y, z} <
+# {w, yz}, where w identifies y^2 with z^2.
+CARTESIAN_TARGETS = {
+    "prop61-product": ("path(1) x Y", "cart(path(1), uhat(spider(1,1)))", 8),
+    "conj66-counterexample": (
+        "conj66 quotient x path(1)",
+        "cart(poset(ideal(y^3, y^2*z, y*z^2, z^3)), path(1))", 12),
+    "prop61-ring-product": (
+        "ring factor x path(1)",
+        "cart(explicit{5; 0 1 1 2 2; 0 1, 0 2, 1 3, 2 3, 1 4, 2 4}, path(1))", 10),
+}
 
 
-def ring_product_factor() -> RankedPoset:
-    """Monomial poset of K[y,z]/(y^2 - z^2, y^3, z^3): 1 < {y,z} < {w, yz}
-    where w identifies y^2 with z^2 and both rank-2 elements cover y and z."""
-    return RankedPoset([0, 1, 1, 2, 2],
-                       [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)],
-                       name="ringfactor")
-
-
-def conj66_quotient_ideal():
-    return ideal_from_generators([(3, 0), (2, 1), (1, 2), (0, 3)], ("y", "z"))
-
-
-def cartesian_counterexamples(budget=DEFAULT_BUDGET,
-                              level_cap=DEFAULT_LEVEL_CAP) -> GridReport:
-    """The named non-Macaulay cartesian products; all must lack orders."""
-    report = GridReport("cartesian-counterexamples")
-    items = [
-        ("path(1) x Y", cartesian_product(path(1), y_poset()).poset, 8),
-        ("conj66 quotient x path(1)",
-         cartesian_product(standard_monomial_poset(conj66_quotient_ideal()),
-                           path(1)).poset, 12),
-        ("ring factor x path(1)",
-         cartesian_product(ring_product_factor(), path(1)).poset, 10),
-    ]
-    for name, poset, expected_n in items:
-        found = _searched(poset, budget, level_cap)
+def _cartesian_rows(bounds, budget, level_cap):
+    """The named cartesian counterexamples; none may have an order."""
+    for name, expression, expected_n in CARTESIAN_TARGETS.values():
+        poset = evaluate(parse_expression(expression)).poset
+        found = _searched(poset, budget, level_cap, expect=False)
         # these rows record no subset count
-        report.rows.append({"instance": name, "elements": poset.n,
-                            "expected_elements": expected_n,
-                            "search": found["search"], "nodes": found["nodes"],
-                            "agree": (poset.n == expected_n
-                                      and found["search"] == "none")})
-    return report
+        yield {"instance": name, "elements": poset.n,
+               "expected_elements": expected_n,
+               "search": found["search"], "nodes": found["nodes"],
+               "agree": poset.n == expected_n and found["agree"]}
 
 
 class Family(NamedTuple):
@@ -435,14 +396,10 @@ FAMILIES = {
         {"side": (2, 5), **_WEDGE_PATH_BOUNDS}),
     "wedge-2d-box": Family("wedge-box", _wedge_2d_rows, {"side": (2, 5)}),
     "wedge-path-box": Family("wedge-box", _wedge_path_rows, _WEDGE_PATH_BOUNDS),
-    "union-wedge-diamond-equiv": Family(
-        "union-wedge-diamond-equiv",
-        lambda bounds, budget, level_cap: equivalence_suite(budget, level_cap).rows,
-        {}),
-    "cartesian-counterexamples": Family(
-        "cartesian-counterexamples",
-        lambda bounds, budget, level_cap: cartesian_counterexamples(budget, level_cap).rows,
-        {}),
+    "union-wedge-diamond-equiv": Family("union-wedge-diamond-equiv",
+                                        _equivalence_rows, {}),
+    "cartesian-counterexamples": Family("cartesian-counterexamples",
+                                        _cartesian_rows, {}),
 }
 
 # the reproduce targets that run a family's grid with its default bounds
@@ -452,24 +409,26 @@ GRID_TARGETS = {"thmA-grid": "union-wedge-diamond-equiv",
                 "thmC-grid": "heart"}
 
 
-def verify_family(spec: FamilySpec) -> GridReport:
+def verify_family(family: str, bounds: dict | None = None,
+                  budget: int | None = DEFAULT_BUDGET,
+                  level_cap: int = DEFAULT_LEVEL_CAP) -> GridReport:
     """Check the family's bounds, fill in their defaults and run its grid."""
-    if spec.family not in FAMILIES:
-        raise PosetError(f"unknown family {spec.family!r}")
-    family = FAMILIES[spec.family]
-    for key, (lo, hi) in spec.bounds.items():
-        if key not in family.bounds:
-            reads = ", ".join(f"{k}={a}:{b}" for k, (a, b) in family.bounds.items())
-            raise PosetError(f"{spec.family} reads no bound {key!r}; " + (
+    if family not in FAMILIES:
+        raise PosetError(f"unknown family {family!r}")
+    entry = FAMILIES[family]
+    bounds = bounds or {}
+    for key, (lo, hi) in bounds.items():
+        if key not in entry.bounds:
+            reads = ", ".join(f"{k}={a}:{b}" for k, (a, b) in entry.bounds.items())
+            raise PosetError(f"{family} reads no bound {key!r}; " + (
                 f"its bounds and defaults: {reads}" if reads else "it takes no bounds"))
         if lo > hi:
             raise PosetError(f"bound {key}={lo}:{hi} is empty (lo > hi)")
-        if lo < family.bounds[key][0]:
+        if lo < entry.bounds[key][0]:
             raise PosetError(f"bound {key}={lo}:{hi} starts below "
-                             f"{family.bounds[key][0]}, the least value of {key}")
-    bounds = {**family.bounds, **spec.bounds}
-    return GridReport(family.report,
-                      list(family.rows(bounds, spec.budget, spec.level_cap)))
+                             f"{entry.bounds[key][0]}, the least value of {key}")
+    return GridReport(entry.report,
+                      list(entry.rows({**entry.bounds, **bounds}, budget, level_cap)))
 
 
 # ----------------------------------------------------------- conjecture scan
@@ -517,40 +476,38 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
     n is not above the top degree).
     """
     report = GridReport("conjecture-6-7")
-    ideals = (("staircase" + "".join(str(h) for h in hs), staircase_ideal(hs))
-              for hs in two_variable_quotients(max_exp))
+    quotients = (("staircase" + "".join(str(h) for h in hs),
+                  standard_monomial_poset(staircase_ideal(hs)))
+                 for hs in two_variable_quotients(max_exp))
     if include_special:
-        ideals = itertools.chain(
-            ideals, [("special(y3,y2z,yz2,z3)", conj66_quotient_ideal())])
+        # the quotient of the known counterexample, and that product
+        special = evaluate(parse_expression(
+            CARTESIAN_TARGETS["conj66-counterexample"][1]))
+        quotients = itertools.chain(
+            quotients, [("special(y3,y2z,yz2,z3)", special.children[0].poset)])
 
-    for name, ideal in ideals:
-        ps = standard_monomial_poset(ideal)
-        base = find_macaulay_order(ps, budget=budget, level_cap=level_cap)
-        if base.status != "found":
+    for name, ps in quotients:
+        base = _searched(ps, budget, level_cap)
+        if base["search"] != "found":
             report.rows.append({"quotient": name, "slice": "base",
-                                "base": base.status, "agree": None,
-                                "nodes": base.stats.nodes,
-                                "subsets": base.stats.subsets_enumerated,
-                                "note": "not in conjecture scope" if base.status == "none"
+                                "base": base["search"], "agree": None,
+                                "nodes": base["nodes"], "subsets": base["subsets"],
+                                "note": "not in conjecture scope"
+                                if base["search"] == "none"
                                 else "base search inconclusive"})
             continue
         top = ps.max_rank
         for n in range(top + 1, top + 1 + extra_steps):
             prod = cartesian_product(ps, path(n - 1)).poset
             row = {"quotient": name, "slice": "conjecture67", "n": n,
-                   "elements": prod.n, **_searched(prod, budget, level_cap)}
+                   "elements": prod.n, **_searched(prod, budget, level_cap, True)}
             row["counterexample"] = row["search"] == "none"
-            row["agree"] = (None if row["search"] == "budget-exceeded"
-                            else not row["counterexample"])
             report.rows.append(row)
 
     if include_special:
         # known failure at n = top degree, kept as a regression row
-        ps = standard_monomial_poset(conj66_quotient_ideal())
-        prod = cartesian_product(ps, path(1)).poset
-        row = {"quotient": "special(y3,y2z,yz2,z3)",
-               "slice": "conj66-regression", "n": 2, "elements": prod.n,
-               **_searched(prod, budget, level_cap)}
-        row["agree"] = row["search"] == "none"
-        report.rows.append(row)
+        report.rows.append({"quotient": "special(y3,y2z,yz2,z3)",
+                            "slice": "conj66-regression", "n": 2,
+                            "elements": special.poset.n,
+                            **_searched(special.poset, budget, level_cap, False)})
     return report

@@ -14,8 +14,8 @@ import sys
 import traceback
 
 from . import __version__, classify
-from .construct import (adjoin_extreme, box, cartesian_product, diamond,
-                        disjoint_union, path, spider, wedge)
+from .construct import (adjoin_extreme, box, diamond, disjoint_union,
+                        spider, wedge)
 from .core import LevelSubset, PosetError, lower_shadow, upper_shadow
 from .expr import (ParseError, evaluate, parse_expression, parse_monomial,
                    parse_order, resolve_order)
@@ -182,18 +182,23 @@ def _parse_bounds(pairs):
     return bounds
 
 
+def _grid_code(rep):
+    """Every grid's exit code: 1 if a row disagrees, else 3 if a row is
+    inconclusive, else 0."""
+    return 1 if rep.disagreements else 3 if rep.inconclusive else 0
+
+
 def _grid_outcome(rep):
     """Print a grid's one-line summary; return its exit code."""
     print(f"{rep.family}: {len(rep.rows)} rows, "
           f"{len(rep.disagreements)} disagreements, "
           f"{len(rep.inconclusive)} inconclusive")
-    return 1 if rep.disagreements else 3 if rep.inconclusive else 0
+    return _grid_code(rep)
 
 
 def cmd_verify_family(args):
-    spec = classify.FamilySpec(args.family, _parse_bounds(args.bound),
-                               budget=args.budget, level_cap=args.level_cap)
-    rep = classify.verify_family(spec)
+    rep = classify.verify_family(args.family, _parse_bounds(args.bound),
+                                 budget=args.budget, level_cap=args.level_cap)
     code = _grid_outcome(rep)
     for d in rep.disagreements:
         print(f"  DISAGREEMENT: {d}")
@@ -208,21 +213,21 @@ def cmd_conjecture67(args):
         max_exp=args.max_exp, extra_steps=args.steps,
         include_special=not args.skip_special,
         budget=args.budget, level_cap=args.level_cap)
-    hits, code = _conj67_outcome(rep)
-    return code, build_report("conjecture67",
-                              f"max_exp={args.max_exp} steps={args.steps}",
-                              verdict="counterexample" if hits else "no-counterexample",
-                              grid=rep.to_json(), timings=rep.counters)
+    hits = _conj67_outcome(rep)
+    return _grid_code(rep), build_report(
+        "conjecture67", f"max_exp={args.max_exp} steps={args.steps}",
+        verdict="counterexample" if hits else "no-counterexample",
+        grid=rep.to_json(), timings=rep.counters)
 
 
 def _conj67_outcome(rep):
-    """Print a conjecture 6.7 scan's hits; return them and the exit code."""
+    """Print a conjecture 6.7 scan's hits; return them."""
     hits = [r for r in rep.rows if r.get("counterexample")]
     print(f"conjecture 6.7 scan: {len(rep.rows)} rows, "
           f"{len(hits)} counterexamples, {len(rep.inconclusive)} inconclusive")
     for h in hits:
         print(f"  COUNTEREXAMPLE: {h}")
-    return hits, (1 if hits else 3 if rep.inconclusive else 0)
+    return hits
 
 
 # ------------------------------------------------------------------ reproduce
@@ -256,27 +261,12 @@ def _reproduce_twist_figure(args):
     return (0 if v_twist.ok else 1), grid, {"search_nodes": 0, "subsets_enumerated": 0}
 
 
-def _search_target(poset, args, label):
+def _search_target(label, expression, args):
+    poset = _build(expression).poset
     sr = find_macaulay_order(poset, budget=args.budget, level_cap=args.level_cap)
     print(f"{label}: {poset.n} elements, search verdict: {sr.status}")
     grid = {"elements": poset.n, "search": sr.status}
     return SEARCH_EXIT[sr.status], grid, sr.stats.to_json()
-
-
-def _reproduce_prop61_product(args):
-    prod = cartesian_product(path(1), classify.y_poset()).poset
-    return _search_target(prod, args, "path(1) x Y")
-
-
-def _reproduce_prop61_ring_product(args):
-    prod = cartesian_product(classify.ring_product_factor(), path(1)).poset
-    return _search_target(prod, args, "ring-factor x path(1)")
-
-
-def _reproduce_conj66(args):
-    p = standard_monomial_poset(classify.conj66_quotient_ideal())
-    prod = cartesian_product(p, path(1)).poset
-    return _search_target(prod, args, "poset(y^3,y^2z,yz^2,z^3) x path(1)")
 
 
 def _reproduce_diamond_not_wedge(args):
@@ -326,23 +316,28 @@ def _reproduce_spider_union_fails(args):
 
 
 def _grid_target(family, args):
-    rep = classify.verify_family(classify.FamilySpec(
-        family, budget=args.budget, level_cap=args.level_cap))
+    rep = classify.verify_family(family, budget=args.budget,
+                                 level_cap=args.level_cap)
     return _grid_outcome(rep), rep.to_json(), rep.counters
 
 
 def _reproduce_conj67(args):
     rep = classify.conjecture_6_7_search(budget=args.budget,
                                          level_cap=args.level_cap)
-    return _conj67_outcome(rep)[1], rep.to_json(), rep.counters
+    _conj67_outcome(rep)
+    return _grid_code(rep), rep.to_json(), rep.counters
 
 
+# the label each cartesian counterexample's target prints
+_CARTESIAN_LABELS = {"prop61-product": "path(1) x Y",
+                     "prop61-ring-product": "ring-factor x path(1)",
+                     "conj66-counterexample": "poset(y^3,y^2z,yz^2,z^3) x path(1)"}
 REPRODUCE = {
     "heart-example": _reproduce_heart_example,
     "twist-figure": _reproduce_twist_figure,
-    "prop61-product": _reproduce_prop61_product,
-    "prop61-ring-product": _reproduce_prop61_ring_product,
-    "conj66-counterexample": _reproduce_conj66,
+    **{target: functools.partial(_search_target, label,
+                                 classify.CARTESIAN_TARGETS[target][1])
+       for target, label in _CARTESIAN_LABELS.items()},
     "diamond-not-wedge": _reproduce_diamond_not_wedge,
     "spider-union-fails": _reproduce_spider_union_fails,
     **{target: functools.partial(_grid_target, family)

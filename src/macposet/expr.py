@@ -61,6 +61,7 @@ class Explicit:
 
 
 _PUNCT = "(){},;^*"
+_DIGITS = "0123456789"  # not str.isdigit, which takes other scripts and superscripts
 
 
 class _Tokens:
@@ -84,9 +85,9 @@ class _Tokens:
                 self.toks.append(("STR", text[i + 1:j], i))
                 i = j + 1
                 continue
-            if c.isdigit():
+            if c in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.toks.append(("INT", int(text[i:j]), i))
                 i = j

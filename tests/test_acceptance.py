@@ -16,9 +16,7 @@ from macposet import (LevelSubset, box, check_macaulay, diamond,
                       new_shadow, pure_power_ideal, spider,
                       standard_monomial_poset, union_simplicial_order,
                       upper_shadow, wedge)
-from macposet.classify import (FamilySpec, cartesian_counterexamples,
-                               conjecture_6_7_search, hat_preservation_report,
-                               verify_family)
+from macposet.classify import conjecture_6_7_search, verify_family
 from macposet.cli import run_command
 from macposet.construct import adjoin_extreme
 
@@ -100,7 +98,7 @@ def test_criterion_02_shadow_formula_lemmas():
 
 def test_criterion_03_heart_classification_grid():
     t0 = time.time()
-    rep = verify_family(FamilySpec("heart", {"side": (1, 5)}))
+    rep = verify_family("heart", {"side": (1, 5)})
     recommended_ok = all(r.get("recommended_ok", True) for r in rep.rows)
     ok = rep.all_agree and not rep.inconclusive and recommended_ok
     report_line(3, ok, f"heart grid 1..5: {len(rep.rows)} tuples, "
@@ -133,7 +131,7 @@ def test_criterion_05_twist_figure():
 
 def test_criterion_06_diamond_classification_grid():
     t0 = time.time()
-    rep = verify_family(FamilySpec("diamond-box"))
+    rep = verify_family("diamond-box")
     ok = rep.all_agree and not rep.inconclusive
     report_line(6, ok, f"diamond-box grid: {len(rep.rows)} pairs, "
                        f"{len(rep.disagreements)} disagreements", t0)
@@ -141,7 +139,7 @@ def test_criterion_06_diamond_classification_grid():
 
 def test_criterion_07_wedge_classification_grids():
     t0 = time.time()
-    rep = verify_family(FamilySpec("wedge-box"))
+    rep = verify_family("wedge-box")
     ok = rep.all_agree and not rep.inconclusive
     kinds = {r["kind"] for r in rep.rows}
     ok &= kinds == {"2d", "path"}
@@ -179,15 +177,16 @@ def test_criterion_08_section3_equivalence_suite():
     ok &= us_ok
     ok &= find_macaulay_order(wedge([hat, uhat]).poset).status == "none"
     # hat preservation across the random corpus
-    hats = hat_preservation_report(count=50, max_elements=20)
-    ok &= hats.all_agree and len(hats.rows) == 50
+    hats = [r for r in verify_family("union-wedge-diamond-equiv").rows
+            if "poset" in r]
+    ok &= len(hats) == 50 and all(r["agree"] is True for r in hats)
     report_line(8, ok, "section-3 suite: boxes, spider, diamond-not-wedge, "
                        "hat corpus (50 posets)", t0)
 
 
 def test_criterion_09_section6_counterexamples():
     t0 = time.time()
-    rep = cartesian_counterexamples()
+    rep = verify_family("cartesian-counterexamples")
     sizes = [r["elements"] for r in rep.rows]
     verdicts = [r["search"] for r in rep.rows]
     ok = sizes == [8, 12, 10] and verdicts == ["none"] * 3

@@ -1,17 +1,20 @@
 import itertools
+import pathlib
+import re
 
 import pytest
 
 from macposet import (LevelSubset, PosetError, RankedPoset, box, check_macaulay,
-                      disjoint_union, find_macaulay_order, lex_order, path,
+                      disjoint_union, find_macaulay_order, lex_order,
                       twist_order, upper_shadow)
-from macposet.classify import (FamilySpec, build_heart, cartesian_counterexamples,
+from macposet.classify import (CARTESIAN_TARGETS, FAMILIES, build_heart,
                                conjecture_6_7_search, diamond_box_predicate,
                                heart_order_choice, heart_predicate,
-                               resolve_heart_order, ring_product_factor,
-                               staircase_ideal, two_variable_quotients,
+                               resolve_heart_order, staircase_ideal,
+                               two_variable_quotients,
                                union_simplicial_equivalence_check,
-                               verify_family, y_poset)
+                               verify_family)
+from macposet.expr import evaluate, parse_expression
 from macposet.orders import initial_segment
 
 from conftest import relabel_swap_xy
@@ -253,14 +256,14 @@ class TestInitialSegmentsGeneralLemma:
 
 class TestHarness:
     def test_heart_grid_small(self):
-        rep = verify_family(FamilySpec("heart", {"side": (1, 3)}))
+        rep = verify_family("heart", {"side": (1, 3)})
         assert rep.all_agree and not rep.inconclusive
         assert len(rep.rows) == 81
 
     def test_equivalence_instances(self):
         res = union_simplicial_equivalence_check([box(2, 2), box(2, 2)])
         assert res["agree"]
-        forms = {k: v.get("search") for k, v in res["forms"].items() if v["defined"]}
+        forms = {k: v for k, v in res["forms"].items() if v != "undefined"}
         assert set(forms.values()) == {"found"}
 
     def test_diamond_not_wedge_instance(self):
@@ -269,23 +272,46 @@ class TestHarness:
         res = union_simplicial_equivalence_check(
             [adjoin_extreme(b, "bottom"), adjoin_extreme(b, "top")])
         assert res["agree"]
-        assert res["forms"]["wedge"]["search"] == "none"
-        assert res["forms"]["diamond"]["search"] == "found"
+        assert res["forms"]["wedge"] == "none"
+        assert res["forms"]["diamond"] == "found"
 
     def test_cartesian_counterexamples(self):
-        rep = cartesian_counterexamples()
+        rep = verify_family("cartesian-counterexamples")
         assert rep.all_agree
         assert [r["search"] for r in rep.rows] == ["none"] * 3
         assert [r["elements"] for r in rep.rows] == [8, 12, 10]
 
     def test_ring_factor_is_macaulay_alone(self):
-        assert find_macaulay_order(ring_product_factor()).status == "found"
-        assert find_macaulay_order(y_poset()).status == "found"
-        assert find_macaulay_order(path(1)).status == "found"
+        # each factor of each named counterexample has an order alone:
+        # path(1), Y, the conj66 quotient and the ring factor
+        for _, expression, _ in CARTESIAN_TARGETS.values():
+            for factor in evaluate(parse_expression(expression)).children:
+                assert find_macaulay_order(factor.poset).status == "found"
 
     def test_unknown_family(self):
         with pytest.raises(PosetError):
-            verify_family(FamilySpec("nope"))
+            verify_family("nope")
+
+    def test_readme_family_table_matches_families(self):
+        """README's verify-family table lists every family with the
+        defaults of the bounds it reads; "none" is no bound, and
+        wedge-box reads the keys of both wedge rows."""
+        readme = pathlib.Path(__file__).parent.parent / "README.md"
+        table = readme.read_text().split("| family | bounds |\n")[1].split("\n\n")[0]
+        cells = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table, re.M))
+
+        def bounds(cell):
+            found = {k: (int(lo), int(hi))
+                     for k, lo, hi in re.findall(r"`(\w+)=(\d+):(\d+)`", cell)}
+            assert bool(found) != (cell == "none"), cell
+            return found
+
+        documented = {name: bounds(cell) for name, cell in cells.items()
+                      if name != "wedge-box"}
+        documented["wedge-box"] = {**documented["wedge-2d-box"],
+                                   **documented["wedge-path-box"]}
+        assert cells.keys() == FAMILIES.keys()
+        assert documented == {name: f.bounds for name, f in FAMILIES.items()}
 
 
 class TestConjectureScan:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macposet import box, cli, validate_poset, wedge
-from macposet.classify import FAMILIES
+from macposet.classify import CARTESIAN_TARGETS, FAMILIES, GRID_TARGETS
 from macposet.cli import REPRODUCE, run_command
 from macposet.expr import CALLS, MAX_NESTING
 from macposet.macaulay import _level_row
@@ -63,6 +63,36 @@ class TestExitCodes:
     def test_zero_counts_are_accepted(self):
         assert run(["search-order", "box(2,2)", "--budget", "0"]) == 3
         assert run(["conjecture67", "--max-exp", "0", "--steps", "0"]) == 0
+
+    @pytest.mark.parametrize("budget", ["0", "3"])
+    @pytest.mark.parametrize(
+        "argv", [["verify-family", family] for family in FAMILIES]
+        + [["reproduce", target] for target in GRID_TARGETS]
+        + [["conjecture67", "--max-exp", "2", "--steps", "1"]],
+        ids=lambda argv: argv[0] if argv[0] == "conjecture67" else argv[1])
+    def test_search_out_of_budget_is_never_a_verdict(self, argv, budget, tmp_path):
+        # the equivalence rows agreed (exit 0) and disagreed (exit 1) on
+        # searches that had run out of budget, the cartesian rows
+        # disagreed (exit 1), and the scan left its base rows out of
+        # the inconclusive ones
+        out = tmp_path / "r.json"
+        assert run(argv + ["--budget", budget, "--report", str(out)]) == 3
+        grid = json.loads(out.read_text())["grid"]
+        held = [r for r in grid["rows"] if "budget-exceeded" in json.dumps(r)]
+        assert held and all(r["agree"] is None for r in held)
+        assert grid["inconclusive"] == held
+
+    @pytest.mark.parametrize("argv, char, pos", [
+        (["show", "path(\u0663)"], "\u0663", 5),
+        (["show", "path(\u00b2)"], "\u00b2", 5),
+        (["shadow", "box(4,4)", "--set", "x^\u0663"], "\u0663", 2),
+    ], ids=["arabic-indic-three", "superscript-two", "set-exponent"])
+    def test_non_ascii_digit_is_unexpected_character(self, argv, char, pos, capsys):
+        # an Arabic-Indic three was read as 3 (path(3), x^3: exit 0) and
+        # a superscript two failed in int() with no position
+        assert run(argv) == 2
+        assert one_error_line(capsys) == (
+            f"error: unexpected character {char!r} (at position {pos})\n")
 
     @pytest.mark.parametrize("bound", ["dims=0:1", "side=1:2"])
     def test_bound_below_its_domain_names_the_bound(self, bound, capsys):
@@ -514,6 +544,15 @@ class TestReports:
         f = tmp_path / "m.txt"
         f.write_text("macposet-fibermap 1\n1\n0 0 0\n")
         assert run(["search-order", f'fiber(path(2), path(2), "{f}")']) == 0
+
+    @pytest.mark.parametrize("target", list(CARTESIAN_TARGETS))
+    def test_cartesian_target_searches_its_expression(self, target, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        expression = CARTESIAN_TARGETS[target][1]
+        code = run(["reproduce", target, "--report", str(a)])
+        assert run(["search-order", expression, "--report", str(b)]) == code
+        assert (json.loads(a.read_text())["timings"]
+                == json.loads(b.read_text())["timings"])
 
     def test_fuzzed_files_are_valid_before_editing(self, tmp_path):
         o, m = tmp_path / "o.txt", tmp_path / "m.txt"
