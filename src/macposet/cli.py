@@ -50,14 +50,19 @@ def _resolve_order(order_text, ev):
                          read_order_lists=_read_order_lists)
 
 
+def _ascii_int(text):
+    """``text`` as an int if it is ASCII digits only, else None: int()
+    also reads other scripts' digits, "_" separators, signs and spaces."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _parse_set(text, poset):
     ids = []
     for item in text.split(","):
         item = item.strip()
         if item.startswith("#"):
-            digits = item[1:]
-            k = int(digits) if digits.isascii() and digits.isdigit() else -1
-            if not 0 <= k < poset.n:
+            k = _ascii_int(item[1:])
+            if k is None or k >= poset.n:
                 raise PosetError(f"element {item} is not in this poset "
                                  f"of {poset.n} elements")
             ids.append(k)
@@ -174,11 +179,13 @@ def _parse_bounds(pairs):
     for item in pairs or []:
         key, _, rng = item.partition("=")
         lo, _, hi = rng.partition(":")
-        try:
-            bounds[key] = (int(lo), int(hi))
-        except ValueError:
+        lo, hi = _ascii_int(lo), _ascii_int(hi)
+        if lo is None or hi is None:
             raise PosetError(f"--bound {item!r}: expected key=lo:hi "
-                             "with integers lo and hi") from None
+                             "with lo and hi in ASCII digits")
+        if key in bounds:
+            raise PosetError(f"--bound {item!r}: bound {key!r} is given twice")
+        bounds[key] = (lo, hi)
     return bounds
 
 
@@ -203,7 +210,7 @@ def cmd_verify_family(args):
     for d in rep.disagreements:
         print(f"  DISAGREEMENT: {d}")
     report = build_report("verify-family", args.family,
-                          verdict="agree" if rep.all_agree else "disagree",
+                          verdict={0: "agree", 1: "disagree", 3: "budget-exceeded"}[code],
                           grid=rep.to_json(), timings=rep.counters)
     return code, report
 
@@ -214,9 +221,11 @@ def cmd_conjecture67(args):
         include_special=not args.skip_special,
         budget=args.budget, level_cap=args.level_cap)
     hits = _conj67_outcome(rep)
-    return _grid_code(rep), build_report(
+    code = _grid_code(rep)
+    return code, build_report(
         "conjecture67", f"max_exp={args.max_exp} steps={args.steps}",
-        verdict="counterexample" if hits else "no-counterexample",
+        verdict="budget-exceeded" if code == 3
+        else "counterexample" if hits else "no-counterexample",
         grid=rep.to_json(), timings=rep.counters)
 
 
@@ -360,13 +369,12 @@ def cmd_reproduce(args):
 # ----------------------------------------------------------------- entrypoint
 
 def _count(text: str) -> int:
-    """argparse type of the count flags: a negative count is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    """argparse type of the count flags: ASCII digits only, so a negative
+    count is a usage error."""
+    value = _ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer in ASCII digits, got {text!r}")
     return value
 
 

@@ -7,14 +7,22 @@ level.
 
 One vectorised numpy kernel (numpy >= 2.0 for ``np.bitwise_count``).
 A subset is split into a high and a low half of the level (from n = 17
-on, at least 12 low bits); the OR of every half-subset is tabled once,
-the low table sorted by cardinality.
-The 2^n full subsets are walked in blocks of ``BLOCK_SUBSETS``, and each
+on, at least 12 low bits); the OR of every half-subset is tabled once.
+Below n = 17 each half's table is sorted by cardinality and every pair
+of half-subsets is crossed.  From n = 17 on each half keeps only its
+distinct unions, each tagged with the most of the half's elements whose
+union it is, sorted by tag; on the levels of boxes and their relatives
+most half-subsets share their union with another (the 22-wide middle
+level of box(2,3,4,5) has 561 distinct low unions of 4096).
+The crossed pairs are walked in blocks of ``BLOCK_SUBSETS``, and each
 block costs three passes: OR a run of high rows into the low table,
 count bits, and take each row's minimum over every run of equal low
-cardinality.  That leaves a small matrix of group minima (rows x low
-cardinalities), whose minimum over each run of equal high cardinality
-and then over each q's groups is the row of minima.  No minimising
+cardinality (or tag).  That leaves a small matrix of group minima (rows
+x low runs), whose minimum over each high run is the minimum per (high,
+low) cardinality.  Tagged minima become those by a suffix minimum over
+both tags: any j elements of a set whose union is v have a union inside
+v, so a pair of unions tagged (c', j') bounds every (c, j) below it.
+The minimum over each q's groups is the row of minima.  No minimising
 subset is kept: a caller that needs one rebuilds it from rows of
 smaller levels.
 """
@@ -27,8 +35,8 @@ import math
 
 import numpy as np
 
-# subsets per block: at n = 24, 2^12 is slower and 2^16 no faster, and
-# larger blocks grow peak memory
+# crossed pairs per block: at n = 24 with every half-subset crossed,
+# 2^12 is slower and 2^16 no faster, and larger blocks grow peak memory
 BLOCK_SUBSETS = 1 << 14
 
 
@@ -54,10 +62,17 @@ def _card_runs(bits: int):
 def _plan(n: int, w: int):
     """What a level of n elements with w-word masks needs besides its
     masks: lo_bits, the size dtype, the low and high cardinality orders
-    and run starts, and the (high card, low card) groups listed by q."""
-    # from n = 17 on, 12 low bits: at 2^9-2^11 columns numpy's broadcast
-    # OR costs about 3x as much per element as at 2^12
-    lo_bits = max(12, (n + 1) // 2) if n >= 17 else (n + 1) // 2
+    and run starts, or None where each half is reduced to its distinct
+    unions, and the (high card, low card) groups listed by q."""
+    if n >= 17:
+        # 12 low bits: at 2^9-2^11 columns numpy's broadcast OR costs
+        # about 3x as much per element as at 2^12.  Only here do the
+        # halves shrink to their distinct unions: below, the sorts cost
+        # more than the repeats they save
+        lo_bits, runs = max(12, (n + 1) // 2), None
+    else:
+        lo_bits = (n + 1) // 2
+        runs = (*_card_runs(lo_bits), *_card_runs(n - lo_bits))
     hi_bits = n - lo_bits
     # a w-word size reaches 64 * w, which passes a uint8 from w = 4 on
     size_t = np.min_scalar_type(64 * w)
@@ -66,14 +81,38 @@ def _plan(n: int, w: int):
     cs = [range(max(0, q - lo_bits), min(hi_bits, q) + 1) for q in range(n + 1)]
     diag = [c * lo_bits + q for q, r in enumerate(cs) for c in r]
     diag_starts = list(itertools.accumulate(map(len, cs[:-1]), initial=0))
-    return (lo_bits, size_t, *_card_runs(lo_bits), *_card_runs(hi_bits),
-            *_frozen(np.array(diag), np.array(diag_starts)))
+    return lo_bits, size_t, runs, *_frozen(np.array(diag), np.array(diag_starts))
 
 
 def _sizes(unions: np.ndarray, w: int, size_t) -> np.ndarray:
     """Popcount of each union, summed over its words."""
     sizes = np.bitwise_count(unions)
     return sizes.sum(axis=-1, dtype=size_t) if w > 1 else sizes
+
+
+def _distinct(unions: np.ndarray, masks: np.ndarray):
+    """A half's distinct unions sorted by tag, where each present tag's
+    run starts, and those tags.  ``unions`` is the half's OR table, 1-D
+    for one-word masks, and ``masks`` its (k, w) rows.  A union's tag is
+    the most of the half's elements whose union it is: all those whose
+    masks lie inside it."""
+    if unions.ndim == 1:
+        unions = np.sort(unions)
+        new = unions[1:] != unions[:-1]
+        masks = masks[:, 0]
+    else:
+        unions = unions[np.lexsort(unions.T)]
+        new = np.any(unions[1:] != unions[:-1], axis=1)
+    unions = unions[np.concatenate(([True], new))]
+    inside = (masks[:, None] & ~unions) == 0
+    if unions.ndim > 1:
+        inside = np.all(inside, axis=2)
+    tags = inside.sum(axis=0, dtype=np.uint8)
+    counts = np.bincount(tags)
+    present = np.flatnonzero(counts)
+    runs = (np.cumsum(counts) - counts)[present]
+    # stable: a radix sort, for uint8 keys
+    return unions[np.argsort(tags, kind="stable")], runs, present
 
 
 def level_min_shadows(masks: np.ndarray) -> np.ndarray:
@@ -87,7 +126,7 @@ def level_min_shadows(masks: np.ndarray) -> np.ndarray:
     if masks.ndim != 2:
         raise ValueError("masks must be 2-D (n, words)")
     n, w = masks.shape
-    lo_bits, size_t, order, starts, hi_order, hi_starts, diag, diag_starts = _plan(n, w)
+    lo_bits, size_t, runs, diag, diag_starts = _plan(n, w)
     # OR tables of the low and the high rows, doubled side by side
     pairs = np.zeros((2, lo_bits, w), dtype=np.uint64)
     pairs.reshape(-1, w)[:n] = masks
@@ -97,12 +136,25 @@ def level_min_shadows(masks: np.ndarray) -> np.ndarray:
     lo, hi = table[:, 0], table[:1 << (n - lo_bits), 1]
     if w == 1:
         lo, hi = lo[:, 0], hi[:, 0]
-    lo_s, hi_s = lo[order], hi[hi_order][:, None]
-    rows = min(len(hi), max(1, BLOCK_SUBSETS >> lo_bits))
-    group = np.empty((len(hi), lo_bits + 1), dtype=size_t)
-    for r0 in range(0, len(hi), rows):
+    if runs is None:
+        lo_s, starts, lo_tags = _distinct(lo, masks[:lo_bits])
+        hi_s, hi_starts, hi_tags = _distinct(hi, masks[lo_bits:])
+    else:
+        order, starts, hi_order, hi_starts = runs
+        lo_s, hi_s = lo[order], hi[hi_order]
+    hi_s = hi_s[:, None]
+    rows = min(len(hi_s), max(1, BLOCK_SUBSETS // len(lo_s)))
+    group = np.empty((len(hi_s), len(starts)), dtype=size_t)
+    for r0 in range(0, len(hi_s), rows):
         # the block's three passes: OR, popcount, minimum per low run
         sizes = _sizes(hi_s[r0:r0 + rows] | lo_s, w, size_t)
         group[r0:r0 + rows] = np.minimum.reduceat(sizes, starts, axis=1)
-    best = np.minimum.reduceat(group, hi_starts, axis=0).reshape(-1)
-    return np.minimum.reduceat(best[diag], diag_starts).astype(np.int64)
+    best = np.minimum.reduceat(group, hi_starts, axis=0)
+    if runs is None:
+        # suffix minima over both tags: a pair tagged (c', j') bounds
+        # every (c, j) below it
+        tagged = np.full((n - lo_bits + 1, lo_bits + 1), np.iinfo(size_t).max, size_t)
+        tagged[hi_tags[:, None], lo_tags] = best
+        flipped = np.minimum.accumulate(tagged[::-1, ::-1], axis=0)
+        best = np.minimum.accumulate(flipped, axis=1)[::-1, ::-1]
+    return np.minimum.reduceat(best.reshape(-1)[diag], diag_starts).astype(np.int64)

@@ -82,6 +82,42 @@ class TestExitCodes:
         assert held and all(r["agree"] is None for r in held)
         assert grid["inconclusive"] == held
 
+    @pytest.mark.parametrize("argv, default_verdict", [
+        (["verify-family", "heart"], "agree"),
+        (["conjecture67", "--max-exp", "2", "--steps", "1"], "no-counterexample"),
+    ], ids=["verify-family", "conjecture67"])
+    def test_out_of_budget_report_verdict_is_budget_exceeded(
+            self, argv, default_verdict, tmp_path):
+        # both wrote their default verdict while exiting 3
+        out = tmp_path / "r.json"
+        assert run(argv + ["--budget", "0", "--report", str(out)]) == 3
+        assert json.loads(out.read_text())["verdict"] == "budget-exceeded"
+        assert run(argv + ["--report", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == default_verdict
+
+    @pytest.mark.parametrize("argv", [
+        ["search-order", "box(2,2)", "--budget", "\u0661\u0660"],
+        ["search-order", "box(2,2)", "--budget", "1_0"],
+        ["search-order", "box(2,2)", "--budget", " 5 "],
+        ["search-order", "box(2,2)", "--budget", "+5"],
+        ["conjecture67", "--max-exp", "\u0662"],
+        ["verify-family", "heart", "--bound", "side=1:\u0662"],
+        ["verify-family", "heart", "--bound", "side=0_1:2"],
+        ["verify-family", "heart", "--bound", "side=1:2", "--bound", "side=1:3"],
+    ], ids=["arabic-indic-budget", "underscore-budget", "spaced-budget",
+            "signed-budget", "arabic-indic-max-exp", "arabic-indic-bound",
+            "underscore-bound", "repeated-bound"])
+    def test_counts_and_bounds_are_ascii_digits_given_once(self, argv, capsys):
+        # int() read each of these: the commands ran (exit 0), the
+        # heart bounds ran 16 rows and the repeated key kept its last value,
+        # running 81 rows
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        if argv[-2:] == ["--bound", "side=1:3"]:
+            assert err == "error: --bound 'side=1:3': bound 'side' is given twice\n"
+        else:
+            assert "ASCII digits" in err
+
     @pytest.mark.parametrize("argv, char, pos", [
         (["show", "path(\u0663)"], "\u0663", 5),
         (["show", "path(\u00b2)"], "\u00b2", 5),

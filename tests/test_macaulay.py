@@ -268,6 +268,19 @@ class TestKernelBackends:
         masks = np.random.default_rng(n).integers(0, 2**8, size=(n, 1), dtype=np.uint64)
         assert_matches(masks, doubling_oracle)
 
+    def test_box_middle_level_matches_lex_shadows(self):
+        # lex is Macaulay on boxes, so the shadow sizes of its initial
+        # segments are the row: an oracle at a width no enumeration in
+        # this suite reaches, where 561 distinct low unions stand for
+        # 4096 low half-subsets
+        p = box(2, 3, 4, 5)
+        o = lex_order(p)
+        d = 5
+        assert len(p.level(d)) == 22
+        masks = macaulay._masks_as_array(macaulay.shadow_masks(p, d))
+        sizes = [len(upper_shadow(p, initial_segment(o, d, q))) for q in range(23)]
+        assert kernels.level_min_shadows(masks).tolist() == sizes
+
     def test_numpy_backend_table(self, small_corpus):
         for p in small_corpus[:3]:
             t = min_shadow_table(p)
@@ -301,6 +314,20 @@ def wide_level_masks(draw):
 
 
 @st.composite
+def distinct_union_levels(draw):
+    """Levels of 17 to 20 elements, where the kernel crosses each half's
+    distinct unions: dense full-range words, whose unions saturate, and
+    few-bit words, which tie, in rows drawn from a pool so that rows
+    repeat, all-zero among them."""
+    n = draw(st.integers(17, 20))
+    w = draw(st.sampled_from([1, 2]))
+    word_rows = st.lists(_mask_words, min_size=w, max_size=w)
+    pool = draw(st.lists(word_rows, min_size=1, max_size=n)) + [[0] * w]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.uint64)
+
+
+@st.composite
 def split_levels(draw):
     """Levels of SPLIT_MIN to 20 elements glued from a few component
     templates, each copy on cover bits of its own, with one-element
@@ -326,6 +353,13 @@ class TestKernelProperties:
     def test_wide_kernel_matches_reference(self, masks):
         # ties between rows and within a low run pin the first subset
         assert_matches(masks)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(distinct_union_levels())
+    def test_distinct_union_kernel_matches_full_enumeration(self, masks):
+        # from n = 17 on the kernel crosses distinct unions; the oracle
+        # tables every subset's union, and the rivals are rebuilt too
+        assert_matches(masks, doubling_oracle)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(split_levels())

@@ -10,19 +10,22 @@ unscaled times), each end-to-end metric's median and quartiles over the
 seeds with every run's value, and the per-layer metrics of the traced
 run.  Its ``kernel_by_width`` section holds the in-process time of one
 ``kernels.level_min_shadows`` call at n = 4, 8, ..., 24 on fixed seeded
-one-word masks: median and quartiles over every timed call, from a fresh
-interpreter per tree and round.  Its ``reproduce_by_target`` section
-holds the in-process wall time of each ``macposet reproduce`` target:
-each target runs alone in its own fresh interpreter, per tree and
-round, so its time does not depend on what the targets before it left
-behind (it pays every first-use cost itself, such as the kernel's
-per-width plans), and each target's median and quartiles are over the
-rounds.  A single target's fresh-interpreter times spread so widely
-that two trees' medians can differ by 20% with no change between them,
-so with several trees each round's two runs of a target are also
-paired: in every tree after the first, each target records
-``pairs_won``, the rounds in which it ran faster than in the first
-tree, out of ``pairs``, and ``median_ratio``, the median over the
+uniformly random one-word masks: median and quartiles over every timed
+call, from a fresh interpreter per tree and round.  Its
+``kernel_by_width_three_covers`` section does the same on fixed seeded
+masks that each have three cover bits over an n-wide next level: their
+unions repeat, as a box level's do, where random words' saturate.  Its
+``reproduce_by_target`` section holds the in-process wall time of each
+``macposet reproduce`` target: each target runs alone in its own fresh
+interpreter, per tree and round, so its time does not depend on what
+the targets before it left behind (it pays every first-use cost itself,
+such as the kernel's per-width plans), and each target's median and
+quartiles are over the rounds.  A single target's fresh-interpreter
+times spread so widely that two trees' medians can differ by 20% with
+no change between them, so with several trees each round's two runs of
+a target are also paired: in every tree after the first, each target
+records ``pairs_won``, the rounds in which it ran faster than in the
+first tree, out of ``pairs``, and ``median_ratio``, the median over the
 rounds of its time over the first tree's.  Its ``tier1_s`` holds the wall time of
 the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
 run in TREE with TREE's ``src/`` on the path: median and quartiles over
@@ -57,14 +60,22 @@ SEEDS = tuple(range(1101, 1111))
 KERNEL_WIDTHS = tuple(range(4, 25, 4))
 KERNEL_ROUNDS = 3
 # timed in a fresh interpreter: about 0.1 s of calls per width, after
-# one untimed call; the masks depend only on the width
+# one untimed call; the masks depend only on the width and argv[1]:
+# "random" masks are uniformly random 64-bit words, whose unions
+# saturate, and "covers" masks each have three cover bits over an
+# n-wide next level, whose unions repeat as a box level's do
 KERNEL_TIMER = """
 import json, sys, time
 import numpy as np
 from macposet import kernels
 out = {}
-for n in map(int, sys.argv[1:]):
-    masks = np.random.default_rng(n).integers(0, 2**64, (n, 1), dtype=np.uint64)
+for n in map(int, sys.argv[2:]):
+    rng = np.random.default_rng(n)
+    if sys.argv[1] == "random":
+        masks = rng.integers(0, 2**64, (n, 1), dtype=np.uint64)
+    else:
+        masks = np.array([[sum(1 << int(b) for b in rng.choice(n, 3, replace=False))]
+                          for _ in range(n)], dtype=np.uint64)
     kernels.level_min_shadows(masks)
     times = []
     while sum(times) < 0.1 or len(times) < 5:
@@ -237,8 +248,8 @@ def main():
                       file=sys.stderr)
         for t in trees:
             traced[t, w] = run_bench(t, w, SEEDS[0], seconds, 1)
-    kernel = fresh_rounds(trees, KERNEL_ROUNDS,
-                          lambda t: fresh_times(t, KERNEL_TIMER, KERNEL_WIDTHS))
+    kernel = {kind: fresh_rounds(trees, KERNEL_ROUNDS, lambda t: fresh_times(
+        t, KERNEL_TIMER, [kind, *KERNEL_WIDTHS])) for kind in ("random", "covers")}
     targets = fresh_times(trees[0], REPRODUCE_TARGETS)["targets"]
     reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS,
                              lambda t: reproduce_times(t, targets))
@@ -251,7 +262,8 @@ def main():
                 by_target[name].update(pair)
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
                "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
-               "kernel_by_width": summarise_times(kernel[t]),
+               "kernel_by_width": summarise_times(kernel["random"][t]),
+               "kernel_by_width_three_covers": summarise_times(kernel["covers"][t]),
                "reproduce_by_target": by_target,
                "tier1_s": summarise_times(tier1[t])["tier1_s"]}
         for w in workloads:
