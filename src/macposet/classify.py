@@ -14,7 +14,7 @@ from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
 from .core import PosetError, RankedPoset
 from .expr import evaluate, parse_expression
 from .ideals import ideal_from_generators, standard_monomial_poset
-from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
+from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, _check_against,
                        find_macaulay_order)
 from .orders import LevelOrderFamily, lex_order, twist_order
 
@@ -171,14 +171,20 @@ def _agree(claim, *statuses):
     return None if "budget-exceeded" in statuses else claim
 
 
-def _searched(poset, budget, level_cap, expect=None) -> dict:
+def _searched(poset, budget, level_cap, expect=None, recommended=None) -> dict:
     """One search as grid-row fields: its status, nodes and subsets and,
-    given whether an order is expected, whether the search agrees."""
+    given whether an order is expected, whether the search agrees.  Given
+    a recommended order family too, a conclusive row records whether that
+    order certifies the poset, checked against the search's own table,
+    and disagrees if it does not."""
     sr = find_macaulay_order(poset, budget=budget, level_cap=level_cap)
     row = {"search": sr.status, "nodes": sr.stats.nodes,
            "subsets": sr.stats.subsets_enumerated}
     if expect is not None:
         row["agree"] = _agree(expect == (sr.status == "found"), sr.status)
+        if recommended is not None and row["agree"] is not None:
+            row["recommended_ok"] = _check_against(poset, recommended, sr.table).ok
+            row["agree"] = row["agree"] and row["recommended_ok"]
     return row
 
 
@@ -194,15 +200,12 @@ def _heart_rows(bounds, budget, level_cap):
     for t in itertools.product(_span(bounds["side"]), repeat=4):
         pred = heart_predicate(*t)
         hp = build_heart(*t)
+        choice = heart_order_choice(*t) if pred else None
         row = {"params": list(t), "predicate": pred,
-               **_searched(hp, budget, level_cap, pred)}
-        if pred and row["agree"] is not None:
-            choice = heart_order_choice(*t)
+               **_searched(hp, budget, level_cap, pred,
+                           choice and resolve_heart_order(hp, choice))}
+        if "recommended_ok" in row:
             row["recommended"] = choice.to_json()
-            row["recommended_ok"] = check_macaulay(
-                hp, resolve_heart_order(hp, choice), level_cap=level_cap).ok
-            if not row["recommended_ok"]:
-                row["agree"] = False
         yield row
 
 
@@ -258,16 +261,21 @@ def union_simplicial_equivalence_check(ps, budget=DEFAULT_BUDGET,
     whenever defined.  Chain (1')(2')(3'): plain union => wedge =>
     diamond, Macaulayness may only appear, never disappear.  Each form
     maps to its search status, or "undefined"; only the forms whose
-    search finished are compared.
+    search finished are compared.  ``nodes`` and ``subsets`` sum the
+    counters of the forms' searches.
     """
     ps = list(ps)
+    counters = {"nodes": 0, "subsets": 0}
 
     def status(build):
         try:
             target = build()
         except PosetError:
             return "undefined"
-        return _searched(target, budget, level_cap)["search"]
+        row = _searched(target, budget, level_cap)
+        for key in counters:
+            counters[key] += row[key]
+        return row["search"]
 
     forms = {
         "union-of-min-removed": status(
@@ -288,7 +296,7 @@ def union_simplicial_equivalence_check(ps, budget=DEFAULT_BUDGET,
     chain_holds = chain == sorted(chain)
     return {"agree": _agree(equivalent and chain_holds, *forms.values()),
             "equivalent_forms_agree": equivalent, "chain_holds": chain_holds,
-            "forms": forms}
+            "forms": forms, **counters}
 
 
 def _random_hat_corpus(count=50, max_elements=20, seed=20240511):
@@ -339,6 +347,7 @@ def _equivalence_rows(bounds, budget, level_cap):
         yield {"poset": p.name, "elements": p.n,
                "base": base["search"], "hat": hat["search"],
                "nodes": base["nodes"] + hat["nodes"],
+               "subsets": base["subsets"] + hat["subsets"],
                "agree": _agree(base["search"] == hat["search"],
                                base["search"], hat["search"])}
 
@@ -367,10 +376,8 @@ def _cartesian_rows(bounds, budget, level_cap):
     for name, expression, expected_n in CARTESIAN_TARGETS.values():
         poset = evaluate(parse_expression(expression)).poset
         found = _searched(poset, budget, level_cap, expect=False)
-        # these rows record no subset count
         yield {"instance": name, "elements": poset.n,
-               "expected_elements": expected_n,
-               "search": found["search"], "nodes": found["nodes"],
+               "expected_elements": expected_n, **found,
                "agree": poset.n == expected_n and found["agree"]}
 
 

@@ -5,6 +5,7 @@ orders can tell which factor an element came from."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import PosetError, RankedPoset, validate_poset
@@ -34,6 +35,13 @@ class OperationResult:
     operation: str  # disjoint_union | wedge | diamond | fiber | cartesian
 
 
+# paths and boxes are memoised on their arguments, since their posets
+# are immutable: one pass of the 12 reproduce targets asks for 9
+# distinct paths and 35 distinct boxes, and each memo holds 64
+BUILD_CACHE = 64
+
+
+@functools.lru_cache(maxsize=BUILD_CACHE, typed=True)
 def path(d: int) -> RankedPoset:
     """Chain of d+1 elements at ranks 0..d."""
     if d < 0:
@@ -42,6 +50,7 @@ def path(d: int) -> RankedPoset:
                        name=f"path({d})")
 
 
+@functools.lru_cache(maxsize=BUILD_CACHE, typed=True)
 def box(*dims) -> RankedPoset:
     """Box poset: exponent vectors below the given caps, ordered by divisibility."""
     if not dims or any(d < 1 for d in dims):

@@ -248,6 +248,7 @@ class SearchResult:
     status: str  # found | none | budget-exceeded
     order: LevelOrderFamily | None
     stats: SearchStats
+    table: MinShadowTable  # the table searched against
 
 
 @functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
@@ -262,9 +263,45 @@ def _upper_twins(masks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
+def _search_memo(masks: tuple, budget: int | None, level_cap: int) -> list:
+    """The memo slot of the searches with these per-level shadow masks,
+    budget and level cap: empty until ``find_macaulay_order`` stores the
+    first one's outcome in it.  Slots are kept as the rows are, in a
+    cache of the same size."""
+    return []
+
+
 def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
                         level_cap: int = DEFAULT_LEVEL_CAP) -> SearchResult:
     """Search for an order family certifying Macaulayness.
+
+    A search depends on p only through its shadow masks, which fix the
+    level sizes, the table and every placement, so its outcome is
+    memoised on (masks, budget, level cap): the status, the nominal
+    counters, the table and the placed positions.  A poset met again
+    gets its own order, rebuilt from those positions, and fresh stats.
+    The found order is certified once, when it is first searched: the
+    check's verdict depends only on the masks and the positions, which
+    every later poset with this key shares.
+    """
+    slot = _search_memo(p._shadow_masks(), budget, level_cap)
+    if not slot:
+        r = _search(p, budget, level_cap)
+        placed = r.order and tuple(p.pos_in_level[i] for lv in r.order.per_level for i in lv)
+        slot.append((r.status, r.stats.nodes, r.stats.charged, r.table, placed))
+        return r
+    status, nodes, charged, table, placed = slot[0]
+    order = None
+    if status == "found":
+        placed = iter(placed)
+        order = order_from_lists(p, [[lv[next(placed)] for _ in lv] for lv in p.levels])
+    return SearchResult(status, order,
+                        SearchStats(nodes, table.subsets_enumerated, charged), table)
+
+
+def _search(p: RankedPoset, budget: int | None, level_cap: int) -> SearchResult:
+    """The search of ``find_macaulay_order``, with no memo.
 
     Level orders are built top-down by rank.  Condition (1) forces every
     prefix of a level order to achieve the table minimum, which prunes
@@ -329,7 +366,7 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
             nodes += 1
             if nodes > limit:
                 stats.nodes, stats.charged = nodes, charged
-                return SearchResult("budget-exceeded", None, stats)
+                return SearchResult("budget-exceeded", None, stats, table)
             k = low.bit_length() - 1
             sh = shadow | masks[k]
             if sh.bit_count() == need:
@@ -338,14 +375,14 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
                 cost = COST[t, masks[k]]
                 if nodes + cost > limit:
                     stats.nodes, stats.charged = limit + 1, charged + limit + 1 - nodes
-                    return SearchResult("budget-exceeded", None, stats)
+                    return SearchResult("budget-exceeded", None, stats, table)
                 nodes += cost
                 charged += cost
         else:
             t -= 1
             if t < 0:
                 stats.nodes, stats.charged = nodes, charged
-                return SearchResult("none", None, stats)
+                return SearchResult("none", None, stats, table)
             if U[t]:  # charge the untried twins of k what k cost
                 k, d = K[t], LV[t]
                 if level_twins[d] is None:
@@ -381,7 +418,7 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     verdict = _check_against(p, order, table)
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
-    return SearchResult("found", order, stats)
+    return SearchResult("found", order, stats, table)
 
 
 def new_shadow(o: LevelOrderFamily, d: int, start: int, stop: int) -> LevelSubset:

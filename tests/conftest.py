@@ -187,14 +187,14 @@ def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
         if not untried:
             stack.pop()
             if not stack:
-                return SearchResult("none", None, stats)
+                return SearchResult("none", None, stats, table)
             chosen[stack[-1][0]].pop()
             continue
         low = untried & -untried
         frame[4] = untried ^ low
         stats.nodes += 1
         if budget is not None and stats.nodes > budget:
-            return SearchResult("budget-exceeded", None, stats)
+            return SearchResult("budget-exceeded", None, stats, table)
         k = low.bit_length() - 1
         sh = shadow | level_masks[d][k]
         order = chosen[d]
@@ -216,7 +216,7 @@ def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
     verdict = check_macaulay(p, order, level_cap=level_cap)
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
-    return SearchResult("found", order, stats)
+    return SearchResult("found", order, stats, table)
 
 
 def reference_glue(ps, operation):

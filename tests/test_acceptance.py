@@ -238,7 +238,7 @@ PINNED = {
         "5b2d114bbf62c7a0f1dbfe943186c791b185d0a7e1f4e393439b71547ff6f055"),
     "thmA-grid": (0,
         "6ccc5f085d0376603c59259b26d6dfe490eabf3d9d5dfb01e86b140271897fb4",
-        "78741ed3ff5a081a66940b943eb754ab947d16997d58f345ed29f3f6806edbde"),
+        "f1319257568441cfa998b986fb0f7c856491d007d2e025a6b5adaf0e9d6eec74"),
     "thmB-wedge-grid": (0,
         "9514043ce4d02b845380dbaa7b20b44fd54899c2287094cbcc2a53d0f791f98b",
         "c5f359a32aa1e05c3991e875b7ef552a7ff40a682a7eef8e73b55c5636526b3d"),

@@ -7,6 +7,7 @@ import pytest
 from macposet import (LevelSubset, PosetError, RankedPoset, box, check_macaulay,
                       disjoint_union, find_macaulay_order, lex_order,
                       twist_order, upper_shadow)
+from macposet import classify
 from macposet.classify import (CARTESIAN_TARGETS, FAMILIES, build_heart,
                                conjecture_6_7_search, diamond_box_predicate,
                                heart_order_choice, heart_predicate,
@@ -287,6 +288,30 @@ class TestHarness:
         for _, expression, _ in CARTESIAN_TARGETS.values():
             for factor in evaluate(parse_expression(expression)).children:
                 assert find_macaulay_order(factor.poset).status == "found"
+
+    @pytest.mark.parametrize("grid", [
+        ("heart", {"side": (1, 3)}),
+        ("diamond-box", {"side": (2, 3)}),
+        ("wedge-box", {"side": (2, 3), "path": (1, 3)}),
+        ("union-wedge-diamond-equiv", {}),
+        ("cartesian-counterexamples", {}),
+    ], ids=lambda grid: grid[0])
+    def test_counters_sum_every_search(self, grid, monkeypatch):
+        # every search a grid makes, a memo hit included, adds its
+        # nominal counters to the grid's
+        made = []
+        real = classify.find_macaulay_order
+
+        def counted(*args, **kwargs):
+            r = real(*args, **kwargs)
+            made.append(r.stats)
+            return r
+
+        monkeypatch.setattr(classify, "find_macaulay_order", counted)
+        rep = verify_family(*grid)
+        assert made and rep.counters == {
+            "search_nodes": sum(s.nodes for s in made),
+            "subsets_enumerated": sum(s.subsets_enumerated for s in made)}
 
     def test_unknown_family(self):
         with pytest.raises(PosetError):

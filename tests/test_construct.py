@@ -41,6 +41,24 @@ class TestConstructors:
         assert are_isomorphic(spider(3).poset, path(3)) is not None
 
 
+class TestBuildMemo:
+    def test_same_arguments_same_poset(self):
+        assert box(2, 3) is box(2, 3)
+        assert path(4) is path(4)
+        assert box(2, 3) is not box(3, 2)
+
+    def test_gluing_and_hatting_leave_a_memoised_box_unchanged(self):
+        b = box(2, 3)
+        before = poset_to_text(b)
+        for op in (disjoint_union, wedge, diamond):
+            op([b, b])
+        cartesian_product(b, b)
+        for which in ("top", "bottom"):
+            remove_extreme(adjoin_extreme(b, which), which)
+            remove_extreme(b, which)
+        assert poset_to_text(box(2, 3)) == before
+
+
 class TestDisjointUnion:
     def test_two_paths(self):
         res = disjoint_union([path(1), path(1)])

@@ -97,8 +97,10 @@ class TestMinShadowTable:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The width of every kernel call, from an empty row memo."""
+    """The width of every kernel call, from empty row and search memos,
+    so that no search is answered without building its table."""
     _level_row.cache_clear()
+    macaulay._search_memo.cache_clear()
     calls = []
     real = kernels.level_min_shadows
 
@@ -455,7 +457,10 @@ class TestCheckMacaulay:
             assert check_macaulay(p, fam).ok
 
     def test_mismatched_family_rejected(self):
-        p, q = box(2, 2), box(2, 2)
+        # boxes are memoised, so q is an equal copy of p built by hand
+        p = box(2, 2)
+        q = RankedPoset(p.rank, [(a, b) for a in range(p.n) for b in p.up[a]],
+                        p.labels, p.var_names, p.name)
         with pytest.raises(PosetError):
             check_macaulay(p, lex_order(q))
 
@@ -605,6 +610,60 @@ class TestSearchProperties:
         got, want = find_macaulay_order(p, budget), reference_search(p, budget)
         assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
         assert (got.order and got.order.per_level) == (want.order and want.order.per_level)
+
+
+@st.composite
+def same_mask_pairs(draw):
+    """A small ranked poset and a copy whose ids are dealt out to the
+    levels in another drawn order, each level keeping its own order, so
+    the copy's shadow masks equal the poset's."""
+    p = draw(small_ranked_posets(max_width=4))
+    ranks = draw(st.permutations(p.rank))
+    ids = [[i for i, r in enumerate(ranks) if r == d] for d in range(len(p.levels))]
+    new = {i: ids[d][k] for d, lv in enumerate(p.levels) for k, i in enumerate(lv)}
+    q = RankedPoset(ranks, [(new[a], new[b]) for a in range(p.n) for b in p.up[a]])
+    assert q._shadow_masks() == p._shadow_masks()
+    return p, q
+
+
+class TestSearchMemo:
+    """Searches are memoised on (shadow masks, budget, level cap)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(same_mask_pairs(), st.sampled_from([0, 3, 37, None]))
+    def test_memo_matches_the_search_body(self, pair, budget):
+        # the copy, and then the poset again, are answered from the memo
+        macaulay._search_memo.cache_clear()
+        for p in (*pair, pair[0]):
+            got = find_macaulay_order(p, budget)
+            want = macaulay._search(p, budget, macaulay.DEFAULT_LEVEL_CAP)
+            assert (got.status, got.stats.nodes, got.stats.subsets_enumerated) == (
+                want.status, want.stats.nodes, want.stats.subsets_enumerated)
+            assert got.table == want.table
+            if got.status == "found":
+                assert got.order.poset is p
+                assert got.order.per_level == want.order.per_level
+                assert check_macaulay(p, got.order).ok
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_ranked_posets(max_width=4))
+    def test_budget_and_level_cap_are_in_the_key(self, p):
+        macaulay._search_memo.cache_clear()
+        find_macaulay_order(p)
+        for budget in (0, 3):
+            got = find_macaulay_order(p, budget)
+            want = macaulay._search(p, budget, macaulay.DEFAULT_LEVEL_CAP)
+            assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
+        with pytest.raises(LevelCapExceeded):
+            find_macaulay_order(p, level_cap=max(map(len, p.levels)) - 1)
+
+    def test_hit_on_the_empty_poset_has_an_order(self):
+        # a found order with no levels places no position at all
+        p = evaluate(parse_expression("poset(ideal(1))")).poset
+        macaulay._search_memo.cache_clear()
+        for _ in range(2):
+            r = find_macaulay_order(p)
+            assert (r.status, r.order.poset, r.order.per_level) == ("found", p, ())
 
 
 class TestTwinCharge:

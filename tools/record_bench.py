@@ -26,8 +26,15 @@ no change between them, so with several trees each round's two runs of
 a target are also paired: in every tree after the first, each target
 records ``pairs_won``, the rounds in which it ran faster than in the
 first tree, out of ``pairs``, and ``median_ratio``, the median over the
-rounds of its time over the first tree's.  Its ``tier1_s`` holds the wall time of
-the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
+rounds of its time over the first tree's.  Each target also records
+``searches_asked``, the order searches it asks for, and
+``searches_run``, those that ran rather than being answered from the
+search memo; both are counted once per tree, in an untimed fresh
+interpreter per target, and ``reproduce_pass_searches`` holds the same
+two counts for all the targets run in turn in one interpreter, as a
+benchmark pass runs them.  A tree without a search memo runs every
+search it asks for.  Its ``tier1_s`` holds the wall time of the tier-1
+suite, ``python -m pytest -q --continue-on-collection-errors``
 run in TREE with TREE's ``src/`` on the path: median and quartiles over
 TIER1_ROUNDS runs per tree.
 
@@ -107,6 +114,37 @@ with contextlib.redirect_stdout(io.StringIO()):
 if code not in (0, 1):
     sys.exit(f"reproduce {name} exited {code}")
 print(json.dumps({name: [elapsed]}))
+"""
+# counts the searches that the targets named in argv ask for, through
+# find_macaulay_order wherever it was imported, and those that run the
+# search body, macaulay._search, behind the memo
+SEARCH_COUNTER = """
+import contextlib, io, json, sys
+from macposet import cli, macaulay
+counts = {"asked": 0, "run": 0}
+
+def counted(fn, *keys):
+    def call(*args, **kwargs):
+        for key in keys:
+            counts[key] += 1
+        return fn(*args, **kwargs)
+    return call
+
+search, body = macaulay.find_macaulay_order, getattr(macaulay, "_search", None)
+asked = counted(search, "asked") if body else counted(search, "asked", "run")
+for mod in [m for n, m in sys.modules.items() if n.startswith("macposet")]:
+    for attr, val in list(vars(mod).items()):
+        if val is search:
+            setattr(mod, attr, asked)
+if body:
+    macaulay._search = counted(body, "run")
+out = {}
+for name in sys.argv[1:]:
+    seen = dict(counts)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run_command(["reproduce", name])
+    out[name] = {key: counts[key] - seen[key] for key in counts}
+print(json.dumps(out))
 """
 TIER1_ROUNDS = 3
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -254,17 +292,25 @@ def main():
     reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS,
                              lambda t: reproduce_times(t, targets))
     tier1 = fresh_rounds(trees, TIER1_ROUNDS, tier1_times)
+    searches = {t: {name: fresh_times(t, SEARCH_COUNTER, [name])[name] for name in targets}
+                for t in trees}
+    one_pass = {t: fresh_times(t, SEARCH_COUNTER, targets) for t in trees}
 
     for t, out in zip(trees, outs):
         by_target = summarise_times(reproduce[t])
         if t != trees[0]:
             for name, pair in paired(reproduce[t], reproduce[trees[0]]).items():
                 by_target[name].update(pair)
+        for name, counts in searches[t].items():
+            by_target[name].update(searches_asked=counts["asked"],
+                                   searches_run=counts["run"])
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
                "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
                "kernel_by_width": summarise_times(kernel["random"][t]),
                "kernel_by_width_three_covers": summarise_times(kernel["covers"][t]),
                "reproduce_by_target": by_target,
+               "reproduce_pass_searches": {key: sum(c[key] for c in one_pass[t].values())
+                                           for key in ("asked", "run")},
                "tier1_s": summarise_times(tier1[t])["tier1_s"]}
         for w in workloads:
             runs = plain[t, w]
