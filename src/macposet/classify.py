@@ -509,6 +509,9 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
             row = {"quotient": name, "slice": "conjecture67", "n": n,
                    "elements": prod.n, **_searched(prod, budget, level_cap, True)}
             row["counterexample"] = row["search"] == "none"
+            if n == top + 1:  # a found base has no row: its first product row counts it
+                row["nodes"] += base["nodes"]
+                row["subsets"] += base["subsets"]
             report.rows.append(row)
 
     if include_special:

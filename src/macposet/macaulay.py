@@ -138,6 +138,21 @@ def _first_minimiser(masks: tuple[int, ...], q: int, best: int) -> int:
     return chosen
 
 
+def _check_level_cap(p: RankedPoset, level_cap: int) -> None:
+    if level_cap > 30:
+        raise LevelCapExceeded("level cap above 30 is not supported")
+    for d, lv in enumerate(p.levels):
+        if len(lv) > level_cap:
+            raise LevelCapExceeded(f"level {d} has {len(lv)} elements, cap is {level_cap}; "
+                                   "raise --level-cap if this is intended")
+
+
+def _table(level_masks) -> MinShadowTable:
+    """The table of the levels whose shadow masks are ``level_masks``."""
+    return MinShadowTable(tuple(map(_level_row, level_masks)),
+                          sum(1 << len(masks) for masks in level_masks))
+
+
 def min_shadow_table(p: RankedPoset,
                      level_cap: int = DEFAULT_LEVEL_CAP) -> MinShadowTable:
     """Exact per-level minima by enumerating all subsets of each level.
@@ -146,17 +161,8 @@ def min_shadow_table(p: RankedPoset,
     again, in this poset or another, is not enumerated again while it
     is among the ``LEVEL_ROW_CACHE`` most recently used rows.
     """
-    if level_cap > 30:
-        raise LevelCapExceeded("level cap above 30 is not supported")
-    for d in range(p.max_rank + 1):
-        if len(p.level(d)) > level_cap:
-            raise LevelCapExceeded(
-                f"level {d} has {len(p.level(d))} elements, cap is {level_cap}; "
-                "raise --level-cap if this is intended")
-
-    rows = tuple(_level_row(shadow_masks(p, d)) for d in range(p.max_rank + 1))
-    total = sum(1 << len(p.level(d)) for d in range(p.max_rank + 1))
-    return MinShadowTable(rows, total)
+    _check_level_cap(p, level_cap)
+    return _table(p._shadow_masks())
 
 
 def _prefix_masks(o: LevelOrderFamily, d: int):
@@ -185,47 +191,54 @@ def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
     return _check_against(p, o, min_shadow_table(p, level_cap=level_cap))
 
 
+def _first_failure(level_masks, orders, mins):
+    """The first (level d, size q, shadow), in lexicographic order, whose
+    initial q-segment of ``orders[d]``, level d's positions largest first,
+    has a shadow above the minimum ``mins[d][q]`` (condition (1)) or not
+    an initial segment of level d+1 (condition (2)); None if there is none."""
+    for d, (masks, order) in enumerate(zip(level_masks, orders)):
+        prefix_of_size = [0]
+        for k in orders[d + 1] if d + 1 < len(orders) else ():
+            prefix_of_size.append(prefix_of_size[-1] | 1 << k)
+        shadow = 0
+        for q, k in enumerate(order, 1):
+            shadow |= masks[k]
+            size = shadow.bit_count()
+            if size != mins[d][q] or shadow != prefix_of_size[size]:
+                return d, q, shadow
+    return None
+
+
 def _check_against(p: RankedPoset, o: LevelOrderFamily,
                    table: MinShadowTable) -> Verdict:
-    """``check_macaulay`` against a table already built for p."""
-    for d in range(p.max_rank + 1):
-        masks = _prefix_masks(o, d)
-        nxt_order = o.descending(d + 1)
-        nxt_pos = [p.pos_in_level[i] for i in nxt_order]
-        prefix_of_size = [0]
-        acc = 0
-        for k in nxt_pos:
-            acc |= 1 << k
-            prefix_of_size.append(acc)
-        shadow = 0
-        for q in range(len(masks) + 1):
-            if q > 0:
-                shadow |= masks[q - 1]
-            size = shadow.bit_count()
-            best = table.entry(d, q)
-            if size != best:
-                seg = o.descending(d)[:q]
-                # the rival is the first minimiser in ascending binary
-                # order; the table keeps no minimisers, so it is rebuilt
-                # from the memoised rows of the level's lower positions
-                rival = _first_minimiser(shadow_masks(p, d), q, best)
-                return Verdict.failing(Witness(
-                    "min-shadow-beaten", level=d, q=q,
-                    elements=tuple(seg),
-                    rival=_level_pos_bits_to_ids(p, d, rival),
-                    sizes=(size, best),
-                    detail=f"initial segment of size {q} at level {d} has shadow "
-                           f"{size}, minimum is {best}"))
-            if shadow != prefix_of_size[size]:
-                seg = o.descending(d)[:q]
-                return Verdict.failing(Witness(
-                    "shadow-not-initial", level=d, q=q,
-                    elements=_level_pos_bits_to_ids(p, d + 1, shadow),
-                    rival=tuple(nxt_order[:size]),
-                    sizes=(size,),
-                    detail=f"shadow of the size-{q} initial segment at level {d} "
-                           f"is not an initial segment of level {d + 1}"))
-    return Verdict.passing()
+    """``check_macaulay`` against a table already built for p: the first
+    failure, with its witness."""
+    pos, level_masks = p.pos_in_level, p._shadow_masks()
+    orders = [[pos[i] for i in o.descending(d)] for d in range(len(p.levels))]
+    failure = _first_failure(level_masks, orders, table.mins)
+    if failure is None:
+        return Verdict.passing()
+    d, q, shadow = failure
+    size, best = shadow.bit_count(), table.entry(d, q)
+    if size != best:
+        # the rival is the first minimiser in ascending binary order; the
+        # table keeps no minimisers, so it is rebuilt from the memoised
+        # rows of the level's lower positions
+        rival = _first_minimiser(level_masks[d], q, best)
+        return Verdict.failing(Witness(
+            "min-shadow-beaten", level=d, q=q,
+            elements=tuple(o.descending(d)[:q]),
+            rival=_level_pos_bits_to_ids(p, d, rival),
+            sizes=(size, best),
+            detail=f"initial segment of size {q} at level {d} has shadow "
+                   f"{size}, minimum is {best}"))
+    return Verdict.failing(Witness(
+        "shadow-not-initial", level=d, q=q,
+        elements=_level_pos_bits_to_ids(p, d + 1, shadow),
+        rival=tuple(o.descending(d + 1)[:size]),
+        sizes=(size,),
+        detail=f"shadow of the size-{q} initial segment at level {d} "
+               f"is not an initial segment of level {d + 1}"))
 
 
 @dataclass
@@ -251,11 +264,9 @@ class SearchResult:
     table: MinShadowTable  # the table searched against
 
 
-@functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
 def _upper_twins(masks: tuple[int, ...]) -> tuple[int, ...]:
     """Per position k of a level whose shadow masks are ``masks``, the
-    bitmask of the positions above k with k's mask: k's twins.  Memoised
-    as the rows are, in a cache of the same size."""
+    bitmask of the positions above k with k's mask: k's twins."""
     out, above = [0] * len(masks), {}
     for k in range(len(masks) - 1, -1, -1):
         out[k] = above.get(masks[k], 0)
@@ -263,52 +274,38 @@ def _upper_twins(masks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
-def _search_memo(masks: tuple, budget: int | None, level_cap: int) -> list:
-    """The memo slot of the searches with these per-level shadow masks,
-    budget and level cap: empty until ``find_macaulay_order`` stores the
-    first one's outcome in it.  Slots are kept as the rows are, in a
-    cache of the same size."""
-    return []
-
-
 def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
                         level_cap: int = DEFAULT_LEVEL_CAP) -> SearchResult:
     """Search for an order family certifying Macaulayness.
 
-    A search depends on p only through its shadow masks, which fix the
-    level sizes, the table and every placement, so its outcome is
-    memoised on (masks, budget, level cap): the status, the nominal
-    counters, the table and the placed positions.  A poset met again
-    gets its own order, rebuilt from those positions, and fresh stats.
-    The found order is certified once, when it is first searched: the
-    check's verdict depends only on the masks and the positions, which
-    every later poset with this key shares.
+    The level cap is checked before p's shadow masks are derived.  The
+    search sees p only through those masks and is memoised on them and
+    the budget, so every poset with the same masks gets the same status,
+    nominal counters and table, its own order rebuilt from the placed
+    positions, and fresh stats.
     """
-    slot = _search_memo(p._shadow_masks(), budget, level_cap)
-    if not slot:
-        r = _search(p, budget, level_cap)
-        placed = r.order and tuple(p.pos_in_level[i] for lv in r.order.per_level for i in lv)
-        slot.append((r.status, r.stats.nodes, r.stats.charged, r.table, placed))
-        return r
-    status, nodes, charged, table, placed = slot[0]
-    order = None
-    if status == "found":
-        placed = iter(placed)
-        order = order_from_lists(p, [[lv[next(placed)] for _ in lv] for lv in p.levels])
+    _check_level_cap(p, level_cap)
+    status, nodes, charged, table, placed = _search(p._shadow_masks(), budget)
+    order = None if placed is None else order_from_lists(
+        p, [[lv[k] for k in ks] for lv, ks in zip(p.levels, placed)])
     return SearchResult(status, order,
                         SearchStats(nodes, table.subsets_enumerated, charged), table)
 
 
-def _search(p: RankedPoset, budget: int | None, level_cap: int) -> SearchResult:
-    """The search of ``find_macaulay_order``, with no memo.
+@functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
+def _search(level_masks: tuple, budget: int | None) -> tuple:
+    """The search of ``find_macaulay_order`` on the levels whose shadow
+    masks are ``level_masks``: (status, nominal nodes, charged, table,
+    placed), where ``placed`` lists each level's positions, largest
+    first, for a found order, certified against the table, and is None
+    otherwise.  Memoised as the rows are, in a cache of the same size.
 
     Level orders are built top-down by rank.  Condition (1) forces every
     prefix of a level order to achieve the table minimum, which prunes
     placements immediately; condition (2) forces the next level's order
     to interleave the successive difference sets of the prefix-shadow
     chain, so only those interleavings are explored.  Ties are always
-    broken by ascending element id, making the outcome deterministic.
+    broken by ascending position, making the outcome deterministic.
     An exhausted search is a definitive "none"; hitting the node budget
     is reported as its own outcome.
 
@@ -339,24 +336,21 @@ def _search(p: RankedPoset, budget: int | None, level_cap: int) -> SearchResult:
     and if the sum passes the budget the search stops at a count of
     budget + 1, as the full search would.  So the node count is nominal:
     at every budget it equals that of the search without the charge.
-    ``stats.charged`` counts the nodes added.
+    ``charged`` counts the nodes added.
     """
-    table = min_shadow_table(p, level_cap=level_cap)
-    stats = SearchStats(subsets_enumerated=table.subsets_enumerated)
-    levels = p.levels
-    level_masks = [shadow_masks(p, d) for d in range(len(levels))]
-    level_twins = [None] * len(levels)  # derived at a level's first failure
-    LV = [d for d, lv in enumerate(levels) for _ in lv]
+    table = _table(level_masks)
+    level_twins = [None] * len(level_masks)  # derived at a level's first failure
+    LV = [d for d, masks in enumerate(level_masks) for _ in masks]
     MASKS = [level_masks[d] for d in LV]
     NEED = [m for row in table.mins for m in row[1:]]  # minimum at each depth
     n = len(LV)
     U, R, K, B, N, S = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n, [0] * (n + 1)
     TW, COST = [0] * (n + 1), {}
-    blocks = [None] * len(levels)
+    blocks = [None] * len(level_masks)
     limit = float("inf") if budget is None else budget
     nodes = charged = t = 0
     if n:  # the lowest level is one block
-        blocks[LV[0]] = [(1 << len(levels[LV[0]])) - 1]
+        blocks[LV[0]] = [(1 << len(MASKS[0])) - 1]
         U[0] = R[0] = blocks[LV[0]][0]
     while t < n:
         untried, masks, need, shadow, twins = U[t], MASKS[t], NEED[t], S[t], TW[t]
@@ -365,8 +359,7 @@ def _search(p: RankedPoset, budget: int | None, level_cap: int) -> SearchResult:
             untried ^= low
             nodes += 1
             if nodes > limit:
-                stats.nodes, stats.charged = nodes, charged
-                return SearchResult("budget-exceeded", None, stats, table)
+                return "budget-exceeded", nodes, charged, table, None
             k = low.bit_length() - 1
             sh = shadow | masks[k]
             if sh.bit_count() == need:
@@ -374,15 +367,14 @@ def _search(p: RankedPoset, budget: int | None, level_cap: int) -> SearchResult:
                     break
                 cost = COST[t, masks[k]]
                 if nodes + cost > limit:
-                    stats.nodes, stats.charged = limit + 1, charged + limit + 1 - nodes
-                    return SearchResult("budget-exceeded", None, stats, table)
+                    return ("budget-exceeded", limit + 1, charged + limit + 1 - nodes,
+                            table, None)
                 nodes += cost
                 charged += cost
         else:
             t -= 1
             if t < 0:
-                stats.nodes, stats.charged = nodes, charged
-                return SearchResult("none", None, stats, table)
+                return "none", nodes, charged, table, None
             if U[t]:  # charge the untried twins of k what k cost
                 k, d = K[t], LV[t]
                 if level_twins[d] is None:
@@ -404,21 +396,19 @@ def _search(p: RankedPoset, budget: int | None, level_cap: int) -> SearchResult:
             e, seen = LV[t], 0
             bl = blocks[e] = []
             if e == d + 1:  # the steps of level d's prefix-shadow chain
-                for acc in S[t - len(levels[d]) + 1:t + 1]:
+                for acc in S[t - len(level_masks[d]) + 1:t + 1]:
                     if acc != seen:
                         bl.append(acc ^ seen)
                         seen = acc
-            if rest := ((1 << len(levels[e])) - 1) ^ seen:
+            if rest := ((1 << len(level_masks[e])) - 1) ^ seen:
                 bl.append(rest)
             U[t] = R[t] = bl[0]
             S[t] = B[t] = 0
-    stats.nodes, stats.charged = nodes, charged
-    placed = iter(K)  # positions, level by level
-    order = order_from_lists(p, [[lv[next(placed)] for _ in lv] for lv in levels])
-    verdict = _check_against(p, order, table)
-    if not verdict.ok:  # the construction guarantees this cannot happen
-        raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
-    return SearchResult("found", order, stats, table)
+    rest = iter(K)  # positions, level by level
+    placed = tuple(tuple(next(rest) for _ in masks) for masks in level_masks)
+    if failure := _first_failure(level_masks, placed, table.mins):  # cannot happen
+        raise RuntimeError(f"search produced an uncertified order: {failure}")
+    return "found", nodes, charged, table, placed
 
 
 def new_shadow(o: LevelOrderFamily, d: int, start: int, stop: int) -> LevelSubset:

@@ -250,7 +250,7 @@ PINNED = {
         "6a76ca9a648b8a1a27f267789eea83020263063aaff0bcbd5d15ab88827acd70"),
     "conj67-scan": (0,
         "d50839e200cc39bc25814e233b81778488633f45337f0f013cc910dd93ac1ea3",
-        "eced7f560690d48baefea44a58ec4975236a9c19954a4e7a4f85fdb82603e02e"),
+        "9082753f5549ff32dbc5e58a86c2aefd56b5dad4eda4d7f6d93fb1e3c638c065"),
 }
 
 

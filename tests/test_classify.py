@@ -295,10 +295,11 @@ class TestHarness:
         ("wedge-box", {"side": (2, 3), "path": (1, 3)}),
         ("union-wedge-diamond-equiv", {}),
         ("cartesian-counterexamples", {}),
+        ("conjecture-6-7", {"max_exp": 2}),
     ], ids=lambda grid: grid[0])
     def test_counters_sum_every_search(self, grid, monkeypatch):
-        # every search a grid makes, a memo hit included, adds its
-        # nominal counters to the grid's
+        # every search a grid makes, a memo hit and a found base of the
+        # conjecture scan included, adds its nominal counters to the grid's
         made = []
         real = classify.find_macaulay_order
 
@@ -308,7 +309,9 @@ class TestHarness:
             return r
 
         monkeypatch.setattr(classify, "find_macaulay_order", counted)
-        rep = verify_family(*grid)
+        name, bounds = grid
+        rep = (conjecture_6_7_search(**bounds) if name == "conjecture-6-7"
+               else verify_family(name, bounds))
         assert made and rep.counters == {
             "search_nodes": sum(s.nodes for s in made),
             "subsets_enumerated": sum(s.subsets_enumerated for s in made)}

@@ -11,7 +11,7 @@ from macposet import box, cli, validate_poset, wedge
 from macposet.classify import CARTESIAN_TARGETS, FAMILIES, GRID_TARGETS
 from macposet.cli import REPRODUCE, run_command
 from macposet.expr import CALLS, MAX_NESTING
-from macposet.macaulay import _level_row, _search_memo
+from macposet.macaulay import _level_row, _search
 from macposet.serialize import poset_to_text
 
 
@@ -608,7 +608,7 @@ class TestDeterminism:
         # the first run starts from cold level-row and search memos, the
         # second finds every row and search memoised
         _level_row.cache_clear()
-        _search_memo.cache_clear()
+        _search.cache_clear()
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         run(["reproduce", name, "--report", str(a)])

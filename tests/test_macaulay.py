@@ -100,7 +100,7 @@ def kernel_calls(monkeypatch):
     """The width of every kernel call, from empty row and search memos,
     so that no search is answered without building its table."""
     _level_row.cache_clear()
-    macaulay._search_memo.cache_clear()
+    macaulay._search.cache_clear()
     calls = []
     real = kernels.level_min_shadows
 
@@ -627,40 +627,63 @@ def same_mask_pairs(draw):
 
 
 class TestSearchMemo:
-    """Searches are memoised on (shadow masks, budget, level cap)."""
+    """Searches are memoised on (shadow masks, budget); the level cap is
+    checked before the masks are derived."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(same_mask_pairs(), st.sampled_from([0, 3, 37, None]))
     def test_memo_matches_the_search_body(self, pair, budget):
         # the copy, and then the poset again, are answered from the memo
-        macaulay._search_memo.cache_clear()
+        macaulay._search.cache_clear()
         for p in (*pair, pair[0]):
             got = find_macaulay_order(p, budget)
-            want = macaulay._search(p, budget, macaulay.DEFAULT_LEVEL_CAP)
-            assert (got.status, got.stats.nodes, got.stats.subsets_enumerated) == (
-                want.status, want.stats.nodes, want.stats.subsets_enumerated)
-            assert got.table == want.table
+            status, nodes, charged, table, placed = macaulay._search.__wrapped__(
+                p._shadow_masks(), budget)
+            assert (got.status, got.stats.nodes, got.stats.charged) == (status, nodes, charged)
+            assert got.stats.subsets_enumerated == table.subsets_enumerated
+            assert got.table == table
             if got.status == "found":
                 assert got.order.poset is p
-                assert got.order.per_level == want.order.per_level
+                assert tuple(tuple(p.pos_in_level[i] for i in lv)
+                             for lv in got.order.per_level) == placed
                 assert check_macaulay(p, got.order).ok
+            else:
+                assert got.order is None and placed is None
+        assert macaulay._search.cache_info().misses == 1
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_ranked_posets(max_width=4))
-    def test_budget_and_level_cap_are_in_the_key(self, p):
-        macaulay._search_memo.cache_clear()
+    def test_budget_is_in_the_key(self, p):
+        macaulay._search.cache_clear()
         find_macaulay_order(p)
         for budget in (0, 3):
             got = find_macaulay_order(p, budget)
-            want = macaulay._search(p, budget, macaulay.DEFAULT_LEVEL_CAP)
-            assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
+            want = macaulay._search.__wrapped__(p._shadow_masks(), budget)
+            assert (got.status, got.stats.nodes) == want[:2]
         with pytest.raises(LevelCapExceeded):
             find_macaulay_order(p, level_cap=max(map(len, p.levels)) - 1)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(small_ranked_posets(max_width=4))
+    def test_a_passing_level_cap_is_not_in_the_key(self, p):
+        macaulay._search.cache_clear()
+        a = find_macaulay_order(p, level_cap=max(map(len, p.levels)))
+        b = find_macaulay_order(p)
+        assert (a.status, a.stats.nodes) == (b.status, b.stats.nodes)
+        assert macaulay._search.cache_info().misses == 1
+
+    def test_level_cap_is_checked_before_the_masks(self):
+        # a fresh poset whose widest level has 3 elements, searched at a
+        # cap of 2, is refused before its shadow masks are derived
+        p = evaluate(parse_expression("explicit{4; 0 1 1 1; 0 1, 0 2, 0 3}")).poset
+        with pytest.raises(LevelCapExceeded):
+            find_macaulay_order(p, level_cap=2)
+        assert p._shadow is None
 
     def test_hit_on_the_empty_poset_has_an_order(self):
         # a found order with no levels places no position at all
         p = evaluate(parse_expression("poset(ideal(1))")).poset
-        macaulay._search_memo.cache_clear()
+        macaulay._search.cache_clear()
         for _ in range(2):
             r = find_macaulay_order(p)
             assert (r.status, r.order.poset, r.order.per_level) == ("found", p, ())

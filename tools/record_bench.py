@@ -117,7 +117,8 @@ print(json.dumps({name: [elapsed]}))
 """
 # counts the searches that the targets named in argv ask for, through
 # find_macaulay_order wherever it was imported, and those that run the
-# search body, macaulay._search, behind the memo
+# search body, macaulay._search: the misses of its memo where it is
+# memoised, or else its calls, as in a tree whose memo sits in front of it
 SEARCH_COUNTER = """
 import contextlib, io, json, sys
 from macposet import cli, macaulay
@@ -131,19 +132,25 @@ def counted(fn, *keys):
     return call
 
 search, body = macaulay.find_macaulay_order, getattr(macaulay, "_search", None)
+memo = getattr(body, "cache_info", None)
 asked = counted(search, "asked") if body else counted(search, "asked", "run")
 for mod in [m for n, m in sys.modules.items() if n.startswith("macposet")]:
     for attr, val in list(vars(mod).items()):
         if val is search:
             setattr(mod, attr, asked)
-if body:
+if body and not memo:
     macaulay._search = counted(body, "run")
+
+def tally():
+    return {"asked": counts["asked"], "run": memo().misses if memo else counts["run"]}
+
 out = {}
 for name in sys.argv[1:]:
-    seen = dict(counts)
+    seen = tally()
     with contextlib.redirect_stdout(io.StringIO()):
         cli.run_command(["reproduce", name])
-    out[name] = {key: counts[key] - seen[key] for key in counts}
+    now = tally()
+    out[name] = {key: now[key] - seen[key] for key in now}
 print(json.dumps(out))
 """
 TIER1_ROUNDS = 3
