@@ -243,9 +243,10 @@ def _check_against(p: RankedPoset, o: LevelOrderFamily,
 
 @dataclass
 class SearchStats:
-    """Work counters of one search.  ``nodes`` is nominal: it counts the
-    nodes of twin subtrees that were charged rather than searched, whose
-    number is ``charged``.  Reports carry only the nominal counts."""
+    """Work counters of one search.  ``nodes`` is nominal: it counts
+    every node of the search, and ``charged`` counts those of them that
+    were counted without being visited (twins and dead prefixes).
+    Reports carry only the nominal counts."""
 
     nodes: int = 0
     subsets_enumerated: int = 0
@@ -292,6 +293,70 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
                         SearchStats(nodes, table.subsets_enumerated, charged), table)
 
 
+def _shadow_of(masks: tuple[int, ...], bits: int) -> int:
+    """The shadow of the positions in ``bits`` of a level whose shadow
+    masks are ``masks``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out |= masks[low.bit_length() - 1]
+    return out
+
+
+def _count(masks, row, twins, blocks, placed, shadow, room, memo):
+    """(nodes, completions) of the search of one level from the placed
+    positions ``placed``, whose shadow is ``shadow``: the nodes it tries
+    and the ways it places every position of ``blocks``.  The level's
+    shadow masks are ``masks``, its table row ``row`` and its upper twins
+    ``twins``; the current block is the first one that ``placed`` does
+    not hold.  Twins in the current block have matching subtrees, so the
+    lowest is counted as many times as there are.  The count stops, and
+    the result is None, as soon as its nodes and completions pass
+    ``room``; a completion stands for at least one node of the search
+    above it.  ``memo`` holds the complete counts on these blocks, keyed
+    on the placed positions."""
+    for block in blocks:
+        if rest := block & ~placed:
+            break
+    else:
+        return 0, 1
+    if placed in memo:
+        return memo[placed]
+    need = row[placed.bit_count() + 1]
+    nodes = completions = 0
+    while rest:
+        low = rest & -rest
+        k = low.bit_length() - 1
+        same = twins[k] & rest
+        rest ^= low | same
+        r = 1 + same.bit_count()
+        nodes += r
+        sh = shadow | masks[k]
+        if sh.bit_count() == need:
+            sub = _count(masks, row, twins, blocks, placed | low, sh,
+                         room - nodes - completions, memo)
+            if sub is None:
+                return None
+            nodes += r * sub[0]
+            completions += r * sub[1]
+        if nodes + completions > room:
+            return None
+    memo[placed] = nodes, completions
+    return nodes, completions
+
+
+def _steps(shadows) -> list[int]:
+    """The steps of a chain of prefix shadows: the positions each
+    distinct nonempty shadow adds to the one before it, in order."""
+    steps, seen = [], 0
+    for s in shadows:
+        if s != seen:
+            steps.append(s ^ seen)
+            seen = s
+    return steps
+
+
 @functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
 def _search(level_masks: tuple, budget: int | None) -> tuple:
     """The search of ``find_macaulay_order`` on the levels whose shadow
@@ -326,29 +391,50 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
     level's blocks are the steps of the prefix shadows recorded at its
     depths, then the rest of that level.
 
+    Some subtrees are counted rather than searched: ``charged`` is the
+    nominal nodes counted without being visited (twins and dead
+    prefixes).  If a charge takes the count past the budget, the search
+    stops at a count of budget + 1, as the full search would.  So the
+    node count is nominal: at every budget it equals that of the search
+    without the charges.
+
     Two positions of one block with equal shadow masks are twins:
     swapping them maps the subtree below one onto the subtree below the
     other, so when one fails the other fails too, after as many nodes.
     So when the candidate placed at depth t fails, its untried twins
     join ``TW[t]`` and its subtree's node count is kept in ``COST``
     under t and its mask.  A twin in ``TW[t]`` that meets the table
-    minimum is not searched: that count is added to the nodes instead,
-    and if the sum passes the budget the search stops at a count of
-    budget + 1, as the full search would.  So the node count is nominal:
-    at every budget it equals that of the search without the charge.
-    ``charged`` counts the nodes added.
+    minimum is not searched: that count is added to the nodes instead.
+
+    A placement at level d that adds a step S to the level's chain of
+    prefix shadows is dead when |shadow(S)| is not the table minimum of
+    level d+1 at |S|: condition (2) makes S an initial segment of level
+    d+1, so no order of level d+1 gets past S.  Its subtree is counted
+    by ``_count``, once for the rest of level d and once for level d+1
+    on the chain's blocks up to S, and its twins are charged the same.
+    Level d's lookahead is on once the search has opened a level above
+    it, ``top``: so from the search's first backtrack from level d+1
+    into level d, and a search that never fails across levels pays
+    nothing for it.
     """
     table = _table(level_masks)
-    level_twins = [None] * len(level_masks)  # derived at a level's first failure
+    mins = table.mins
+    level_twins = [None] * len(level_masks)  # derived at their first use
+    memo = {}  # _count's, per level and blocks
+
+    def twins_of(d):
+        level_twins[d] = _upper_twins(level_masks[d])
+        return level_twins[d]
+
     LV = [d for d, masks in enumerate(level_masks) for _ in masks]
     MASKS = [level_masks[d] for d in LV]
-    NEED = [m for row in table.mins for m in row[1:]]  # minimum at each depth
+    NEED = [m for row in mins for m in row[1:]]  # minimum at each depth
     n = len(LV)
     U, R, K, B, N, S = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n, [0] * (n + 1)
     TW, COST = [0] * (n + 1), {}
     blocks = [None] * len(level_masks)
     limit = float("inf") if budget is None else budget
-    nodes = charged = t = 0
+    nodes = charged = t = top = 0  # top: the highest level opened so far
     if n:  # the lowest level is one block
         blocks[LV[0]] = [(1 << len(MASKS[0])) - 1]
         U[0] = R[0] = blocks[LV[0]][0]
@@ -376,14 +462,35 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
             if t < 0:
                 return "none", nodes, charged, table, None
             if U[t]:  # charge the untried twins of k what k cost
-                k, d = K[t], LV[t]
-                if level_twins[d] is None:
-                    level_twins[d] = _upper_twins(level_masks[d])
-                if twins := level_twins[d][k] & U[t]:
+                k, e = K[t], LV[t]
+                if same := (level_twins[e] or twins_of(e))[k] & U[t]:
                     COST[t, MASKS[t][k]] = nodes - N[t]
-                    TW[t] |= twins
+                    TW[t] |= same
             continue
         U[t], K[t], N[t], d, b, rem = untried, k, nodes, LV[t], B[t], R[t] ^ low
+        if d < top and sh != shadow and _shadow_of(
+                level_masks[d + 1], sh).bit_count() != mins[d + 1][sh.bit_count()]:
+            # a dead prefix: count its subtree, and charge its twins the same
+            room, bl = limit - nodes, tuple(blocks[d])
+            placed = sum(bl[:b + 1]) ^ R[t]  # the positions placed before k
+            below = _count(masks, mins[d], level_twins[d] or twins_of(d), bl,
+                           placed | low, sh, room, memo.setdefault((d, bl), {}))
+            cost = room + 1 if below is None else below[0]
+            if below and below[1]:  # each completion fails on level d+1's blocks to sh
+                chain = (*_steps(S[t - placed.bit_count() + 1:t + 1]), sh ^ shadow)
+                above = _count(level_masks[d + 1], mins[d + 1],
+                               level_twins[d + 1] or twins_of(d + 1), chain,
+                               0, 0, room - cost, memo.setdefault((d + 1, chain), {}))
+                cost = room + 1 if above is None else cost + below[1] * above[0]
+            if nodes + cost > limit:
+                return ("budget-exceeded", limit + 1, charged + limit + 1 - nodes,
+                        table, None)
+            nodes += cost
+            charged += cost
+            if same := level_twins[d][k] & untried:
+                COST[t, masks[k]] = cost
+                TW[t] |= same
+            continue
         t += 1
         S[t], TW[t] = sh, 0
         if rem:
@@ -393,20 +500,17 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
             U[t] = R[t] = blocks[d][b + 1]
             B[t] = b + 1
         elif t < n:  # level d is complete: open the next nonempty level
-            e, seen = LV[t], 0
-            bl = blocks[e] = []
-            if e == d + 1:  # the steps of level d's prefix-shadow chain
-                for acc in S[t - len(level_masks[d]) + 1:t + 1]:
-                    if acc != seen:
-                        bl.append(acc ^ seen)
-                        seen = acc
-            if rest := ((1 << len(level_masks[e])) - 1) ^ seen:
+            e = LV[t]
+            if e > top:
+                top = e
+            bl = blocks[e] = _steps(S[t - len(level_masks[d]) + 1:t + 1])  # level d's chain
+            if rest := ((1 << len(level_masks[e])) - 1) ^ S[t]:
                 bl.append(rest)
             U[t] = R[t] = bl[0]
             S[t] = B[t] = 0
     rest = iter(K)  # positions, level by level
     placed = tuple(tuple(next(rest) for _ in masks) for masks in level_masks)
-    if failure := _first_failure(level_masks, placed, table.mins):  # cannot happen
+    if failure := _first_failure(level_masks, placed, mins):  # cannot happen
         raise RuntimeError(f"search produced an uncertified order: {failure}")
     return "found", nodes, charged, table, placed
 

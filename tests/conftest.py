@@ -133,6 +133,30 @@ def small_ranked_posets(draw, max_width=6, levels=None, twins=False):
     return RankedPoset(ranks, covers)
 
 
+@st.composite
+def twin_heavy_posets(draw, max_width=6):
+    """3 or 4 levels whose elements take their up-cover sets from one to
+    three distinct nonempty sets drawn for their level, the first one
+    taken widened by whatever the taken sets leave out, so every element
+    above level 0 is covered.  Every level has twins, and the
+    search's blocks hold runs of them, so dead prefixes are counted
+    over twin groups on both sides of a level."""
+    sizes = draw(st.lists(st.integers(1, max_width), min_size=3, max_size=4))
+    starts = [sum(sizes[:d]) for d in range(len(sizes))]
+    ranks = [d for d, s in enumerate(sizes) for _ in range(s)]
+    covers = []
+    for d in range(len(sizes) - 1):
+        sets = draw(st.lists(st.frozensets(st.integers(0, sizes[d + 1] - 1), min_size=1),
+                             min_size=1, max_size=3, unique=True))
+        picks = draw(st.lists(st.integers(0, len(sets) - 1), min_size=sizes[d],
+                              max_size=sizes[d]))
+        sets[picks[0]] |= frozenset(range(sizes[d + 1])).difference(
+            *(sets[i] for i in set(picks)))
+        for i, pick in enumerate(picks):
+            covers += [(starts[d] + i, starts[d + 1] + u) for u in sorted(sets[pick])]
+    return RankedPoset(ranks, covers)
+
+
 def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
     """The frame-stack order search that ``find_macaulay_order`` replaced,
     kept as an oracle: the two must give the same status, node count and

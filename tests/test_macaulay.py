@@ -22,7 +22,8 @@ from macposet import kernels, macaulay
 
 from conftest import (brute_min_shadow, brute_order_exists, definition_check,
                       layered_order_exists, naive_upper_shadow, reference_search,
-                      restrict_order, restrict_to_factors, small_ranked_posets)
+                      restrict_order, restrict_to_factors, small_ranked_posets,
+                      twin_heavy_posets)
 
 
 def heart_example_poset():
@@ -611,6 +612,17 @@ class TestSearchProperties:
         assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
         assert (got.order and got.order.per_level) == (want.order and want.order.per_level)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(twin_heavy_posets(), st.sampled_from([0, 1, 5, 37, 500, None]))
+    def test_dead_prefix_charges_match_reference_search(self, p, budget):
+        # every level is covered from below and full of twins, so dead
+        # prefixes are counted over twin runs on both of their levels:
+        # a count that drops a twin or a completion's failure above moves
+        # the nominal nodes away from the reference's
+        got, want = find_macaulay_order(p, budget), reference_search(p, budget)
+        assert (got.status, got.stats.nodes) == (want.status, want.stats.nodes)
+        assert (got.order and got.order.per_level) == (want.order and want.order.per_level)
+
 
 @st.composite
 def same_mask_pairs(draw):
@@ -722,14 +734,106 @@ class TestTwinCharge:
     def test_reentered_depth_forgets_earlier_charges(self):
         # a depth entered again under another prefix holds other blocks,
         # so twins charged at its earlier entry are no longer charged;
-        # recorded with reference_search
+        # nodes recorded with reference_search.  The charged nodes take
+        # in dead prefixes as well as twins: 71 of them are twins' alone
         p = evaluate(parse_expression(
             "explicit{16; 0 0 1 1 1 1 2 2 2 2 2 3 3 3 3 3; 0 2, 0 3, 0 5, 1 3, "
             "1 4, 1 5, 2 8, 2 9, 3 8, 3 9, 4 6, 4 8, 4 9, 5 8, 5 9, 6 12, 6 13, "
             "6 14, 6 15, 7 11, 7 13, 7 14, 8 13, 8 15, 9 13, 9 15, 10 11, 10 13, "
             "10 14}")).poset
         r = find_macaulay_order(p, budget=None)
-        assert (r.status, r.stats.nodes, r.stats.charged) == ("none", 94, 71)
+        assert (r.status, r.stats.nodes, r.stats.charged) == ("none", 94, 78)
+
+
+def levels_poset(levels):
+    """The poset whose level d lists, per element, the positions it
+    covers in level d+1."""
+    starts = list(itertools.accumulate(map(len, levels), initial=0))
+    ranks = [d for d, lv in enumerate(levels) for _ in lv]
+    return RankedPoset(ranks, [(starts[d] + i, starts[d + 1] + j)
+                               for d, lv in enumerate(levels[:-1])
+                               for i, ups in enumerate(lv) for j in ups])
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """The shadow masks of every call of the dead-prefix count, from an
+    empty search memo."""
+    macaulay._search.cache_clear()
+    calls = []
+    real = macaulay._count
+
+    def counted(masks, *args):
+        calls.append(masks)
+        return real(masks, *args)
+
+    monkeypatch.setattr(macaulay, "_count", counted)
+    return calls
+
+
+class TestDeadPrefixCharge:
+    """A placement whose new prefix-shadow step is not optimal in the
+    next level is counted, not searched, by ``macaulay._count``.  Every
+    status and node count below was recorded with the search that
+    searched each such subtree node by node; the count's own calls are
+    bounded by the nodes that search visited."""
+
+    @staticmethod
+    def dead_step(t):
+        # level 0 is a, covering J, and b, covering T, whose up-covers
+        # in level 2 are ``t``; both have |T| elements.  J is j0,
+        # covering level-2 element 0, then junk covering pairs of a path
+        # of new elements, so a's step fails at its second element.  The
+        # search then turns to b, whose step T is dead once T holds an
+        # element x that adds two where j0 adds one
+        k, top = len(t) - 1, max(map(max, t)) + 1
+        junk = [[top + i, top + i + 1] for i in range(k)]
+        return levels_poset([[list(range(k + 1)), list(range(k + 1, 2 * k + 2))],
+                             [[0]] + junk + t, [[]] * (top + k + 1)])
+
+    @pytest.mark.parametrize("budget, status, nodes", [
+        (20_000, "budget-exceeded", 20_001),
+        (macaulay.DEFAULT_BUDGET, "budget-exceeded", macaulay.DEFAULT_BUDGET + 1),
+        (None, "none", 217_010_250)])
+    def test_twin_step_counts_each_twin_run_once(self, budget, status, nodes, count_calls):
+        # T is 11 twins covering 0, then x covering 0 and 1, in a level
+        # of 24: level 1 tries all 11! orders of the twins on T and fails
+        # at x after each.  The count takes the twins as one run: one
+        # call per number of them placed, not one per subset
+        p = self.dead_step([[0]] * 11 + [[0, 1]])
+        r = find_macaulay_order(p, budget)
+        assert (r.status, r.stats.nodes) == (status, nodes)
+        level1 = p._shadow_masks()[1]
+        assert 0 < sum(masks == level1 for masks in count_calls) <= len(level1) + 1
+
+    @pytest.mark.parametrize("budget, status, nodes", [
+        (100, "budget-exceeded", 101),
+        (20_000, "budget-exceeded", 20_001),
+        (macaulay.DEFAULT_BUDGET, "none", 19_728_226)])
+    def test_one_bit_step_counts_within_the_budget(self, budget, status, nodes, count_calls):
+        # T is 10 elements covering one distinct element each, then x
+        # covering two more: level 1 tries all 10! orders on T, with no
+        # twins to charge, so the search being replaced visits every
+        # node it counts.  The count stops as soon as it passes what is
+        # left of the budget, so it makes fewer calls than that search
+        # visits nodes; counted through, it would make 5123
+        r = find_macaulay_order(self.dead_step([[1 + i] for i in range(10)] + [[11, 12]]),
+                                budget)
+        assert (r.status, r.stats.nodes) == (status, nodes)
+        assert 0 < len(count_calls) < nodes
+
+    @pytest.mark.parametrize("budget", [20_000, macaulay.DEFAULT_BUDGET])
+    def test_one_bit_level_counts_within_the_budget(self, budget, count_calls):
+        # level 0 has 20 distinct one-bit masks, element k covering k; in
+        # level 1, 0 covers two elements and every other element one, so
+        # every prefix of level 0 that holds 0, short of the whole level,
+        # is dead.  The search being replaced visits budget + 1 nodes
+        w = 20
+        p = levels_poset([[[k] for k in range(w)], [[0, 1]] + [[j + 1] for j in range(1, w)],
+                          [[]] * (w + 1)])
+        r = find_macaulay_order(p, budget)
+        assert (r.status, r.stats.nodes) == ("budget-exceeded", budget + 1)
+        assert 0 < len(count_calls) < budget + 1
 
 
 @st.composite

@@ -33,7 +33,16 @@ search memo; both are counted once per tree, in an untimed fresh
 interpreter per target, and ``reproduce_pass_searches`` holds the same
 two counts for all the targets run in turn in one interpreter, as a
 benchmark pass runs them.  A tree without a search memo runs every
-search it asks for.  Its ``tier1_s`` holds the wall time of the tier-1
+search it asks for.  Its ``search_by_outcome`` section splits the
+random-search pool by search outcome: every instance of the pool is
+searched in-process at the workload's budget through
+``macaulay._search``'s unmemoised body, with every level's row built
+beforehand, once per round in a fresh interpreter per tree and round.
+Per outcome it holds the instance count, the median and quartiles over
+the rounds of their summed search time, the nominal nodes and the
+visited nodes (nominal less charged), with ``pairs_won`` and
+``median_ratio`` against the first tree as for the targets.  Its
+``tier1_s`` holds the wall time of the tier-1
 suite, ``python -m pytest -q --continue-on-collection-errors``
 run in TREE with TREE's ``src/`` on the path: median and quartiles over
 TIER1_ROUNDS runs per tree.
@@ -153,6 +162,32 @@ for name in sys.argv[1:]:
     out[name] = {key: now[key] - seen[key] for key in now}
 print(json.dumps(out))
 """
+# searches the random-search pool named by argv[1]'s perfbench, once,
+# after building every level's row, and prints per outcome the instance
+# count, the summed search time and the nominal and visited nodes
+SEARCH_BY_OUTCOME = """
+import json, sys, time
+sys.path.insert(0, "perfbench")
+import workloads
+from macposet import macaulay
+from macposet.expr import evaluate, parse_expression
+masks = [evaluate(parse_expression(workloads.random_instance(s, v))).poset._shadow_masks()
+         for s in range(workloads.SLOTS) for v in range(workloads.VARIANTS)]
+for m in masks:
+    macaulay._table(m)
+search, out = macaulay._search.__wrapped__, {}
+for m in masks:
+    t0 = time.perf_counter()
+    status, nodes, charged = search(m, workloads.SEARCH_BUDGET)[:3]
+    elapsed = time.perf_counter() - t0
+    row = out.setdefault(status, {"instances": 0, "s": 0.0, "nodes": 0, "visited": 0})
+    row["instances"] += 1
+    row["s"] += elapsed
+    row["nodes"] += nodes
+    row["visited"] += nodes - charged
+print(json.dumps(out))
+"""
+SEARCH_ROUNDS = 5
 TIER1_ROUNDS = 3
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
@@ -218,6 +253,21 @@ def reproduce_times(tree: Path, targets):
     out = {}
     for name in targets:
         out.update(fresh_times(tree, REPRODUCE_TIMER, [name]))
+    return out
+
+
+def search_by_outcome(samples, base=None):
+    """Per outcome, the instances and nodes of the first round and the
+    median and quartiles of the summed search time over the rounds, and
+    against ``base``'s rounds the pairs won and the median time ratio."""
+    times = [{status: [row["s"]] for status, row in s.items()} for s in samples]
+    out = summarise_times(times)
+    for status, row in out.items():
+        del row["calls"]
+        row.update({key: samples[0][status][key] for key in ("instances", "nodes", "visited")})
+        if base is not None:
+            row.update(paired([{status: t[status]} for t in times],
+                              [{status: [b[status]["s"]]} for b in base])[status])
     return out
 
 
@@ -299,6 +349,7 @@ def main():
     reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS,
                              lambda t: reproduce_times(t, targets))
     tier1 = fresh_rounds(trees, TIER1_ROUNDS, tier1_times)
+    outcomes = fresh_rounds(trees, SEARCH_ROUNDS, lambda t: fresh_times(t, SEARCH_BY_OUTCOME))
     searches = {t: {name: fresh_times(t, SEARCH_COUNTER, [name])[name] for name in targets}
                 for t in trees}
     one_pass = {t: fresh_times(t, SEARCH_COUNTER, targets) for t in trees}
@@ -318,6 +369,8 @@ def main():
                "reproduce_by_target": by_target,
                "reproduce_pass_searches": {key: sum(c[key] for c in one_pass[t].values())
                                            for key in ("asked", "run")},
+               "search_by_outcome": search_by_outcome(
+                   outcomes[t], None if t == trees[0] else outcomes[trees[0]]),
                "tier1_s": summarise_times(tier1[t])["tier1_s"]}
         for w in workloads:
             runs = plain[t, w]
