@@ -224,16 +224,21 @@ def fiber_product(pa: RankedPoset, pb: RankedPoset, pc: RankedPoset,
 
 def cartesian_product(p: RankedPoset, q: RankedPoset) -> OperationResult:
     """Pairs ordered componentwise; covers step one coordinate, ranks add."""
-    pairs = sorted(((a, b) for a in range(p.n) for b in range(q.n)),
-                   key=lambda ab: (p.rank[ab[0]] + q.rank[ab[1]], ab[0], ab[1]))
-    idx = {ab: k for k, ab in enumerate(pairs)}
-    ranks = [p.rank[a] + q.rank[b] for a, b in pairs]
+    # ids by (rank sum, a, b); idx is keyed on the pair code a * q.n + b
+    triples = sorted((ra + rb, a, b) for a, ra in enumerate(p.rank)
+                     for b, rb in enumerate(q.rank))
+    pairs = [(a, b) for _, a, b in triples]
+    ranks = [r for r, _, _ in triples]
+    m = q.n
+    idx = [0] * (p.n * m)
+    for k, (a, b) in enumerate(pairs):
+        idx[a * m + b] = k
     covers = []
-    for (a, b), k in idx.items():
+    for k, (a, b) in enumerate(pairs):
         for a2 in p.up[a]:
-            covers.append((k, idx[(a2, b)]))
+            covers.append((k, idx[a2 * m + b]))
         for b2 in q.up[b]:
-            covers.append((k, idx[(a, b2)]))
+            covers.append((k, idx[a * m + b2]))
     labels = None
     var_names = None
     if (p.labels is not None and q.labels is not None and p.var_names and q.var_names

@@ -72,9 +72,9 @@ class RankedPoset:
                  "name", "pos_in_level", "_leq", "_shadow")
 
     def __init__(self, ranks, covers, labels=None, var_names=None, name=""):
-        self.n = len(ranks)
-        self.rank = tuple(int(r) for r in ranks)
-        if any(r < 0 for r in self.rank):
+        self.rank = tuple(map(int, ranks))
+        self.n = len(self.rank)
+        if min(self.rank, default=0) < 0:
             raise PosetError("ranks must be nonnegative")
         up = [[] for _ in range(self.n)]
         down = [[] for _ in range(self.n)]
@@ -134,13 +134,22 @@ class RankedPoset:
         return self._leq
 
     def _shadow_masks(self):
-        # _shadow[d][k] = bitmask over level-(d+1) positions covering the
-        # k-th element of level d; computed once on demand.
+        """``_shadow[d][k]`` is the bitmask of the level-(d+1) positions
+        covering the k-th element of level d.  Derived on the first call,
+        not at construction: one OR of a precomputed position bit per
+        cover."""
         if self._shadow is None:
-            pos = self.pos_in_level
-            self._shadow = tuple(
-                tuple(sum(1 << pos[b] for b in self.up[i]) for i in lv)
-                for lv in self.levels)
+            bit = [1 << k for k in self.pos_in_level]
+            up, masks = self.up, []
+            for lv in self.levels:
+                row = []
+                for i in lv:
+                    m = 0
+                    for b in up[i]:
+                        m |= bit[b]
+                    row.append(m)
+                masks.append(tuple(row))
+            self._shadow = tuple(masks)
         return self._shadow
 
     def element_name(self, i: int) -> str:

@@ -259,10 +259,24 @@ class SearchStats:
 
 @dataclass
 class SearchResult:
+    """One search's outcome for the poset asked about.  ``placed`` lists
+    each level's positions, largest first, when an order was found, and
+    is None otherwise.  ``order`` is that order family: it is built from
+    ``placed`` through ``order_from_lists`` on its first read and cached,
+    so a caller that reads only the status builds no order."""
+
     status: str  # found | none | budget-exceeded
-    order: LevelOrderFamily | None
     stats: SearchStats
     table: MinShadowTable  # the table searched against
+    poset: RankedPoset
+    placed: tuple | None
+
+    @functools.cached_property
+    def order(self) -> LevelOrderFamily | None:
+        if self.placed is None:
+            return None
+        return order_from_lists(self.poset, [[lv[k] for k in ks] for lv, ks
+                                             in zip(self.poset.levels, self.placed)])
 
 
 def _upper_twins(masks: tuple[int, ...]) -> tuple[int, ...]:
@@ -282,15 +296,14 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     The level cap is checked before p's shadow masks are derived.  The
     search sees p only through those masks and is memoised on them and
     the budget, so every poset with the same masks gets the same status,
-    nominal counters and table, its own order rebuilt from the placed
-    positions, and fresh stats.
+    nominal counters, table and placed positions, and fresh stats.  No
+    order is built here: the result's ``order`` is built for p from the
+    placed positions when it is first read.
     """
     _check_level_cap(p, level_cap)
     status, nodes, charged, table, placed = _search(p._shadow_masks(), budget)
-    order = None if placed is None else order_from_lists(
-        p, [[lv[k] for k in ks] for lv, ks in zip(p.levels, placed)])
-    return SearchResult(status, order,
-                        SearchStats(nodes, table.subsets_enumerated, charged), table)
+    return SearchResult(status, SearchStats(nodes, table.subsets_enumerated, charged),
+                        table, p, placed)
 
 
 def _shadow_of(masks: tuple[int, ...], bits: int) -> int:

@@ -4,9 +4,12 @@ The oracles reimplement the definitions with plain loops over element
 ids (no bitmask machinery) so they stay independent of the code paths
 they check.  The exceptions are ``reference_search``, the previous
 order search kept unchanged, against which the current search is
-checked node for node, and ``reference_glue``, the previous union,
-wedge and diamond builders, against which the one glue builder is
-checked byte for byte.
+checked node for node; ``reference_glue``, the previous union, wedge
+and diamond builders, against which the one glue builder is checked
+byte for byte; and ``reference_shadow_masks`` and
+``reference_cartesian_product``, the previous shadow-mask formula and
+the previous pair-keyed cartesian product, against which the current
+ones are checked mask for mask and byte for byte.
 
 Three groups of helpers live here because only the tests use them:
 ``are_isomorphic`` (with ``PosetIso``), the isomorphism oracle behind
@@ -33,7 +36,7 @@ from macposet.expr import Explicit, FileRef, Mono
 from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
                                SearchStats, check_macaulay, min_shadow_table,
                                shadow_masks)
-from macposet.orders import LevelOrderFamily, order_from_lists
+from macposet.orders import LevelOrderFamily
 
 
 def naive_upper_shadow(p, ids):
@@ -133,6 +136,15 @@ def small_ranked_posets(draw, max_width=6, levels=None, twins=False):
     return RankedPoset(ranks, covers)
 
 
+def dealt_out(p, perm):
+    """(ranks, covers) of p with element i renamed perm[i], so the ids
+    need not be in rank order."""
+    ranks = [0] * p.n
+    for i, j in enumerate(perm):
+        ranks[j] = p.rank[i]
+    return ranks, [(perm[a], perm[b]) for a in range(p.n) for b in p.up[a]]
+
+
 @st.composite
 def twin_heavy_posets(draw, max_width=6):
     """3 or 4 levels whose elements take their up-cover sets from one to
@@ -211,14 +223,14 @@ def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
         if not untried:
             stack.pop()
             if not stack:
-                return SearchResult("none", None, stats, table)
+                return SearchResult("none", stats, table, p, None)
             chosen[stack[-1][0]].pop()
             continue
         low = untried & -untried
         frame[4] = untried ^ low
         stats.nodes += 1
         if budget is not None and stats.nodes > budget:
-            return SearchResult("budget-exceeded", None, stats, table)
+            return SearchResult("budget-exceeded", stats, table, p, None)
         k = low.bit_length() - 1
         sh = shadow | level_masks[d][k]
         order = chosen[d]
@@ -232,15 +244,46 @@ def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
             stack.append([d, bi + 1, blocks, blocks[bi + 1], blocks[bi + 1], sh])
         else:
             stack.append(first_frame(d + 1))
-    lists = []
-    for d in range(height):
-        lv = p.level(d)
-        lists.append([lv[k] for k in chosen[d]])
-    order = order_from_lists(p, lists)
-    verdict = check_macaulay(p, order, level_cap=level_cap)
+    res = SearchResult("found", stats, table, p, tuple(map(tuple, chosen)))
+    verdict = check_macaulay(p, res.order, level_cap=level_cap)
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")
-    return SearchResult("found", order, stats, table)
+    return res
+
+
+def reference_shadow_masks(p):
+    """The shadow masks as ``RankedPoset._shadow_masks`` summed them,
+    one generator of position bits per element, kept as an oracle."""
+    pos = p.pos_in_level
+    return tuple(tuple(sum(1 << pos[b] for b in p.up[i]) for i in lv)
+                 for lv in p.levels)
+
+
+def reference_cartesian_product(p, q) -> OperationResult:
+    """The cartesian product that sorted its pairs with a key function
+    and indexed them in a dict keyed on the pair, kept as an oracle: the
+    current one must give the same ids, covers, labels, name and
+    provenance."""
+    pairs = sorted(((a, b) for a in range(p.n) for b in range(q.n)),
+                   key=lambda ab: (p.rank[ab[0]] + q.rank[ab[1]], ab[0], ab[1]))
+    idx = {ab: k for k, ab in enumerate(pairs)}
+    ranks = [p.rank[a] + q.rank[b] for a, b in pairs]
+    covers = []
+    for (a, b), k in idx.items():
+        for a2 in p.up[a]:
+            covers.append((k, idx[(a2, b)]))
+        for b2 in q.up[b]:
+            covers.append((k, idx[(a, b2)]))
+    labels = None
+    var_names = None
+    if (p.labels is not None and q.labels is not None and p.var_names and q.var_names
+            and not set(p.var_names) & set(q.var_names)):
+        labels = [p.labels[a] + q.labels[b] for a, b in pairs]
+        var_names = p.var_names + q.var_names
+    sources = tuple(((0, a), (1, b)) for a, b in pairs)
+    name = f"cart({p.name or '?'},{q.name or '?'})"
+    poset = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
+    return OperationResult(poset, Provenance(sources), "cartesian")
 
 
 def reference_glue(ps, operation):

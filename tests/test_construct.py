@@ -3,15 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (are_isomorphic, reference_glue, restrict_to_factors,
-                      small_ranked_posets)
+from conftest import (are_isomorphic, dealt_out, reference_cartesian_product,
+                      reference_glue, restrict_to_factors, small_ranked_posets)
 from macposet import (PosetError, RankedPoset, box, cartesian_product,
                       construct, diamond, disjoint_union, fiber_product, path,
                       pure_power_ideal, spider, validate_poset, wedge)
 from macposet.construct import (GLUED, OperationResult, adjoin_extreme,
                                 build_heart, remove_extreme)
 from macposet.core import induced_subposet
-from macposet.ideals import inclusion_map, standard_monomial_poset
+from macposet.expr import evaluate, parse_expression
+from macposet.ideals import (box_cells, inclusion_map, monomial_poset,
+                             standard_monomial_poset)
 from macposet.serialize import poset_to_text
 
 
@@ -328,7 +330,32 @@ class TestMonomialPosets:
             build_heart(0, 1, 1, 1)
 
 
+@st.composite
+def product_factors(draw):
+    """A small cartesian factor: an ``explicit{...}`` literal whose ids
+    are dealt out to the ranks in a drawn order, so they need not be in
+    rank order, or, twice as often, a labelled box of one or two sides
+    whose variables are drawn from w, x, y, z, so two factors' variables
+    are sometimes disjoint and sometimes not."""
+    if not draw(st.integers(0, 2)):
+        p = draw(small_ranked_posets(max_width=3))
+        ranks, covers = dealt_out(p, draw(st.permutations(range(p.n))))
+        return evaluate(parse_expression(
+            f"explicit{{{p.n}; {' '.join(map(str, ranks))}; "
+            + ", ".join(f"{a} {b}" for a, b in covers) + "}")).poset
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    names = draw(st.permutations("wxyz"))[:len(dims)]
+    return monomial_poset(box_cells(dims), tuple(names), "b" + "".join(map(str, dims)))
+
+
 class TestCartesian:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(product_factors(), product_factors())
+    def test_matches_reference_product(self, p, q):
+        # ids, ranks, covers, labels, name and provenance all show in the file form
+        res, ref = cartesian_product(p, q), reference_cartesian_product(p, q)
+        assert poset_to_text(res.poset, res) == poset_to_text(ref.poset, ref)
+
     def test_identity_factor(self):
         p = box(2, 3)
         assert are_isomorphic(cartesian_product(p, path(0)).poset, p) is not None

@@ -8,8 +8,8 @@ from macposet import (LevelSubset, PosetError, RankedPoset, box,
                       spider, upper_shadow, validate_poset)
 from macposet.construct import adjoin_extreme, remove_extreme
 
-from conftest import (are_isomorphic, naive_lower_shadow, naive_upper_shadow,
-                      small_ranked_posets)
+from conftest import (are_isomorphic, dealt_out, naive_lower_shadow,
+                      naive_upper_shadow, reference_shadow_masks, small_ranked_posets)
 
 
 def degree_le_3_poset():
@@ -60,6 +60,16 @@ def _ranks_and_covers(draw):
     return ranks, draw(st.permutations(covers + repeats))
 
 
+@st.composite
+def _dealt_with_repeats(draw):
+    """A small ranked poset with its ids dealt out in a drawn order, so
+    they need not be in rank order, and with some covers given twice."""
+    p = draw(small_ranked_posets())
+    ranks, covers = dealt_out(p, draw(st.permutations(range(p.n))))
+    repeats = draw(st.lists(st.sampled_from(covers), max_size=6)) if covers else []
+    return RankedPoset(ranks, draw(st.permutations(covers + repeats)))
+
+
 class TestConstruction:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_ranks_and_covers())
@@ -77,6 +87,11 @@ class TestConstruction:
             assert p._shadow_masks() == tuple(
                 tuple(sum({1 << p.pos_in_level[b] for b in up[i]}) for i in lv)
                 for lv in levels)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_dealt_with_repeats())
+    def test_masks_match_the_summed_formula(self, p):
+        assert p._shadow_masks() == reference_shadow_masks(p)
 
     def test_unknown_element_in_a_cover(self):
         with pytest.raises(PosetError, match="unknown element"):

@@ -13,7 +13,8 @@ from macposet import (LevelSubset, PosetError, RankedPoset, box,
                       pure_power_ideal, spider, standard_monomial_poset,
                       union_simplicial_order, upper_shadow, wedge)
 from macposet.construct import adjoin_extreme, remove_extreme
-from macposet.classify import _random_hat_corpus, build_heart
+from macposet.classify import (_random_hat_corpus, build_heart,
+                               conjecture_6_7_search, verify_family)
 from macposet.cli import run_command
 from macposet.expr import evaluate, parse_expression
 from macposet.macaulay import LevelCapExceeded, _level_row
@@ -699,6 +700,55 @@ class TestSearchMemo:
         for _ in range(2):
             r = find_macaulay_order(p)
             assert (r.status, r.order.poset, r.order.per_level) == ("found", p, ())
+
+
+@pytest.fixture
+def orders_built(monkeypatch):
+    """The posets of every order family built from a search's placed
+    positions, from an empty search memo."""
+    macaulay._search.cache_clear()
+    built = []
+    real = macaulay.order_from_lists
+
+    def counted(p, lists):
+        built.append(p)
+        return real(p, lists)
+
+    monkeypatch.setattr(macaulay, "order_from_lists", counted)
+    return built
+
+
+class TestLazyOrder:
+    """A search result builds its order family from the placed positions
+    on the first read of ``order``, for the poset asked about; that a
+    memo hit reads its own poset's order is checked in
+    ``TestSearchMemo.test_memo_matches_the_search_body``."""
+
+    def test_found_order_is_built_once_on_first_read(self, orders_built):
+        p = wedge([box(2, 2), box(2, 3)]).poset
+        r = find_macaulay_order(p)
+        assert r.status == "found" and orders_built == []
+        order = r.order
+        assert r.order is order and orders_built == [p]
+        assert order.poset is p and check_macaulay(p, order).ok
+
+    @pytest.mark.parametrize("p, budget, status", [
+        (heart_example_poset(), macaulay.DEFAULT_BUDGET, "none"),
+        (diamond([box(2, 3), box(3, 2)]).poset, 3, "budget-exceeded")])
+    def test_no_order_reads_none(self, p, budget, status, orders_built):
+        r = find_macaulay_order(p, budget)
+        assert (r.status, r.order, r.order) == (status, None, None)
+        assert orders_built == []
+
+    def test_heart_grid_builds_no_order(self, orders_built):
+        report = verify_family("heart", {"side": (1, 3)})
+        assert any(row["search"] == "found" for row in report.rows)
+        assert orders_built == []
+
+    def test_conjecture_scan_builds_no_order(self, orders_built):
+        report = conjecture_6_7_search(max_exp=2)
+        assert any(row.get("search") == "found" for row in report.rows)
+        assert orders_built == []
 
 
 class TestTwinCharge:

@@ -29,11 +29,15 @@ first tree, out of ``pairs``, and ``median_ratio``, the median over the
 rounds of its time over the first tree's.  Each target also records
 ``searches_asked``, the order searches it asks for, and
 ``searches_run``, those that ran rather than being answered from the
-search memo; both are counted once per tree, in an untimed fresh
-interpreter per target, and ``reproduce_pass_searches`` holds the same
-two counts for all the targets run in turn in one interpreter, as a
-benchmark pass runs them.  A tree without a search memo runs every
-search it asks for.  Its ``search_by_outcome`` section splits the
+search memo, and ``orders_built``, the calls of
+``macaulay.order_from_lists``: the order families built from a
+search's placed positions, by the search itself in a tree that builds
+one per found search, or on the first read of ``SearchResult.order``.
+All three are counted once per tree, in an untimed fresh interpreter
+per target, and ``reproduce_pass_searches`` holds the same three counts
+for all the targets run in turn in one interpreter, as a benchmark pass
+runs them.  A tree without a search memo runs every search it asks
+for.  Its ``search_by_outcome`` section splits the
 random-search pool by search outcome: every instance of the pool is
 searched in-process at the workload's budget through
 ``macaulay._search``'s unmemoised body, with every level's row built
@@ -125,13 +129,15 @@ if code not in (0, 1):
 print(json.dumps({name: [elapsed]}))
 """
 # counts the searches that the targets named in argv ask for, through
-# find_macaulay_order wherever it was imported, and those that run the
+# find_macaulay_order wherever it was imported, those that run the
 # search body, macaulay._search: the misses of its memo where it is
-# memoised, or else its calls, as in a tree whose memo sits in front of it
+# memoised, or else its calls, as in a tree whose memo sits in front of
+# it, and the orders built from search positions, the calls of
+# macaulay.order_from_lists (other modules' calls of it are not counted)
 SEARCH_COUNTER = """
 import contextlib, io, json, sys
 from macposet import cli, macaulay
-counts = {"asked": 0, "run": 0}
+counts = {"asked": 0, "run": 0, "orders_built": 0}
 
 def counted(fn, *keys):
     def call(*args, **kwargs):
@@ -149,9 +155,11 @@ for mod in [m for n, m in sys.modules.items() if n.startswith("macposet")]:
             setattr(mod, attr, asked)
 if body and not memo:
     macaulay._search = counted(body, "run")
+macaulay.order_from_lists = counted(macaulay.order_from_lists, "orders_built")
 
 def tally():
-    return {"asked": counts["asked"], "run": memo().misses if memo else counts["run"]}
+    return {"asked": counts["asked"], "run": memo().misses if memo else counts["run"],
+            "orders_built": counts["orders_built"]}
 
 out = {}
 for name in sys.argv[1:]:
@@ -361,14 +369,15 @@ def main():
                 by_target[name].update(pair)
         for name, counts in searches[t].items():
             by_target[name].update(searches_asked=counts["asked"],
-                                   searches_run=counts["run"])
+                                   searches_run=counts["run"],
+                                   orders_built=counts["orders_built"])
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
                "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
                "kernel_by_width": summarise_times(kernel["random"][t]),
                "kernel_by_width_three_covers": summarise_times(kernel["covers"][t]),
                "reproduce_by_target": by_target,
                "reproduce_pass_searches": {key: sum(c[key] for c in one_pass[t].values())
-                                           for key in ("asked", "run")},
+                                           for key in ("asked", "run", "orders_built")},
                "search_by_outcome": search_by_outcome(
                    outcomes[t], None if t == trees[0] else outcomes[trees[0]]),
                "tier1_s": summarise_times(tier1[t])["tier1_s"]}
