@@ -355,25 +355,27 @@ def _equivalence_rows(bounds, budget, level_cap):
 # ------------------------------------------------------- named counterexamples
 
 # the named cartesian products that have no Macaulay order, keyed by the
-# reproduce target that searches each: the grid row's name, the
-# product's expression and its element count.  Y = uhat(spider(1,1)) is
-# a bottom under two incomparable tops over a stem; the explicit factor
-# is the monomial poset of K[y,z]/(y^2 - z^2, y^3, z^3), 1 < {y, z} <
-# {w, yz}, where w identifies y^2 with z^2.
+# reproduce target that searches each: the grid row's name, the label
+# the target prints, the product's expression and its element count.
+# Y = uhat(spider(1,1)) is a bottom under two incomparable tops over a
+# stem; the explicit factor is the monomial poset of
+# K[y,z]/(y^2 - z^2, y^3, z^3), 1 < {y, z} < {w, yz}, where w
+# identifies y^2 with z^2.
 CARTESIAN_TARGETS = {
-    "prop61-product": ("path(1) x Y", "cart(path(1), uhat(spider(1,1)))", 8),
+    "prop61-product": ("path(1) x Y", "path(1) x Y",
+                       "cart(path(1), uhat(spider(1,1)))", 8),
     "conj66-counterexample": (
-        "conj66 quotient x path(1)",
+        "conj66 quotient x path(1)", "poset(y^3,y^2z,yz^2,z^3) x path(1)",
         "cart(poset(ideal(y^3, y^2*z, y*z^2, z^3)), path(1))", 12),
     "prop61-ring-product": (
-        "ring factor x path(1)",
+        "ring factor x path(1)", "ring-factor x path(1)",
         "cart(explicit{5; 0 1 1 2 2; 0 1, 0 2, 1 3, 2 3, 1 4, 2 4}, path(1))", 10),
 }
 
 
 def _cartesian_rows(bounds, budget, level_cap):
     """The named cartesian counterexamples; none may have an order."""
-    for name, expression, expected_n in CARTESIAN_TARGETS.values():
+    for name, _, expression, expected_n in CARTESIAN_TARGETS.values():
         poset = evaluate(parse_expression(expression)).poset
         found = _searched(poset, budget, level_cap, expect=False)
         yield {"instance": name, "elements": poset.n,
@@ -489,7 +491,7 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
     if include_special:
         # the quotient of the known counterexample, and that product
         special = evaluate(parse_expression(
-            CARTESIAN_TARGETS["conj66-counterexample"][1]))
+            CARTESIAN_TARGETS["conj66-counterexample"][2]))
         quotients = itertools.chain(
             quotients, [("special(y3,y2z,yz2,z3)", special.children[0].poset)])
 

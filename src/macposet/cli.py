@@ -131,17 +131,17 @@ def cmd_shadow(args):
     return 0, report
 
 
-# each order-verdict subcommand's verdict function and its ok message
-ORDER_VERDICTS = {"check": (check_macaulay, "the order certifies the poset Macaulay"),
-                  "additive": (is_additive, "the poset is additive for this order")}
-
-
 def cmd_order_verdict(args):
     ev = _build(args.expr)
     fam = _resolve_order(args.order, ev)
     table = min_shadow_table(ev.poset, level_cap=args.level_cap)
-    verdict_of, ok_message = ORDER_VERDICTS[args.command]
-    verdict = verdict_of(ev.poset, fam, level_cap=args.level_cap)
+    # called by their module names, so a function wrapped there is seen
+    if args.command == "check":
+        verdict = check_macaulay(ev.poset, fam, level_cap=args.level_cap)
+        ok_message = "the order certifies the poset Macaulay"
+    else:
+        verdict = is_additive(ev.poset, fam, level_cap=args.level_cap)
+        ok_message = "the poset is additive for this order"
     if verdict.ok:
         print(f"ok: {ok_message}")
     else:
@@ -337,16 +337,11 @@ def _reproduce_conj67(args):
     return _grid_code(rep), rep.to_json(), rep.counters
 
 
-# the label each cartesian counterexample's target prints
-_CARTESIAN_LABELS = {"prop61-product": "path(1) x Y",
-                     "prop61-ring-product": "ring-factor x path(1)",
-                     "conj66-counterexample": "poset(y^3,y^2z,yz^2,z^3) x path(1)"}
 REPRODUCE = {
     "heart-example": _reproduce_heart_example,
     "twist-figure": _reproduce_twist_figure,
-    **{target: functools.partial(_search_target, label,
-                                 classify.CARTESIAN_TARGETS[target][1])
-       for target, label in _CARTESIAN_LABELS.items()},
+    **{target: functools.partial(_search_target, label, expression)
+       for target, (_, label, expression, _) in classify.CARTESIAN_TARGETS.items()},
     "diamond-not-wedge": _reproduce_diamond_not_wedge,
     "spider-union-fails": _reproduce_spider_union_fails,
     **{target: functools.partial(_grid_target, family)

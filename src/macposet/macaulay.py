@@ -165,18 +165,6 @@ def min_shadow_table(p: RankedPoset,
     return _table(p._shadow_masks())
 
 
-def _prefix_masks(o: LevelOrderFamily, d: int):
-    """Order-position shadow masks for level d of the family."""
-    p = o.poset
-    masks = shadow_masks(p, d)
-    return [masks[p.pos_in_level[i]] for i in o.descending(d)]
-
-
-def _level_pos_bits_to_ids(p: RankedPoset, d: int, bits: int):
-    lv = p.level(d)
-    return tuple(lv[k] for k in range(len(lv)) if bits >> k & 1)
-
-
 def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
                    level_cap: int = DEFAULT_LEVEL_CAP) -> Verdict:
     """Decide whether the given order family witnesses Macaulayness.
@@ -228,13 +216,13 @@ def _check_against(p: RankedPoset, o: LevelOrderFamily,
         return Verdict.failing(Witness(
             "min-shadow-beaten", level=d, q=q,
             elements=tuple(o.descending(d)[:q]),
-            rival=_level_pos_bits_to_ids(p, d, rival),
+            rival=LevelSubset(p, d, rival).ids(),
             sizes=(size, best),
             detail=f"initial segment of size {q} at level {d} has shadow "
                    f"{size}, minimum is {best}"))
     return Verdict.failing(Witness(
         "shadow-not-initial", level=d, q=q,
-        elements=_level_pos_bits_to_ids(p, d + 1, shadow),
+        elements=LevelSubset(p, d + 1, shadow).ids(),
         rival=tuple(o.descending(d + 1)[:size]),
         sizes=(size,),
         detail=f"shadow of the size-{q} initial segment at level {d} "
@@ -528,21 +516,33 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
     return "found", nodes, charged, table, placed
 
 
+def _new_shadows(o: LevelOrderFamily, d: int) -> list:
+    """new[s][q]: the new shadow, as a bitmask over level d+1, of the
+    q-segment at position s of level d's order, largest first: the
+    shadow of positions [s, s+q) less the shadow of the positions above
+    s.  Row s is one pass of ORs from s onward, so a level of n elements
+    costs O(n^2)."""
+    p = o.poset
+    masks = shadow_masks(p, d)
+    order = [masks[p.pos_in_level[i]] for i in o.descending(d)]
+    new, above = [], 0
+    for s, m in enumerate(order):
+        row, own = [0], 0
+        for later in order[s:]:
+            own |= later
+            row.append(own & ~above)
+        new.append(row)
+        above |= m
+    return new
+
+
 def new_shadow(o: LevelOrderFamily, d: int, start: int, stop: int) -> LevelSubset:
     """Shadow of the segment at positions [start, stop) of level d, minus
     the shadow of everything strictly larger."""
-    lv = o.descending(d)
-    if not (0 <= start <= stop <= len(lv)):
+    if not (0 <= start <= stop <= len(o.descending(d))):
         raise PosetError(f"segment [{start},{stop}) out of range for level {d}")
-    p = o.poset
-    masks = _prefix_masks(o, d)
-    above = 0
-    for k in range(start):
-        above |= masks[k]
-    own = 0
-    for k in range(start, stop):
-        own |= masks[k]
-    return LevelSubset(p, d + 1, own & ~above)
+    bits = _new_shadows(o, d)[start][stop - start] if start < stop else 0
+    return LevelSubset(o.poset, d + 1, bits)
 
 
 def is_additive(p: RankedPoset, o: LevelOrderFamily,
@@ -552,44 +552,30 @@ def is_additive(p: RankedPoset, o: LevelOrderFamily,
     Defined only for Macaulay pairs: raises if check_macaulay fails.
     For each level and size q the initial segment's new shadow must be
     largest and the final segment's smallest among all q-element
-    segments.
+    segments.  Sizes q are scanned in increasing order, and for each q
+    the segments from the top, so the first failure is the witness.
     """
     pre = check_macaulay(p, o, level_cap=level_cap)
     if not pre.ok:
         raise PosetError("additivity is defined for Macaulay posets; "
                          f"check failed: {pre.witness.detail}")
     for d in range(p.max_rank + 1):
-        masks = _prefix_masks(o, d)
-        n = len(masks)
-        prefix = [0]
-        for m in masks:
-            prefix.append(prefix[-1] | m)
-
-        def nsh(start, stop):
-            own = 0
-            for k in range(start, stop):
-                own |= masks[k]
-            return (own & ~prefix[start]).bit_count()
-
+        lv, new = o.descending(d), _new_shadows(o, d)
+        n = len(new)
         for q in range(1, n + 1):
-            first = nsh(0, q)
-            last = nsh(n - q, n)
+            first, last = new[0][q].bit_count(), new[n - q][q].bit_count()
             for s in range(n - q + 1):
-                mid = nsh(s, s + q)
+                mid = new[s][q].bit_count()
                 if mid > first:
-                    return Verdict.failing(Witness(
-                        "segment-inequality", level=d, q=q,
-                        elements=tuple(o.descending(d)[s:s + q]),
-                        rival=tuple(o.descending(d)[:q]),
-                        sizes=(mid, first),
-                        detail=f"segment at positions [{s},{s + q}) of level {d} has "
-                               f"new shadow {mid} > initial segment's {first}"))
-                if mid < last:
-                    return Verdict.failing(Witness(
-                        "segment-inequality", level=d, q=q,
-                        elements=tuple(o.descending(d)[s:s + q]),
-                        rival=tuple(o.descending(d)[n - q:]),
-                        sizes=(mid, last),
-                        detail=f"segment at positions [{s},{s + q}) of level {d} has "
-                               f"new shadow {mid} < final segment's {last}"))
+                    rival, bound, beyond = lv[:q], first, "> initial"
+                elif mid < last:
+                    rival, bound, beyond = lv[n - q:], last, "< final"
+                else:
+                    continue
+                return Verdict.failing(Witness(
+                    "segment-inequality", level=d, q=q,
+                    elements=tuple(lv[s:s + q]), rival=tuple(rival),
+                    sizes=(mid, bound),
+                    detail=f"segment at positions [{s},{s + q}) of level {d} has "
+                           f"new shadow {mid} {beyond} segment's {bound}"))
     return Verdict.passing()

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-from macposet import (InducedSubposet, PosetError, RankedPoset, box,
-                      induced_subposet, path, spider, wedge)
+from macposet import (InducedSubposet, LevelSubset, PosetError, RankedPoset,
+                      Verdict, Witness, box, induced_subposet, path, spider,
+                      wedge)
 from macposet.construct import OperationResult, Provenance, _cover_pairs
 from macposet.expr import Explicit, FileRef, Mono
 from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
@@ -257,6 +258,76 @@ def reference_shadow_masks(p):
     pos = p.pos_in_level
     return tuple(tuple(sum(1 << pos[b] for b in p.up[i]) for i in lv)
                  for lv in p.levels)
+
+
+def _reference_prefix_masks(o: LevelOrderFamily, d: int):
+    """Order-position shadow masks for level d of the family."""
+    p = o.poset
+    masks = shadow_masks(p, d)
+    return [masks[p.pos_in_level[i]] for i in o.descending(d)]
+
+
+def reference_new_shadow(o: LevelOrderFamily, d: int, start: int, stop: int) -> LevelSubset:
+    """The previous ``new_shadow``, which ORed the positions above the
+    segment and the segment's own, kept as an oracle."""
+    lv = o.descending(d)
+    if not (0 <= start <= stop <= len(lv)):
+        raise PosetError(f"segment [{start},{stop}) out of range for level {d}")
+    p = o.poset
+    masks = _reference_prefix_masks(o, d)
+    above = 0
+    for k in range(start):
+        above |= masks[k]
+    own = 0
+    for k in range(start, stop):
+        own |= masks[k]
+    return LevelSubset(p, d + 1, own & ~above)
+
+
+def reference_is_additive(p: RankedPoset, o: LevelOrderFamily,
+                          level_cap: int = DEFAULT_LEVEL_CAP) -> Verdict:
+    """The previous ``is_additive``, which ORed every segment afresh,
+    cubic in the level width, kept as an oracle: the two must give the
+    same verdict and witness, or raise the same message."""
+    pre = check_macaulay(p, o, level_cap=level_cap)
+    if not pre.ok:
+        raise PosetError("additivity is defined for Macaulay posets; "
+                         f"check failed: {pre.witness.detail}")
+    for d in range(p.max_rank + 1):
+        masks = _reference_prefix_masks(o, d)
+        n = len(masks)
+        prefix = [0]
+        for m in masks:
+            prefix.append(prefix[-1] | m)
+
+        def nsh(start, stop):
+            own = 0
+            for k in range(start, stop):
+                own |= masks[k]
+            return (own & ~prefix[start]).bit_count()
+
+        for q in range(1, n + 1):
+            first = nsh(0, q)
+            last = nsh(n - q, n)
+            for s in range(n - q + 1):
+                mid = nsh(s, s + q)
+                if mid > first:
+                    return Verdict.failing(Witness(
+                        "segment-inequality", level=d, q=q,
+                        elements=tuple(o.descending(d)[s:s + q]),
+                        rival=tuple(o.descending(d)[:q]),
+                        sizes=(mid, first),
+                        detail=f"segment at positions [{s},{s + q}) of level {d} has "
+                               f"new shadow {mid} > initial segment's {first}"))
+                if mid < last:
+                    return Verdict.failing(Witness(
+                        "segment-inequality", level=d, q=q,
+                        elements=tuple(o.descending(d)[s:s + q]),
+                        rival=tuple(o.descending(d)[n - q:]),
+                        sizes=(mid, last),
+                        detail=f"segment at positions [{s},{s + q}) of level {d} has "
+                               f"new shadow {mid} < final segment's {last}"))
+    return Verdict.passing()
 
 
 def reference_cartesian_product(p, q) -> OperationResult:

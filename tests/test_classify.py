@@ -285,7 +285,7 @@ class TestHarness:
     def test_ring_factor_is_macaulay_alone(self):
         # each factor of each named counterexample has an order alone:
         # path(1), Y, the conj66 quotient and the ring factor
-        for _, expression, _ in CARTESIAN_TARGETS.values():
+        for _, _, expression, _ in CARTESIAN_TARGETS.values():
             for factor in evaluate(parse_expression(expression)).children:
                 assert find_macaulay_order(factor.poset).status == "found"
 

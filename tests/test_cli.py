@@ -584,11 +584,32 @@ class TestReports:
     @pytest.mark.parametrize("target", list(CARTESIAN_TARGETS))
     def test_cartesian_target_searches_its_expression(self, target, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        expression = CARTESIAN_TARGETS[target][1]
+        expression = CARTESIAN_TARGETS[target][2]
         code = run(["reproduce", target, "--report", str(a)])
         assert run(["search-order", expression, "--report", str(b)]) == code
         assert (json.loads(a.read_text())["timings"]
                 == json.loads(b.read_text())["timings"])
+
+    @pytest.mark.parametrize("command, name", [("check", "check_macaulay"),
+                                               ("additive", "is_additive")])
+    def test_order_verdict_calls_through_cli_names(self, command, name, monkeypatch):
+        # a function wrapped in cli, as a tracer wraps it, is the one called
+        real, calls = getattr(cli, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert run([command, "box(2,3)", "--order", "lex(x,y)"]) == 0
+        assert len(calls) == 1
+
+    def test_conjecture67_skip_special(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["conjecture67", "--max-exp", "2", "--steps", "1", "--skip-special",
+                    "--report", str(out)]) == 0
+        rows = json.loads(out.read_text())["grid"]["rows"]
+        assert rows and not any(r["quotient"].startswith("special(") for r in rows)
 
     def test_fuzzed_files_are_valid_before_editing(self, tmp_path):
         o, m = tmp_path / "o.txt", tmp_path / "m.txt"

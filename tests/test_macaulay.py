@@ -22,7 +22,8 @@ from macposet.orders import initial_segment
 from macposet import kernels, macaulay
 
 from conftest import (brute_min_shadow, brute_order_exists, definition_check,
-                      layered_order_exists, naive_upper_shadow, reference_search,
+                      layered_order_exists, naive_upper_shadow,
+                      reference_is_additive, reference_new_shadow, reference_search,
                       restrict_order, restrict_to_factors, small_ranked_posets,
                       twin_heavy_posets)
 
@@ -956,6 +957,26 @@ class TestNewShadow:
             new_shadow(fam, 1, 1, 5)
 
 
+@st.composite
+def additivity_pairs(draw):
+    """A small ranked poset and an order family on it: the order the
+    search finds, when it finds one, or a drawn permutation of each
+    level, which is mostly not Macaulay."""
+    p = draw(small_ranked_posets())
+    found = find_macaulay_order(p)
+    if found.status == "found" and draw(st.booleans()):
+        return p, found.order
+    return p, order_from_lists(p, [draw(st.permutations(lv)) for lv in p.levels])
+
+
+def additivity_outcome(verdict_of, p, o):
+    """The verdict, or the message of the PosetError raised instead."""
+    try:
+        return verdict_of(p, o)
+    except PosetError as e:
+        return str(e)
+
+
 class TestAdditive:
     def test_box_with_lex_is_additive(self):
         b = box(2, 3)
@@ -977,6 +998,24 @@ class TestAdditive:
         p = heart_example_poset()
         with pytest.raises(PosetError, match="Macaulay"):
             is_additive(p, lex_order(p, ("y", "x")))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(additivity_pairs())
+    def test_matches_reference_is_additive(self, drawn):
+        p, o = drawn
+        assert additivity_outcome(is_additive, p, o) == additivity_outcome(
+            reference_is_additive, p, o)
+        for d in range(p.max_rank + 1):
+            n = len(o.descending(d))
+            for s, e in itertools.combinations_with_replacement(range(n + 1), 2):
+                assert new_shadow(o, d, s, e) == reference_new_shadow(o, d, s, e)
+
+    @pytest.mark.parametrize("dims", [(5, 5, 5), (2, 2, 2, 2, 2, 2)])
+    def test_wide_boxes_match_reference_is_additive(self, dims):
+        b = box(*dims)
+        o = lex_order(b)
+        got = additivity_outcome(is_additive, b, o)
+        assert got == additivity_outcome(reference_is_additive, b, o) and got.ok
 
 
 class TestSectionThreeSuite:
