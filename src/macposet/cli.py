@@ -60,6 +60,8 @@ def _parse_set(text, poset):
     ids = []
     for item in text.split(","):
         item = item.strip()
+        if not item:
+            raise PosetError(f"--set {text!r} has an empty item")
         if item.startswith("#"):
             k = _ascii_int(item[1:])
             if k is None or k >= poset.n:

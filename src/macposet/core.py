@@ -261,11 +261,11 @@ def upper_shadow(p: RankedPoset, a: LevelSubset) -> LevelSubset:
     """Elements covering some element of ``a``; lives one level up."""
     if a.poset is not p:
         raise PosetError("subset belongs to a different poset")
+    masks = p._shadow_masks()
+    level = masks[a.level] if 0 <= a.level < len(masks) else ()
     out = 0
-    lv = p.level(a.level)
     for k in _bit_positions(a.bits):
-        for b in p.up[lv[k]]:
-            out |= 1 << p.pos_in_level[b]
+        out |= level[k]
     return LevelSubset(p, a.level + 1, out)
 
 

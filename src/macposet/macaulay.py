@@ -159,7 +159,8 @@ def min_shadow_table(p: RankedPoset,
 
     Each level's row is memoised on its shadow masks, so a level met
     again, in this poset or another, is not enumerated again while it
-    is among the ``LEVEL_ROW_CACHE`` most recently used rows.
+    is among the ``LEVEL_ROW_CACHE`` most recently used rows.  So no
+    public function takes a table: each builds its own from the rows.
     """
     _check_level_cap(p, level_cap)
     return _table(p._shadow_masks())
@@ -183,7 +184,9 @@ def _first_failure(level_masks, orders, mins):
     """The first (level d, size q, shadow), in lexicographic order, whose
     initial q-segment of ``orders[d]``, level d's positions largest first,
     has a shadow above the minimum ``mins[d][q]`` (condition (1)) or not
-    an initial segment of level d+1 (condition (2)); None if there is none."""
+    an initial segment of level d+1 (condition (2)); None if there is none.
+    The check runs it on the order it is given, and the search on the
+    positions it placed, before it stores them."""
     for d, (masks, order) in enumerate(zip(level_masks, orders)):
         prefix_of_size = [0]
         for k in orders[d + 1] if d + 1 < len(orders) else ():
@@ -251,7 +254,10 @@ class SearchResult:
     each level's positions, largest first, when an order was found, and
     is None otherwise.  ``order`` is that order family: it is built from
     ``placed`` through ``order_from_lists`` on its first read and cached,
-    so a caller that reads only the status builds no order."""
+    so a caller that reads only the status builds no order; the grids
+    read only statuses, counters and tables, and build none.  ``table``
+    is the table searched against, which the heart grid's check of its
+    recommended orders reuses."""
 
     status: str  # found | none | budget-exceeded
     stats: SearchStats
@@ -283,10 +289,11 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
 
     The level cap is checked before p's shadow masks are derived.  The
     search sees p only through those masks and is memoised on them and
-    the budget, so every poset with the same masks gets the same status,
-    nominal counters, table and placed positions, and fresh stats.  No
-    order is built here: the result's ``order`` is built for p from the
-    placed positions when it is first read.
+    the budget; a search that passes the cap does not depend on it, so
+    the cap is not in the key.  Every poset with the same masks gets the
+    same status, nominal counters, table and placed positions, and fresh
+    stats.  No order is built here: the result's ``order`` is built for
+    p from the placed positions when it is first read.
     """
     _check_level_cap(p, level_cap)
     status, nodes, charged, table, placed = _search(p._shadow_masks(), budget)
@@ -406,13 +413,19 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
     join ``TW[t]`` and its subtree's node count is kept in ``COST``
     under t and its mask.  A twin in ``TW[t]`` that meets the table
     minimum is not searched: that count is added to the nodes instead.
+    A level's twins are derived at their first use, once per level and
+    search, and are not memoised.
 
     A placement at level d that adds a step S to the level's chain of
     prefix shadows is dead when |shadow(S)| is not the table minimum of
     level d+1 at |S|: condition (2) makes S an initial segment of level
     d+1, so no order of level d+1 gets past S.  Its subtree is counted
     by ``_count``, once for the rest of level d and once for level d+1
-    on the chain's blocks up to S, and its twins are charged the same.
+    on the chain's blocks up to S, and its twins are charged the same:
+    if level d tries W nodes below it and completes in C ways, and level
+    d+1 tries L nodes on the chain's blocks up to S, the charge is
+    W + C·L.  ``_count`` stops once its count passes what is left of the
+    budget, so it never does more work than the search it replaces.
     Level d's lookahead is on once the search has opened a level above
     it, ``top``: so from the search's first backtrack from level d+1
     into level d, and a search that never fails across levels pays
@@ -554,6 +567,8 @@ def is_additive(p: RankedPoset, o: LevelOrderFamily,
     largest and the final segment's smallest among all q-element
     segments.  Sizes q are scanned in increasing order, and for each q
     the segments from the top, so the first failure is the witness.
+    The sizes come from one ``_new_shadows`` table per level, so the
+    test is quadratic in the level width.
     """
     pre = check_macaulay(p, o, level_cap=level_cap)
     if not pre.ok:

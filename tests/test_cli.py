@@ -189,6 +189,14 @@ class TestExitCodes:
         assert err.startswith(f"error: element {item} is not in this poset")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["", "#0,", "x,,y"])
+    def test_shadow_set_empty_item_is_input_error(self, text, capsys):
+        # an empty item used to reach the monomial parser, whose error
+        # named neither the flag nor the item
+        assert run(["shadow", "box(2,2)", "--set", text]) == 2
+        err = one_error_line(capsys)
+        assert err == f"error: --set {text!r} has an empty item\n"
+
     @pytest.mark.parametrize("item", ["z", "x*z^5"])
     def test_shadow_set_foreign_variable_is_input_error(self, item, capsys):
         # z was dropped, so these named the elements 1 and x and exited 0

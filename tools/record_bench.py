@@ -2,54 +2,52 @@
 
     python3 tools/record_bench.py TREE OUT [TREE OUT ...]
 
-For each workload in TREE/BENCHMARK.json this runs TREE/perfbench/run.py
-for the file's ``run_seconds``, once per seed in SEEDS with ``--trace 0``
-and once, on the first seed, with ``--trace 1``, and writes OUT as JSON:
-the tree's commit and source digest, the run context line (environment,
-unscaled times), each end-to-end metric's median and quartiles over the
-seeds with every run's value, and the per-layer metrics of the traced
-run.  Its ``kernel_by_width`` section holds the in-process time of one
+Each OUT is JSON: the TREE's commit and source digest, and these sections.
+
+``workloads``: per workload in TREE/BENCHMARK.json, the median,
+quartiles and every value of each end-to-end metric over one
+TREE/perfbench/run.py run per seed in SEEDS (``--trace 0``, the file's
+``run_seconds``), the first run's context line (environment, unscaled
+times), and the per-layer metrics of one more run on the first seed
+with ``--trace 1``.
+
+``kernel_by_width``: the in-process time of one
 ``kernels.level_min_shadows`` call at n = 4, 8, ..., 24 on fixed seeded
-uniformly random one-word masks: median and quartiles over every timed
-call, from a fresh interpreter per tree and round.  Its
-``kernel_by_width_three_covers`` section does the same on fixed seeded
-masks that each have three cover bits over an n-wide next level: their
-unions repeat, as a box level's do, where random words' saturate.  Its
-``reproduce_by_target`` section holds the in-process wall time of each
-``macposet reproduce`` target: each target runs alone in its own fresh
-interpreter, per tree and round, so its time does not depend on what
-the targets before it left behind (it pays every first-use cost itself,
-such as the kernel's per-width plans), and each target's median and
-quartiles are over the rounds.  A single target's fresh-interpreter
-times spread so widely that two trees' medians can differ by 20% with
-no change between them, so with several trees each round's two runs of
-a target are also paired: in every tree after the first, each target
-records ``pairs_won``, the rounds in which it ran faster than in the
-first tree, out of ``pairs``, and ``median_ratio``, the median over the
-rounds of its time over the first tree's.  Each target also records
-``searches_asked``, the order searches it asks for, and
-``searches_run``, those that ran rather than being answered from the
-search memo, and ``orders_built``, the calls of
-``macaulay.order_from_lists``: the order families built from a
-search's placed positions, by the search itself in a tree that builds
-one per found search, or on the first read of ``SearchResult.order``.
-All three are counted once per tree, in an untimed fresh interpreter
-per target, and ``reproduce_pass_searches`` holds the same three counts
-for all the targets run in turn in one interpreter, as a benchmark pass
-runs them.  A tree without a search memo runs every search it asks
-for.  Its ``search_by_outcome`` section splits the
-random-search pool by search outcome: every instance of the pool is
-searched in-process at the workload's budget through
-``macaulay._search``'s unmemoised body, with every level's row built
-beforehand, once per round in a fresh interpreter per tree and round.
-Per outcome it holds the instance count, the median and quartiles over
-the rounds of their summed search time, the nominal nodes and the
-visited nodes (nominal less charged), with ``pairs_won`` and
-``median_ratio`` against the first tree as for the targets.  Its
-``tier1_s`` holds the wall time of the tier-1
-suite, ``python -m pytest -q --continue-on-collection-errors``
-run in TREE with TREE's ``src/`` on the path: median and quartiles over
-TIER1_ROUNDS runs per tree.
+uniformly random one-word masks, whose unions saturate: median and
+quartiles over every timed call, from a fresh interpreter per tree and
+round.  ``kernel_by_width_three_covers``: the same on masks of three
+cover bits each over an n-wide next level, whose unions repeat as a box
+level's do.
+
+``work_by_workload``: the work of one pass of each workload at the
+first seed, run as perfbench/worker.py runs it, in a fresh interpreter
+per tree and workload: ``bytecodes_by_module``, the ``sys.settrace``
+opcode events in each module of the tree's ``src/macposet/``, and their
+sum ``bytecodes``; ``searches_asked``, the calls of
+``macaulay.find_macaulay_order``; ``searches_run``, those that reached
+the body of ``macaulay._search`` past its memo; ``orders_built``, the
+calls of ``orders.order_from_lists`` from ``macaulay.py``.  The counts
+are equal on every run, so they are taken once per tree; a tree that
+lacks one of the three functions stops the recording.  Work done in C
+(the numpy kernel, ``sorted``, dict lookups) is not counted, so a
+change that moves work into C reads as a large drop: a claim cites
+bytecodes together with a wall-time pair and ``subsets_enumerated``,
+never alone.  ``work_by_target``: the same per ``reproduce`` target of
+the paper-reproduce pass, each counted after the targets before it.
+
+``search_by_outcome``: the random-search pool's searches at the
+workload's budget, split by outcome, in-process through
+``macaulay._search``'s unmemoised body with every level's row built
+beforehand, in a fresh interpreter per tree and round.  Per outcome:
+the instance count, the median and quartiles over the rounds of their
+summed search time, the nominal and the visited nodes (nominal less
+charged), and in every tree after the first ``pairs_won`` of ``pairs``,
+the rounds it ran faster than in the first tree, and ``median_ratio``,
+the median per-round time ratio to the first tree.
+
+``tier1_s``: the wall time of ``python -m pytest -q
+--continue-on-collection-errors`` in TREE with TREE's ``src/`` on the
+path: median and quartiles over TIER1_ROUNDS runs.
 
 Each run imports its tree's ``src/`` from source: the ``__pycache__``
 directories under each TREE's ``src/`` are deleted before the first run
@@ -58,9 +56,12 @@ left by another command cannot shorten one tree's ``setup_s``.
 
 With several TREE OUT pairs the trees take turns, run by run, and the
 tree that goes first alternates from seed to seed (and from round to
-round), so a drift in the machine's speed falls on every tree alike.  A
-run whose outputs do not match the goldens, or a tier-1 run with a
-failing test, stops the recording.
+round), so a drift in the machine's speed falls on every tree alike.
+Every TREE of one recording should be the same kind of copy, for
+example each one a ``git archive`` of its commit: ``peak_rss_mb``
+follows the checkout, and a ``git clone`` and a ``git archive`` copy of
+one commit differ by about 0.1 MB.  A run whose outputs do not match
+the goldens, or a tier-1 run with a failing test, stops the recording.
 """
 
 import argparse
@@ -72,6 +73,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 # the same seeds for every tree, so BENCH files compare run for run
@@ -105,69 +107,65 @@ for n in map(int, sys.argv[2:]):
     out[n] = times
 print(json.dumps(out))
 """
-# a single target's fresh-interpreter times spread by up to ±30%, so
-# 5 rounds could not resolve a change under about 25%
-REPRODUCE_ROUNDS = 15
-REPRODUCE_TARGETS = """
-import json
-from macposet import cli
-print(json.dumps({"targets": list(cli.REPRODUCE)}))
-"""
-# timed in a fresh interpreter that runs only the target named in argv,
-# so no target's time depends on state that earlier targets left in the
-# process, such as the row memo's contents
-REPRODUCE_TIMER = """
-import contextlib, io, json, sys, time
-from macposet import cli
-name = sys.argv[1]
-with contextlib.redirect_stdout(io.StringIO()):
-    t0 = time.perf_counter()
-    code = cli.run_command(["reproduce", name])
-    elapsed = time.perf_counter() - t0
-if code not in (0, 1):
-    sys.exit(f"reproduce {name} exited {code}")
-print(json.dumps({name: [elapsed]}))
-"""
-# counts the searches that the targets named in argv ask for, through
-# find_macaulay_order wherever it was imported, those that run the
-# search body, macaulay._search: the misses of its memo where it is
-# memoised, or else its calls, as in a tree whose memo sits in front of
-# it, and the orders built from search positions, the calls of
-# macaulay.order_from_lists (other modules' calls of it are not counted)
-SEARCH_COUNTER = """
-import contextlib, io, json, sys
-from macposet import cli, macaulay
-counts = {"asked": 0, "run": 0, "orders_built": 0}
+# counts the work of one pass of the workload argv[1] at seed argv[2],
+# op by op, run as perfbench/worker.py runs it; the memo in front of
+# macaulay._search is C code, so the body's frame starts only on a miss
+WORK_METER = """
+import contextlib, io, json, os, sys, tempfile
+sys.path.insert(0, "perfbench")
+import workloads
+from macposet import cli, macaulay, orders
 
-def counted(fn, *keys):
-    def call(*args, **kwargs):
-        for key in keys:
-            counts[key] += 1
-        return fn(*args, **kwargs)
-    return call
+def code_of(module, name):
+    fn = getattr(module, name, None)
+    if fn is None:
+        sys.exit(f"the work meter counts calls of {module.__name__}.{name}, which is missing")
+    return getattr(fn, "__wrapped__", fn).__code__
 
-search, body = macaulay.find_macaulay_order, getattr(macaulay, "_search", None)
-memo = getattr(body, "cache_info", None)
-asked = counted(search, "asked") if body else counted(search, "asked", "run")
-for mod in [m for n, m in sys.modules.items() if n.startswith("macposet")]:
-    for attr, val in list(vars(mod).items()):
-        if val is search:
-            setattr(mod, attr, asked)
-if body and not memo:
-    macaulay._search = counted(body, "run")
-macaulay.order_from_lists = counted(macaulay.order_from_lists, "orders_built")
+ask, run = code_of(macaulay, "find_macaulay_order"), code_of(macaulay, "_search")
+build = code_of(orders, "order_from_lists")
+src, here = os.path.dirname(cli.__file__) + os.sep, macaulay.__file__
+work = {"searches_asked": 0, "searches_run": 0, "orders_built": 0}
+modules = {}  # file: [its bytecodes], and the trace function of its frames
 
-def tally():
-    return {"asked": counts["asked"], "run": memo().misses if memo else counts["run"],
-            "orders_built": counts["orders_built"]}
+def module_tracer():
+    bytecodes = [0]
+    def count(frame, event, arg):
+        if event == "opcode":
+            bytecodes[0] += 1
+        return count
+    return bytecodes, count
 
-out = {}
-for name in sys.argv[1:]:
-    seen = tally()
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.run_command(["reproduce", name])
-    now = tally()
-    out[name] = {key: now[key] - seen[key] for key in now}
+def trace(frame, event, arg):
+    code = frame.f_code
+    if code is ask:
+        work["searches_asked"] += 1
+    elif code is run:
+        work["searches_run"] += 1
+    elif code is build and frame.f_back.f_code.co_filename == here:
+        work["orders_built"] += 1
+    if code.co_filename.startswith(src):
+        if code.co_filename not in modules:
+            modules[code.co_filename] = module_tracer()
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return modules[code.co_filename][1]
+
+cli.build_parser()
+out = []
+with tempfile.TemporaryDirectory() as tmp:
+    report = os.path.join(tmp, "report.json")
+    for argv in workloads.ops(sys.argv[1], int(sys.argv[2])):
+        work.update(dict.fromkeys(work, 0))
+        for bytecodes, _ in modules.values():
+            bytecodes[0] = 0
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            sys.settrace(trace)
+            try:
+                cli.run_command(argv + ["--report", report])
+            finally:
+                sys.settrace(None)
+        out.append({"op": argv[:2], **work, "bytecodes_by_module": {
+            path[len(src):-3]: n[0] for path, (n, _) in modules.items() if n[0]}})
 print(json.dumps(out))
 """
 # searches the random-search pool named by argv[1]'s perfbench, once,
@@ -243,25 +241,31 @@ def summarise(runs):
     return out
 
 
-def fresh_times(tree: Path, timer: str, args=()):
-    """The times, by key, that ``timer`` prints from one fresh interpreter
+def fresh_run(tree: Path, script: str, args=()):
+    """What ``script`` prints, as JSON, from one fresh interpreter
     importing the tree's ``src/``."""
-    cmd = [sys.executable, "-c", timer, *map(str, args)]
+    cmd = [sys.executable, "-c", script, *map(str, args)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
                                "PYTHONPATH": str(tree / "src")})
     if proc.returncode != 0:
-        sys.exit(f"error: in-process timing in {tree} exited {proc.returncode}: "
+        sys.exit(f"error: an in-process probe in {tree} exited {proc.returncode}: "
                  f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
 
 
-def reproduce_times(tree: Path, targets):
-    """Each reproduce target's time, each from its own fresh interpreter."""
-    out = {}
-    for name in targets:
-        out.update(fresh_times(tree, REPRODUCE_TIMER, [name]))
-    return out
+def work(tree: Path, workload: str):
+    """Per op of one pass of ``workload`` at the first seed, the work
+    that ``WORK_METER`` counts."""
+    return fresh_run(tree, WORK_METER, [workload, SEEDS[0]])
+
+
+def work_total(ops):
+    """The work of ``ops`` summed, with the bytecodes over all modules."""
+    modules = sum((Counter(op["bytecodes_by_module"]) for op in ops), Counter())
+    return {**{key: sum(op[key] for op in ops)
+               for key in ("searches_asked", "searches_run", "orders_built")},
+            "bytecodes": sum(modules.values()), "bytecodes_by_module": dict(modules)}
 
 
 def search_by_outcome(samples, base=None):
@@ -351,33 +355,20 @@ def main():
                       file=sys.stderr)
         for t in trees:
             traced[t, w] = run_bench(t, w, SEEDS[0], seconds, 1)
-    kernel = {kind: fresh_rounds(trees, KERNEL_ROUNDS, lambda t: fresh_times(
+    kernel = {kind: fresh_rounds(trees, KERNEL_ROUNDS, lambda t: fresh_run(
         t, KERNEL_TIMER, [kind, *KERNEL_WIDTHS])) for kind in ("random", "covers")}
-    targets = fresh_times(trees[0], REPRODUCE_TARGETS)["targets"]
-    reproduce = fresh_rounds(trees, REPRODUCE_ROUNDS,
-                             lambda t: reproduce_times(t, targets))
     tier1 = fresh_rounds(trees, TIER1_ROUNDS, tier1_times)
-    outcomes = fresh_rounds(trees, SEARCH_ROUNDS, lambda t: fresh_times(t, SEARCH_BY_OUTCOME))
-    searches = {t: {name: fresh_times(t, SEARCH_COUNTER, [name])[name] for name in targets}
-                for t in trees}
-    one_pass = {t: fresh_times(t, SEARCH_COUNTER, targets) for t in trees}
+    outcomes = fresh_rounds(trees, SEARCH_ROUNDS, lambda t: fresh_run(t, SEARCH_BY_OUTCOME))
+    counted = {t: {w: work(t, w) for w in workloads} for t in trees}
 
     for t, out in zip(trees, outs):
-        by_target = summarise_times(reproduce[t])
-        if t != trees[0]:
-            for name, pair in paired(reproduce[t], reproduce[trees[0]]).items():
-                by_target[name].update(pair)
-        for name, counts in searches[t].items():
-            by_target[name].update(searches_asked=counts["asked"],
-                                   searches_run=counts["run"],
-                                   orders_built=counts["orders_built"])
         doc = {"commit": commit_of(t), "source_digest": source_digest(t),
                "seeds": list(SEEDS), "seconds": seconds, "workloads": {},
                "kernel_by_width": summarise_times(kernel["random"][t]),
                "kernel_by_width_three_covers": summarise_times(kernel["covers"][t]),
-               "reproduce_by_target": by_target,
-               "reproduce_pass_searches": {key: sum(c[key] for c in one_pass[t].values())
-                                           for key in ("asked", "run", "orders_built")},
+               "work_by_workload": {w: work_total(ops) for w, ops in counted[t].items()},
+               "work_by_target": {op["op"][1]: work_total([op])
+                                  for op in counted[t]["paper-reproduce"]},
                "search_by_outcome": search_by_outcome(
                    outcomes[t], None if t == trees[0] else outcomes[trees[0]]),
                "tier1_s": summarise_times(tier1[t])["tier1_s"]}
