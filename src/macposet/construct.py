@@ -37,13 +37,15 @@ class OperationResult:
 
 # paths and boxes are memoised on their arguments, since their posets
 # are immutable: one pass of the 12 reproduce targets asks for 9
-# distinct paths and 35 distinct boxes, and each memo holds 64
+# distinct paths and 45 distinct boxes (the hearts' among them), and
+# each memo holds 64
 BUILD_CACHE = 64
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE, typed=True)
 def path(d: int) -> RankedPoset:
-    """Chain of d+1 elements at ranks 0..d."""
+    """Chain of d+1 elements at ranks 0..d.  Memoised on ``d``, so
+    equal arguments give the same immutable poset."""
     if d < 0:
         raise PosetError("path length must be >= 0")
     return RankedPoset(range(d + 1), [(i, i + 1) for i in range(d)],
@@ -52,7 +54,9 @@ def path(d: int) -> RankedPoset:
 
 @functools.lru_cache(maxsize=BUILD_CACHE, typed=True)
 def box(*dims) -> RankedPoset:
-    """Box poset: exponent vectors below the given caps, ordered by divisibility."""
+    """Box poset: exponent vectors below the given caps, ordered by
+    divisibility.  Memoised on the caps, so equal arguments give the
+    same immutable poset."""
     if not dims or any(d < 1 for d in dims):
         raise PosetError("box needs side lengths >= 1")
     tag = "box(" + ",".join(str(d) for d in dims) + ")"
@@ -61,11 +65,14 @@ def box(*dims) -> RankedPoset:
 
 def heart_cells(a0: int, a1: int, b0: int, b1: int) -> list:
     """Cells of the a0 x a1 and b0 x b1 boxes: those of their overlap
-    box, then those only in the first, then those only in the second."""
-    base = box_cells((min(a0, b0), min(a1, b1)))
-    seen = set(base)
-    return base + [m for dims in ((a0, a1), (b0, b1))
-                   for m in box_cells(dims) if m not in seen]
+    box, then those only in the first, then those only in the second.
+    Sides are at least 1.  The cells are read from the memoised boxes'
+    labels: a box's cell lies outside the overlap box exactly when one
+    coordinate reaches the overlap's side."""
+    c0, c1 = min(a0, b0), min(a1, b1)
+    return [*box(c0, c1).labels] + [m for dims in ((a0, a1), (b0, b1))
+                                    for m in box(*dims).labels
+                                    if m[0] >= c0 or m[1] >= c1]
 
 
 def build_heart(a0: int, a1: int, b0: int, b1: int) -> RankedPoset:
@@ -97,7 +104,9 @@ GLUED = {"disjoint_union": ("union", ()), "wedge": ("wedge", ("minimum",)),
 
 def _glue(ps, operation: str, name=None) -> OperationResult:
     """Side-by-side copies of the factors, with the extremes that
-    ``operation`` identifies glued into one element each.  Element ids:
+    ``operation`` identifies glued into one element each: none for a
+    disjoint union, the minima for a wedge (and a spider), the minima
+    and the maxima for a diamond.  Element ids:
     the glued minimum, then every other element by factor and id, then
     the glued maximum."""
     ps = list(ps)
@@ -223,7 +232,8 @@ def fiber_product(pa: RankedPoset, pb: RankedPoset, pc: RankedPoset,
 
 
 def cartesian_product(p: RankedPoset, q: RankedPoset) -> OperationResult:
-    """Pairs ordered componentwise; covers step one coordinate, ranks add."""
+    """Pairs ordered componentwise; covers step one coordinate, ranks
+    add.  Element ids are the pairs in (rank sum, a, b) order."""
     # ids by (rank sum, a, b); idx is keyed on the pair code a * q.n + b
     triples = sorted((ra + rb, a, b) for a, ra in enumerate(p.rank)
                      for b, rb in enumerate(q.rank))

@@ -4,6 +4,7 @@ subposets."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class PosetError(ValueError):
@@ -68,35 +69,49 @@ class RankedPoset:
     their old ranks.  Values are immutable after construction.
     """
 
-    __slots__ = ("n", "rank", "up", "down", "levels", "labels", "var_names",
+    __slots__ = ("n", "rank", "up", "_down", "levels", "labels", "var_names",
                  "name", "pos_in_level", "_leq", "_shadow")
 
     def __init__(self, ranks, covers, labels=None, var_names=None, name=""):
         self.rank = tuple(map(int, ranks))
-        self.n = len(self.rank)
+        self.n = n = len(self.rank)
         if min(self.rank, default=0) < 0:
             raise PosetError("ranks must be nonnegative")
-        up = [[] for _ in range(self.n)]
-        down = [[] for _ in range(self.n)]
-        for a, b in sorted(set(covers)):  # b covers a; up and down come out sorted
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise PosetError(f"cover ({a},{b}) references unknown element")
+        covers = sorted(set(covers))  # b covers a; up comes out sorted
+        if covers and not (0 <= covers[0][0] and covers[-1][0] < n
+                           and 0 <= min(map(itemgetter(1), covers))
+                           and max(map(itemgetter(1), covers)) < n):
+            a, b = next((a, b) for a, b in covers if not (0 <= a < n and 0 <= b < n))
+            raise PosetError(f"cover ({a},{b}) references unknown element")
+        up = [[] for _ in range(n)]
+        for a, b in covers:
             up[a].append(b)
-            down[b].append(a)
         self.up = tuple(map(tuple, up))
-        self.down = tuple(map(tuple, down))
         lv = [[] for _ in range(max(self.rank, default=-1) + 1)]
-        pos = [0] * self.n
+        pos = [0] * n
         for i, r in enumerate(self.rank):
             pos[i] = len(lv[r])
             lv[r].append(i)
         self.levels = tuple(map(tuple, lv))
         self.pos_in_level = tuple(pos)
-        self.labels = tuple(tuple(v) for v in labels) if labels is not None else None
+        self.labels = tuple(map(tuple, labels)) if labels is not None else None
         self.var_names = tuple(var_names) if var_names is not None else None
         self.name = name
+        self._down = None
         self._leq = None
         self._shadow = None
+
+    @property
+    def down(self) -> tuple:
+        """``down[b]``: the ids that b covers, ascending.  Derived on the
+        first read, not at construction, from ``up``."""
+        if self._down is None:
+            down = [[] for _ in range(self.n)]
+            for a, bs in enumerate(self.up):
+                for b in bs:
+                    down[b].append(a)
+            self._down = tuple(map(tuple, down))
+        return self._down
 
     @property
     def max_rank(self) -> int:
@@ -111,7 +126,7 @@ class RankedPoset:
         return tuple(len(l) for l in self.levels)
 
     def minimal_elements(self) -> tuple:
-        return tuple(i for i in range(self.n) if not self.down[i])
+        return tuple(i for i, below in enumerate(self.down) if not below)
 
     def maximal_elements(self) -> tuple:
         return tuple(i for i in range(self.n) if not self.up[i])
@@ -258,7 +273,8 @@ def _bit_positions(bits: int):
 
 
 def upper_shadow(p: RankedPoset, a: LevelSubset) -> LevelSubset:
-    """Elements covering some element of ``a``; lives one level up."""
+    """Elements covering some element of ``a``; lives one level up.
+    Read from the level's shadow masks, an OR of one mask per member."""
     if a.poset is not p:
         raise PosetError("subset belongs to a different poset")
     masks = p._shadow_masks()

@@ -3,12 +3,14 @@
 Monomials are exponent tuples; an ideal keeps its minimal generators as
 an antichain in canonical (lex-descending) order.  Quotients with a pure
 power of every variable are finite, and their standard monomials form a
-ranked poset under divisibility.
+ranked poset under divisibility.  Nothing here parses text:
+``macposet.expr`` reads monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .core import PosetError, RankedPoset, format_monomial
 
@@ -23,7 +25,7 @@ def divides(a, b) -> bool:
     """Componentwise a <= b, i.e. x^a divides x^b."""
     if len(a) != len(b):
         raise PosetError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return all(ai <= bi for ai, bi in zip(a, b))
+    return all(map(le, a, b))
 
 
 def lcm(a, b):
@@ -48,7 +50,7 @@ class MonomialIdeal:
     def member(self, m) -> bool:
         if len(m) != self.arity:
             raise PosetError(f"arity mismatch: {len(m)} vs {self.arity}")
-        return any(divides(g, m) for g in self.generators)
+        return any(all(map(le, g, m)) for g in self.generators)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -116,7 +118,8 @@ def ideal_intersection(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_contains(i: MonomialIdeal, j: MonomialIdeal) -> bool:
-    """i is contained in j, i.e. every generator of i is a member of j."""
+    """i is contained in j, i.e. every generator of i is a member of j.
+    Both need the same variable names in the same order."""
     _same_ring(i, j, "containment test")
     return all(j.member(g) for g in i.generators)
 
@@ -161,17 +164,16 @@ def box_cells(dims, ideal=None) -> list:
 
 def monomial_poset(cells, var_names, name) -> RankedPoset:
     """Divisibility poset of a down-set of exponent vectors: ids in the
-    order of ``cells``, ranks the degrees, covers unit steps."""
+    order of ``cells``, ranks the degrees, covers unit steps, found one
+    variable at a time.  The one down-set builder: boxes, hearts and
+    standard-monomial posets are all built by it."""
     index = {m: k for k, m in enumerate(cells)}
-    ranks = [sum(m) for m in cells]
     covers = []
-    for m, a in index.items():
-        for v in range(len(var_names)):
-            b = index.get(m[:v] + (m[v] + 1,) + m[v + 1:])
-            if b is not None:
-                covers.append((a, b))
-    return RankedPoset(ranks, covers, labels=cells, var_names=var_names,
-                       name=name)
+    for v in range(len(var_names)):
+        covers += [(a, b) for m, a in index.items()
+                   if (b := index.get(m[:v] + (m[v] + 1,) + m[v + 1:])) is not None]
+    return RankedPoset(map(sum, cells), covers, labels=cells,
+                       var_names=var_names, name=name)
 
 
 def standard_monomial_poset(i: MonomialIdeal, name="") -> RankedPoset:

@@ -9,8 +9,9 @@ segments are prefixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .construct import OperationResult, heart_cells
+from .construct import OperationResult
 from .core import LevelSubset, PosetError, RankedPoset
 
 
@@ -56,21 +57,25 @@ def lex_order(p: RankedPoset, priority=None) -> LevelOrderFamily:
     for d, lv in enumerate(p.levels):
         if len({key[i] for i in lv}) != len(lv):
             raise PosetError(f"duplicate labels within level {d}")
-        per_level.append(tuple(sorted(lv, key=lambda i: key[i], reverse=True)))
+        per_level.append(tuple(sorted(lv, key=key.__getitem__, reverse=True)))
     return LevelOrderFamily(p, tuple(per_level))
 
 
-def _labels_read_by(p: RankedPoset, priority) -> list:
+def _labels_read_by(p: RankedPoset, priority):
     """Each element's exponent label with its coordinates in ``priority``
-    order (all of ``p.var_names``, permuted; None keeps their order)."""
+    order (all of ``p.var_names``, permuted; None keeps their order).
+    The identity permutation returns ``p.labels`` itself; any other
+    permutes at least two coordinates, so one ``itemgetter`` reads each
+    label as a tuple."""
     if p.labels is None:
         raise PosetError("this order needs exponent labels")
     names = p.var_names or ()
     priority = names if priority is None else tuple(priority)
     if sorted(priority) != sorted(names):
         raise PosetError(f"priority {priority} does not permute variables {names}")
-    perm = [names.index(v) for v in priority]
-    return [tuple(lab[k] for k in perm) for lab in p.labels]
+    if priority == names:
+        return p.labels
+    return list(map(itemgetter(*map(names.index, priority)), p.labels))
 
 
 def union_simplicial_order(result: OperationResult, factor_orders) -> LevelOrderFamily:
@@ -104,7 +109,9 @@ def twist_order(heart: RankedPoset, a0: int, a1: int, b0: int, b1: int,
                 priority=("y", "x")) -> LevelOrderFamily:
     """Twist order on a heart-shaped poset, for parameters with b1 >= a1.
 
-    Labels are read in ``priority`` order; (x, y) reads them mirrored.
+    Labels are read in ``priority`` order, as ``lex_order`` reads them:
+    the variable named first is compared first and its exponent splits
+    the strips, so (x, y) reads the heart's labels mirrored.
     The low strip (first exponent below a1) is ordered by lex, the high
     strip by reversed lex, and every low-strip element sits below every
     high-strip element of its rank.
@@ -112,7 +119,16 @@ def twist_order(heart: RankedPoset, a0: int, a1: int, b0: int, b1: int,
     if b1 < a1:
         raise PosetError("twist order expects parameters with b1 >= a1")
     key = _labels_read_by(heart, priority)
-    if {(k1, k0) for k0, k1 in key} != set(heart_cells(a0, a1, b0, b1)):
+    # the labels' set is the heart's cells when every label (k0, k1)
+    # is a cell (k1, k0) of one of the two boxes and there are as many
+    # distinct labels as cells.  As b1 >= a1, rows k0 < a1 reach the
+    # wider box's side and rows a1 <= k0 < b1 the second box's; a
+    # negative side holds no cell
+    a0, a1, b0, b1 = (max(side, 0) for side in (a0, a1, b0, b1))
+    wide = max(a0, b0)
+    if (len(set(key)) != a0 * a1 + b0 * b1 - min(a0, b0) * min(a1, b1)
+            or not all(0 <= k0 < b1 and 0 <= k1 < (wide if k0 < a1 else b0)
+                       for k0, k1 in key)):
         raise PosetError("labels are not the heart poset of these parameters")
 
     def sort_key(i):

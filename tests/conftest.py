@@ -6,10 +6,14 @@ they check.  The exceptions are ``reference_search``, the previous
 order search kept unchanged, against which the current search is
 checked node for node; ``reference_glue``, the previous union, wedge
 and diamond builders, against which the one glue builder is checked
-byte for byte; and ``reference_shadow_masks`` and
+byte for byte; ``reference_shadow_masks`` and
 ``reference_cartesian_product``, the previous shadow-mask formula and
 the previous pair-keyed cartesian product, against which the current
-ones are checked mask for mask and byte for byte.
+ones are checked mask for mask and byte for byte; and the previous
+heart-row builders, ``reference_ranked_poset`` (eager ``down``),
+``reference_monomial_poset``, ``reference_heart_cells``,
+``reference_lex_order`` and ``reference_twist_order``, against which
+the current ones are checked field for field.
 
 Three groups of helpers live here because only the tests use them:
 ``are_isomorphic`` (with ``PosetIso``), the isomorphism oracle behind
@@ -25,6 +29,7 @@ heart's own labels mirrored.
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
@@ -34,6 +39,7 @@ from macposet import (InducedSubposet, LevelSubset, PosetError, RankedPoset,
                       wedge)
 from macposet.construct import OperationResult, Provenance, _cover_pairs
 from macposet.expr import Explicit, FileRef, Mono
+from macposet.ideals import box_cells
 from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
                                SearchStats, check_macaulay, min_shadow_table,
                                shadow_masks)
@@ -355,6 +361,110 @@ def reference_cartesian_product(p, q) -> OperationResult:
     name = f"cart({p.name or '?'},{q.name or '?'})"
     poset = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
     return OperationResult(poset, Provenance(sources), "cartesian")
+
+
+def reference_ranked_poset(ranks, covers, labels=None, var_names=None, name=""):
+    """The previous ``RankedPoset.__init__``, which checked each cover's
+    bounds as it appended it to ``up`` and ``down`` and built ``down``
+    eagerly, kept as an oracle: returns the fields it set."""
+    self = SimpleNamespace()
+    self.rank = tuple(map(int, ranks))
+    self.n = len(self.rank)
+    if min(self.rank, default=0) < 0:
+        raise PosetError("ranks must be nonnegative")
+    up = [[] for _ in range(self.n)]
+    down = [[] for _ in range(self.n)]
+    for a, b in sorted(set(covers)):  # b covers a; up and down come out sorted
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise PosetError(f"cover ({a},{b}) references unknown element")
+        up[a].append(b)
+        down[b].append(a)
+    self.up = tuple(map(tuple, up))
+    self.down = tuple(map(tuple, down))
+    lv = [[] for _ in range(max(self.rank, default=-1) + 1)]
+    pos = [0] * self.n
+    for i, r in enumerate(self.rank):
+        pos[i] = len(lv[r])
+        lv[r].append(i)
+    self.levels = tuple(map(tuple, lv))
+    self.pos_in_level = tuple(pos)
+    self.labels = tuple(tuple(v) for v in labels) if labels is not None else None
+    self.var_names = tuple(var_names) if var_names is not None else None
+    self.name = name
+    return self
+
+
+def poset_fields(p) -> tuple:
+    """What ``reference_ranked_poset`` sets, read from either poset."""
+    return (p.rank, p.up, p.down, p.levels, p.pos_in_level, p.labels,
+            p.var_names, p.name)
+
+
+def reference_monomial_poset(cells, var_names, name):
+    """The previous ``monomial_poset``, which sliced each cell around one
+    raised coordinate, kept as an oracle on ``reference_ranked_poset``."""
+    index = {m: k for k, m in enumerate(cells)}
+    ranks = [sum(m) for m in cells]
+    covers = []
+    for m, a in index.items():
+        for v in range(len(var_names)):
+            b = index.get(m[:v] + (m[v] + 1,) + m[v + 1:])
+            if b is not None:
+                covers.append((a, b))
+    return reference_ranked_poset(ranks, covers, labels=cells, var_names=var_names,
+                                  name=name)
+
+
+def reference_heart_cells(a0: int, a1: int, b0: int, b1: int) -> list:
+    """The previous ``heart_cells``, which enumerated the three boxes'
+    cells afresh and dropped the overlap's through a set, kept as an
+    oracle."""
+    base = box_cells((min(a0, b0), min(a1, b1)))
+    seen = set(base)
+    return base + [m for dims in ((a0, a1), (b0, b1))
+                   for m in box_cells(dims) if m not in seen]
+
+
+def _reference_labels_read_by(p, priority) -> list:
+    if p.labels is None:
+        raise PosetError("this order needs exponent labels")
+    names = p.var_names or ()
+    priority = names if priority is None else tuple(priority)
+    if sorted(priority) != sorted(names):
+        raise PosetError(f"priority {priority} does not permute variables {names}")
+    perm = [names.index(v) for v in priority]
+    return [tuple(lab[k] for k in perm) for lab in p.labels]
+
+
+def reference_lex_order(p, priority=None) -> LevelOrderFamily:
+    """The previous ``lex_order``, which read every label through a
+    generator and sorted with a lambda, kept as an oracle."""
+    key = _reference_labels_read_by(p, priority)
+    per_level = []
+    for d, lv in enumerate(p.levels):
+        if len({key[i] for i in lv}) != len(lv):
+            raise PosetError(f"duplicate labels within level {d}")
+        per_level.append(tuple(sorted(lv, key=lambda i: key[i], reverse=True)))
+    return LevelOrderFamily(p, tuple(per_level))
+
+
+def reference_twist_order(heart, a0: int, a1: int, b0: int, b1: int,
+                          priority=("y", "x")) -> LevelOrderFamily:
+    """The previous ``twist_order``, which compared the labels' set with
+    the set of the rebuilt heart cells, kept as an oracle: the current
+    check must accept exactly the same labels."""
+    if b1 < a1:
+        raise PosetError("twist order expects parameters with b1 >= a1")
+    key = _reference_labels_read_by(heart, priority)
+    if {(k1, k0) for k0, k1 in key} != set(reference_heart_cells(a0, a1, b0, b1)):
+        raise PosetError("labels are not the heart poset of these parameters")
+
+    def sort_key(i):
+        k0, k1 = key[i]
+        return (1, (-k0, -k1)) if k0 >= a1 else (0, key[i])
+
+    return LevelOrderFamily(heart, tuple(tuple(sorted(lv, key=sort_key, reverse=True))
+                                         for lv in heart.levels))
 
 
 def reference_glue(ps, operation):

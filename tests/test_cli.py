@@ -312,6 +312,10 @@ class TestExitCodes:
         assert run(argv) == 2
         assert one_error_line(capsys) == f"error: explicit literal: {named}\n"
 
+    def test_cover_of_unknown_element_is_input_error(self, capsys):
+        assert run(["show", "explicit{2; 0 1; 0 2}"]) == 2
+        assert one_error_line(capsys) == "error: cover (0,2) references unknown element\n"
+
     @pytest.mark.parametrize("expr", [
         "wedge(1)", "hat(3)", "cart(1, path(1))", "path(box(2,2))",
         "box(path(1))", "spider(path(1))", 'path("x")', 'union("a")',

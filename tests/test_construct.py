@@ -3,13 +3,19 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (are_isomorphic, dealt_out, reference_cartesian_product,
-                      reference_glue, restrict_to_factors, small_ranked_posets)
+from conftest import (are_isomorphic, dealt_out, poset_fields,
+                      reference_cartesian_product, reference_glue,
+                      reference_heart_cells, reference_lex_order,
+                      reference_monomial_poset, reference_twist_order,
+                      restrict_to_factors, small_ranked_posets)
 from macposet import (PosetError, RankedPoset, box, cartesian_product,
-                      construct, diamond, disjoint_union, fiber_product, path,
-                      pure_power_ideal, spider, validate_poset, wedge)
-from macposet.construct import (GLUED, OperationResult, adjoin_extreme,
-                                build_heart, remove_extreme)
+                      construct, diamond, disjoint_union, fiber_product,
+                      lex_order, path, pure_power_ideal, spider, twist_order,
+                      validate_poset, wedge)
+from macposet.cli import REPRODUCE, run_command
+from macposet.construct import (BUILD_CACHE, GLUED, OperationResult,
+                                adjoin_extreme, build_heart, heart_cells,
+                                remove_extreme)
 from macposet.core import induced_subposet
 from macposet.expr import evaluate, parse_expression
 from macposet.ideals import (box_cells, inclusion_map, monomial_poset,
@@ -59,6 +65,18 @@ class TestBuildMemo:
             remove_extreme(adjoin_extreme(b, which), which)
             remove_extreme(b, which)
         assert poset_to_text(box(2, 3)) == before
+
+    def test_reproduce_pass_evicts_no_box(self, tmp_path, capsys):
+        # the hearts read their cells from the memoised boxes, so a pass
+        # of the reproduce targets must find every box it asked for again
+        box.cache_clear()
+        path.cache_clear()
+        for name in REPRODUCE:
+            run_command(["reproduce", name, "--report", str(tmp_path / "r.json")])
+        capsys.readouterr()
+        for memo in (box, path):
+            info = memo.cache_info()
+            assert info.misses == info.currsize <= BUILD_CACHE, info
 
 
 class TestDisjointUnion:
@@ -324,6 +342,26 @@ class TestMonomialPosets:
             assert ((got.rank, got.up, got.labels, got.var_names)
                     == (want.rank, want.up, want.labels, want.var_names)), (a0, a1, b0, b1)
             assert got.name == f"heart({a0},{a1},{b0},{b1})"
+
+    def test_every_heart_row_matches_reference(self):
+        # cells, posets and the lex and twist families of every heart
+        # with sides 1-6, against the builders that rebuilt each box
+        xy, yx = ("x", "y"), ("y", "x")
+        for a0, a1, b0, b1 in itertools.product(range(1, 7), repeat=4):
+            cells = heart_cells(a0, a1, b0, b1)
+            assert cells == reference_heart_cells(a0, a1, b0, b1)
+            h = build_heart(a0, a1, b0, b1)
+            ref = reference_monomial_poset(cells, xy, f"heart({a0},{a1},{b0},{b1})")
+            assert poset_fields(h) == poset_fields(ref), (a0, a1, b0, b1)
+            for prio in (yx, xy):
+                assert (lex_order(h, prio).per_level
+                        == reference_lex_order(ref, prio).per_level)
+            # the heart read x-first is heart(a1, a0, b1, b0)
+            for prio, params in ((yx, (a0, a1, b0, b1)), (xy, (a1, a0, b1, b0))):
+                if params[3] < params[1]:
+                    params = params[2:] + params[:2]
+                assert (twist_order(h, *params, priority=prio).per_level
+                        == reference_twist_order(ref, *params, prio).per_level)
 
     def test_heart_needs_positive_sides(self):
         with pytest.raises(PosetError, match="side lengths"):

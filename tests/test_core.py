@@ -9,7 +9,8 @@ from macposet import (LevelSubset, PosetError, RankedPoset, box,
 from macposet.construct import adjoin_extreme, remove_extreme
 
 from conftest import (are_isomorphic, dealt_out, naive_lower_shadow,
-                      naive_upper_shadow, reference_shadow_masks, small_ranked_posets)
+                      naive_upper_shadow, poset_fields, reference_ranked_poset,
+                      reference_shadow_masks, small_ranked_posets)
 
 
 def degree_le_3_poset():
@@ -96,6 +97,38 @@ class TestConstruction:
     def test_unknown_element_in_a_cover(self):
         with pytest.raises(PosetError, match="unknown element"):
             RankedPoset([0, 1], [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("covers, named", [
+        ([(0, 1), (-1, 1)], "(-1,1)"),
+        ([(0, 1), (0, -1)], "(0,-1)"),
+        ([(1, 2), (0, 5), (0, 1)], "(0,5)"),
+    ], ids=["negative-a", "negative-b", "first-of-two-in-sorted-order"])
+    def test_bad_cover_is_named(self, covers, named):
+        with pytest.raises(PosetError) as err:
+            RankedPoset([0, 1], covers)
+        assert str(err.value) == f"cover {named} references unknown element"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_ranked_poset(self, data):
+        # covers repeat and may reach past either end of the ids; either
+        # both builds give the same fields or both raise the same message
+        n = data.draw(st.integers(0, 6))
+        ranks = data.draw(st.lists(st.integers(-1, 3) if data.draw(st.booleans())
+                                   else st.integers(0, 3), min_size=n, max_size=n))
+        pairs = st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1))
+        covers = data.draw(st.lists(pairs, max_size=12))
+        covers += data.draw(st.lists(st.sampled_from(covers), max_size=4)) if covers else []
+        labels = data.draw(st.none() | st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=n, max_size=n))
+        try:
+            want = poset_fields(reference_ranked_poset(ranks, covers, labels, ("x", "y")))
+        except PosetError as e:
+            with pytest.raises(PosetError) as err:
+                RankedPoset(ranks, covers, labels, ("x", "y"))
+            assert str(err.value) == str(e)
+        else:
+            assert poset_fields(RankedPoset(ranks, covers, labels, ("x", "y"))) == want
 
 
 class TestShadows:

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import restrict_order
-from macposet import (PosetError, box, disjoint_union, induced_subposet,
-                      lex_order, order_from_lists, path, spider, twist_order,
-                      union_simplicial_order, wedge)
+from conftest import reference_twist_order, restrict_order
+from macposet import (PosetError, RankedPoset, box, disjoint_union,
+                      induced_subposet, lex_order, order_from_lists, path,
+                      spider, twist_order, union_simplicial_order, wedge)
+from macposet.construct import _cover_pairs
 from macposet.classify import build_heart
 from macposet.orders import final_segment, initial_segment
 
@@ -161,6 +163,62 @@ class TestTwistOrder:
     def test_rejects_non_heart_labels(self):
         with pytest.raises(PosetError, match="heart"):
             twist_order(box(3, 3), 3, 2, 2, 3)
+
+    def test_rejects_relabelled_box(self):
+        # box(3,3) with its top cell x^2*y^2 relabelled x^3*y, which lies
+        # in neither rectangle of the 3 x 3 heart
+        b = box(3, 3)
+        labels = [(3, 1) if m == (2, 2) else m for m in b.labels]
+        p = RankedPoset(b.rank, _cover_pairs(b), labels=labels, var_names=b.var_names)
+        with pytest.raises(PosetError) as err:
+            twist_order(p, 3, 3, 3, 3)
+        assert str(err.value) == "labels are not the heart poset of these parameters"
+
+    @pytest.mark.parametrize("params", [(3, 3, 3, 3), (2, 2, 2, 3), (3, 2, 2, 4),
+                                        (2, 3, 3, 3), (3, 1, 2, 3)])
+    def test_rejects_other_parameters(self, params):
+        # heart(2,3,3,2) is twist(3,2,2,3); a box holding its cells, one
+        # inside them, and hearts that differ in one cell or a strip
+        h = build_heart(2, 3, 3, 2)
+        assert twist_order(h, 3, 2, 2, 3).poset is h
+        for twist in (twist_order, reference_twist_order):
+            with pytest.raises(PosetError) as err:
+                twist(h, *params)
+            assert str(err.value) == "labels are not the heart poset of these parameters"
+
+    def test_accepts_a_repeated_label_as_before(self):
+        # the labels' set is still the heart's cells, so the set equality
+        # accepted it, and the count of distinct labels does too
+        h = build_heart(2, 3, 3, 2)
+        p = RankedPoset(h.rank + (2,), _cover_pairs(h), labels=h.labels + ((1, 1),),
+                        var_names=h.var_names)
+        assert (twist_order(p, 3, 2, 2, 3).per_level
+                == reference_twist_order(p, 3, 2, 2, 3).per_level)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_accepts_exactly_what_the_set_equality_accepted(self, data):
+        # a heart, perhaps with one label moved, against parameters that
+        # may be its own, may be others and may be negative
+        a0, a1, b0, b1 = sides = data.draw(st.tuples(*[st.integers(1, 4)] * 4))
+        h = build_heart(*sides)
+        labels = list(h.labels)
+        if data.draw(st.booleans()):
+            labels[data.draw(st.integers(0, h.n - 1))] = data.draw(
+                st.tuples(st.integers(-1, 4), st.integers(-1, 4)))
+        p = RankedPoset(h.rank, _cover_pairs(h), labels=labels, var_names=h.var_names)
+        prio = data.draw(st.sampled_from([("y", "x"), ("x", "y")]))
+        own = (a0, a1, b0, b1) if prio == ("y", "x") else (a1, a0, b1, b0)
+        params = data.draw(st.just(own) | st.just(own[2:] + own[:2])
+                           | st.tuples(*[st.integers(-1, 5)] * 4))
+        try:
+            want = reference_twist_order(p, *params, prio).per_level
+        except PosetError as e:
+            with pytest.raises(PosetError) as err:
+                twist_order(p, *params, priority=prio)
+            assert str(err.value) == str(e)
+        else:
+            assert twist_order(p, *params, priority=prio).per_level == want
 
     @pytest.mark.parametrize("priority", [("x",), ("y", "y"), ("x", "z"),
                                           ("x", "y", "z"), ()])
