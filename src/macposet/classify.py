@@ -14,7 +14,7 @@ from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
 from .core import PosetError, RankedPoset
 from .expr import evaluate, parse_expression
 from .ideals import ideal_from_generators, standard_monomial_poset
-from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, _check_against,
+from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
                        find_macaulay_order)
 from .orders import LevelOrderFamily, lex_order, twist_order
 
@@ -171,20 +171,14 @@ def _agree(claim, *statuses):
     return None if "budget-exceeded" in statuses else claim
 
 
-def _searched(poset, budget, level_cap, expect=None, recommended=None) -> dict:
+def _searched(poset, budget, level_cap, expect=None) -> dict:
     """One search as grid-row fields: its status, nodes and subsets and,
-    given whether an order is expected, whether the search agrees.  Given
-    a recommended order family too, a conclusive row records whether that
-    order certifies the poset, checked against the search's own table,
-    and disagrees if it does not."""
+    given whether an order is expected, whether the search agrees."""
     sr = find_macaulay_order(poset, budget=budget, level_cap=level_cap)
     row = {"search": sr.status, "nodes": sr.stats.nodes,
            "subsets": sr.stats.subsets_enumerated}
     if expect is not None:
         row["agree"] = _agree(expect == (sr.status == "found"), sr.status)
-        if recommended is not None and row["agree"] is not None:
-            row["recommended_ok"] = _check_against(poset, recommended, sr.table).ok
-            row["agree"] = row["agree"] and row["recommended_ok"]
     return row
 
 
@@ -196,15 +190,18 @@ def _span(bound):
 def _heart_rows(bounds, budget, level_cap):
     """heart(a0, a1, b0, b1), every parameter in the side bound; where the
     predicate says Macaulay and the search is conclusive, the recommended
-    order is checked too."""
+    order is checked too, and the row disagrees if it does not certify
+    the heart."""
     for t in itertools.product(_span(bounds["side"]), repeat=4):
         pred = heart_predicate(*t)
         hp = build_heart(*t)
-        choice = heart_order_choice(*t) if pred else None
         row = {"params": list(t), "predicate": pred,
-               **_searched(hp, budget, level_cap, pred,
-                           choice and resolve_heart_order(hp, choice))}
-        if "recommended_ok" in row:
+               **_searched(hp, budget, level_cap, pred)}
+        if pred and row["agree"] is not None:
+            choice = heart_order_choice(*t)
+            order = resolve_heart_order(hp, choice)
+            row["recommended_ok"] = check_macaulay(hp, order, level_cap).ok
+            row["agree"] = row["agree"] and row["recommended_ok"]
             row["recommended"] = choice.to_json()
         yield row
 

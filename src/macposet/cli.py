@@ -17,15 +17,14 @@ from . import __version__, classify
 from .construct import (adjoin_extreme, box, diamond, disjoint_union,
                         spider, wedge)
 from .core import LevelSubset, PosetError, lower_shadow, upper_shadow
-from .expr import (ParseError, evaluate, parse_expression, parse_monomial,
-                   parse_order, resolve_order)
+from .expr import (evaluate, parse_expression, parse_monomial, parse_order,
+                   resolve_order)
 from .ideals import ideal_intersection, pure_power_ideal, standard_monomial_poset
-from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, LevelCapExceeded,
-                       check_macaulay, find_macaulay_order, is_additive,
-                       min_shadow_table)
+from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
+                       find_macaulay_order, is_additive, min_shadow_table)
 from .orders import order_from_lists, union_simplicial_order
-from .serialize import (FormatError, build_report, fibermap_from_text,
-                        order_lists_from_text, poset_to_text, write_report)
+from .serialize import (build_report, fibermap_from_text, order_lists_from_text,
+                        poset_to_text, write_report)
 
 SEARCH_EXIT = {"found": 0, "none": 1, "budget-exceeded": 3}
 
@@ -462,8 +461,7 @@ def run_command(argv) -> int:
         code, report = args.fn(args)
         if args.report:
             write_report(report, args.report)
-    except (ParseError, PosetError, FormatError, LevelCapExceeded,
-            OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # the input errors subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a crash must not read as a verdict (exit 1)

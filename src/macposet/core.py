@@ -289,8 +289,6 @@ def lower_shadow(p: RankedPoset, a: LevelSubset) -> LevelSubset:
     """Elements covered by some element of ``a``; lives one level down."""
     if a.poset is not p:
         raise PosetError("subset belongs to a different poset")
-    if a.bits == 0:
-        return LevelSubset(p, max(a.level - 1, 0), 0)
     out = 0
     lv = p.level(a.level)
     for k in _bit_positions(a.bits):

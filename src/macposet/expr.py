@@ -14,13 +14,16 @@ Order expressions::
 
     lex(x,y)   us(lex(x,y), lex(x,y))   twist   lists("order.txt")
 
-One table (``CALLS``) gives each call its result kind (poset, ideal or
-order) and its argument kinds: integers, posets, one ``ideal(...)``,
-monomials, orders, variable names, or a file-name string.  The parser
-enters a call only where its result kind is asked for and rejects an
-argument of the wrong kind at its position; ``parse_monomial`` reads a
-monomial with the same grammar.  ``evaluate`` rejects an ``explicit``
-literal whose covers break the rank law.
+One table (``CALLS``) gives each call, order calls included, its result
+kind (poset, ideal or order) and its argument kinds: integers, posets,
+one ``ideal(...)``, monomials, orders, variable names, or a file-name
+string.  So one parser reads expressions, orders and ``--set``
+monomials, with the same kind checks and the same nesting limit
+(``MAX_NESTING``).  It enters a call only where its result kind is asked
+for, so ``hat(lex(x))`` is an error at ``lex``, and rejects an argument
+of the wrong kind at its position; ``parse_monomial`` reads a monomial
+with the same grammar.  ``evaluate`` rejects an ``explicit`` literal
+whose covers break the rank law.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import construct, ideals
-from .core import PosetError, RankedPoset, validate_poset
+from .core import PosetError, RankedPoset, induced_subposet, validate_poset
+from .orders import lex_order, order_from_lists, twist_order, union_simplicial_order
 
 
 class ParseError(ValueError):
@@ -66,7 +70,6 @@ _DIGITS = "0123456789"  # not str.isdigit, which takes other scripts and supersc
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.toks: list = []
         i = 0
         while i < len(text):
@@ -353,7 +356,6 @@ def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
         if read_fibermap is None:
             raise PosetError("no map-file reader available in this context")
         triples = read_fibermap(node.args[2].path)
-        from .core import induced_subposet
         pa, pb = children[0].poset, children[1].poset
         ids_a = [a for _, a, _ in triples]
         # the base is induced on these ids, so each must name its own element
@@ -390,7 +392,6 @@ def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
 
 def resolve_order(node: Node, ev: EvalResult, read_order_lists=None):
     """Resolve an order expression against the structure of a built poset."""
-    from .orders import lex_order, order_from_lists, twist_order, union_simplicial_order
     if node.fn == "lex":
         return lex_order(ev.poset, node.args)
     if node.fn == "twist":

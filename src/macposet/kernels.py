@@ -25,6 +25,10 @@ v, so a pair of unions tagged (c', j') bounds every (c, j) below it.
 The minimum over each q's groups is the row of minima.  No minimising
 subset is kept: a caller that needs one rebuilds it from rows of
 smaller levels.
+
+From n = 17 on a call crosses far fewer pairs than the 2^n subsets it
+stands for, so a time per nominal subset (the benchmark's
+``kernels.ns_per_subset.w17-24``) is not a time per crossed pair.
 """
 
 from __future__ import annotations

@@ -160,24 +160,11 @@ def min_shadow_table(p: RankedPoset,
     Each level's row is memoised on its shadow masks, so a level met
     again, in this poset or another, is not enumerated again while it
     is among the ``LEVEL_ROW_CACHE`` most recently used rows.  So no
-    public function takes a table: each builds its own from the rows.
+    function takes a table: the check and the search read the rows
+    themselves.
     """
     _check_level_cap(p, level_cap)
     return _table(p._shadow_masks())
-
-
-def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
-                   level_cap: int = DEFAULT_LEVEL_CAP) -> Verdict:
-    """Decide whether the given order family witnesses Macaulayness.
-
-    Scans (level, prefix size) pairs in lexicographic order and returns
-    the first violation: either some equal-size subset beats the
-    initial segment's shadow, or the segment's shadow fails to be an
-    initial segment of the next level.
-    """
-    if o.poset is not p:
-        raise PosetError("order family belongs to a different poset")
-    return _check_against(p, o, min_shadow_table(p, level_cap=level_cap))
 
 
 def _first_failure(level_masks, orders, mins):
@@ -200,20 +187,30 @@ def _first_failure(level_masks, orders, mins):
     return None
 
 
-def _check_against(p: RankedPoset, o: LevelOrderFamily,
-                   table: MinShadowTable) -> Verdict:
-    """``check_macaulay`` against a table already built for p: the first
-    failure, with its witness."""
+def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
+                   level_cap: int = DEFAULT_LEVEL_CAP) -> Verdict:
+    """Decide whether the given order family witnesses Macaulayness.
+
+    Scans (level, prefix size) pairs in lexicographic order and returns
+    the first violation: either some equal-size subset beats the
+    initial segment's shadow, or the segment's shadow fails to be an
+    initial segment of the next level.  Each level's minima are its
+    memoised row, so a check after a search of p enumerates nothing.
+    """
+    if o.poset is not p:
+        raise PosetError("order family belongs to a different poset")
+    _check_level_cap(p, level_cap)
     pos, level_masks = p.pos_in_level, p._shadow_masks()
     orders = [[pos[i] for i in o.descending(d)] for d in range(len(p.levels))]
-    failure = _first_failure(level_masks, orders, table.mins)
+    mins = tuple(map(_level_row, level_masks))
+    failure = _first_failure(level_masks, orders, mins)
     if failure is None:
         return Verdict.passing()
     d, q, shadow = failure
-    size, best = shadow.bit_count(), table.entry(d, q)
+    size, best = shadow.bit_count(), mins[d][q]
     if size != best:
         # the rival is the first minimiser in ascending binary order; the
-        # table keeps no minimisers, so it is rebuilt from the memoised
+        # rows keep no minimisers, so it is rebuilt from the memoised
         # rows of the level's lower positions
         rival = _first_minimiser(level_masks[d], q, best)
         return Verdict.failing(Witness(
@@ -255,13 +252,10 @@ class SearchResult:
     is None otherwise.  ``order`` is that order family: it is built from
     ``placed`` through ``order_from_lists`` on its first read and cached,
     so a caller that reads only the status builds no order; the grids
-    read only statuses, counters and tables, and build none.  ``table``
-    is the table searched against, which the heart grid's check of its
-    recommended orders reuses."""
+    read only statuses and counters, and build none."""
 
     status: str  # found | none | budget-exceeded
     stats: SearchStats
-    table: MinShadowTable  # the table searched against
     poset: RankedPoset
     placed: tuple | None
 
@@ -291,14 +285,16 @@ def find_macaulay_order(p: RankedPoset, budget: int | None = DEFAULT_BUDGET,
     search sees p only through those masks and is memoised on them and
     the budget; a search that passes the cap does not depend on it, so
     the cap is not in the key.  Every poset with the same masks gets the
-    same status, nominal counters, table and placed positions, and fresh
-    stats.  No order is built here: the result's ``order`` is built for
-    p from the placed positions when it is first read.
+    same status, nominal counters and placed positions, and fresh stats.
+    No order is built here: the result's ``order`` is built for p from
+    the placed positions when it is first read.  The rows searched
+    against stay memoised, so a ``check_macaulay`` of p that follows,
+    such as the heart grid's check of its recommended orders, reads
+    them and enumerates nothing.
     """
     _check_level_cap(p, level_cap)
-    status, nodes, charged, table, placed = _search(p._shadow_masks(), budget)
-    return SearchResult(status, SearchStats(nodes, table.subsets_enumerated, charged),
-                        table, p, placed)
+    status, nodes, charged, subsets, placed = _search(p._shadow_masks(), budget)
+    return SearchResult(status, SearchStats(nodes, subsets, charged), p, placed)
 
 
 def _shadow_of(masks: tuple[int, ...], bits: int) -> int:
@@ -368,9 +364,10 @@ def _steps(shadows) -> list[int]:
 @functools.lru_cache(maxsize=LEVEL_ROW_CACHE)
 def _search(level_masks: tuple, budget: int | None) -> tuple:
     """The search of ``find_macaulay_order`` on the levels whose shadow
-    masks are ``level_masks``: (status, nominal nodes, charged, table,
-    placed), where ``placed`` lists each level's positions, largest
-    first, for a found order, certified against the table, and is None
+    masks are ``level_masks``: (status, nominal nodes, charged, nominal
+    subsets, placed), where the subsets are those of the table searched
+    against and ``placed`` lists each level's positions, largest first,
+    for a found order, certified against the table, and is None
     otherwise.  Memoised as the rows are, in a cache of the same size.
 
     Level orders are built top-down by rank.  Condition (1) forces every
@@ -432,7 +429,7 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
     nothing for it.
     """
     table = _table(level_masks)
-    mins = table.mins
+    mins, subsets = table.mins, table.subsets_enumerated
     level_twins = [None] * len(level_masks)  # derived at their first use
     memo = {}  # _count's, per level and blocks
 
@@ -459,7 +456,7 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
             untried ^= low
             nodes += 1
             if nodes > limit:
-                return "budget-exceeded", nodes, charged, table, None
+                return "budget-exceeded", nodes, charged, subsets, None
             k = low.bit_length() - 1
             sh = shadow | masks[k]
             if sh.bit_count() == need:
@@ -468,13 +465,13 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
                 cost = COST[t, masks[k]]
                 if nodes + cost > limit:
                     return ("budget-exceeded", limit + 1, charged + limit + 1 - nodes,
-                            table, None)
+                            subsets, None)
                 nodes += cost
                 charged += cost
         else:
             t -= 1
             if t < 0:
-                return "none", nodes, charged, table, None
+                return "none", nodes, charged, subsets, None
             if U[t]:  # charge the untried twins of k what k cost
                 k, e = K[t], LV[t]
                 if same := (level_twins[e] or twins_of(e))[k] & U[t]:
@@ -498,7 +495,7 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
                 cost = room + 1 if above is None else cost + below[1] * above[0]
             if nodes + cost > limit:
                 return ("budget-exceeded", limit + 1, charged + limit + 1 - nodes,
-                        table, None)
+                        subsets, None)
             nodes += cost
             charged += cost
             if same := level_twins[d][k] & untried:
@@ -526,7 +523,7 @@ def _search(level_masks: tuple, budget: int | None) -> tuple:
     placed = tuple(tuple(next(rest) for _ in masks) for masks in level_masks)
     if failure := _first_failure(level_masks, placed, mins):  # cannot happen
         raise RuntimeError(f"search produced an uncertified order: {failure}")
-    return "found", nodes, charged, table, placed
+    return "found", nodes, charged, subsets, placed
 
 
 def _new_shadows(o: LevelOrderFamily, d: int) -> list:

@@ -230,14 +230,14 @@ def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
         if not untried:
             stack.pop()
             if not stack:
-                return SearchResult("none", stats, table, p, None)
+                return SearchResult("none", stats, p, None)
             chosen[stack[-1][0]].pop()
             continue
         low = untried & -untried
         frame[4] = untried ^ low
         stats.nodes += 1
         if budget is not None and stats.nodes > budget:
-            return SearchResult("budget-exceeded", stats, table, p, None)
+            return SearchResult("budget-exceeded", stats, p, None)
         k = low.bit_length() - 1
         sh = shadow | level_masks[d][k]
         order = chosen[d]
@@ -251,7 +251,7 @@ def reference_search(p, budget=DEFAULT_BUDGET, level_cap=DEFAULT_LEVEL_CAP):
             stack.append([d, bi + 1, blocks, blocks[bi + 1], blocks[bi + 1], sh])
         else:
             stack.append(first_frame(d + 1))
-    res = SearchResult("found", stats, table, p, tuple(map(tuple, chosen)))
+    res = SearchResult("found", stats, p, tuple(map(tuple, chosen)))
     verdict = check_macaulay(p, res.order, level_cap=level_cap)
     if not verdict.ok:  # the construction guarantees this cannot happen
         raise RuntimeError(f"search produced an uncertified order: {verdict.witness}")

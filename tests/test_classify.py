@@ -316,6 +316,29 @@ class TestHarness:
             "search_nodes": sum(s.nodes for s in made),
             "subsets_enumerated": sum(s.subsets_enumerated for s in made)}
 
+    def test_recommended_orders_go_through_check_macaulay(self, monkeypatch):
+        checked = []
+        real = classify.check_macaulay
+
+        def spy(*args, **kwargs):
+            checked.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "check_macaulay", spy)
+        rep = verify_family("heart", {"side": (1, 2)})
+        rows = [r for r in rep.rows if "recommended_ok" in r]
+        assert rows and len(checked) == len(rows)
+
+    def test_failing_recommended_order_disagrees(self, monkeypatch):
+        # lex with y > x does not certify heart(5,2,2,5), which takes twist
+        monkeypatch.setattr(classify, "resolve_heart_order",
+                            lambda hp, choice: lex_order(hp, ("y", "x")))
+        rep = verify_family("heart", {"side": (2, 5)})
+        row = next(r for r in rep.rows if r["params"] == [5, 2, 2, 5])
+        assert row["search"] == "found"
+        assert row["recommended_ok"] is False and row["agree"] is False
+        assert row in rep.disagreements
+
     def test_unknown_family(self):
         with pytest.raises(PosetError):
             verify_family("nope")

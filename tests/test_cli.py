@@ -130,6 +130,11 @@ class TestExitCodes:
         assert one_error_line(capsys) == (
             f"error: unexpected character {char!r} (at position {pos})\n")
 
+    def test_over_long_integer_literal_is_input_error(self, capsys):
+        # int() raises a plain ValueError past Python's digit limit
+        assert run(["show", "path(" + "9" * 5000 + ")"]) == 2
+        one_error_line(capsys)
+
     @pytest.mark.parametrize("bound", ["dims=0:1", "side=1:2"])
     def test_bound_below_its_domain_names_the_bound(self, bound, capsys):
         # these reached the builders, whose errors named the empty box

@@ -147,6 +147,14 @@ class TestShadows:
         assert len(upper_shadow(p, LevelSubset(p, 2))) == 0
         assert len(lower_shadow(p, LevelSubset(p, 2))) == 0
 
+    def test_lower_shadow_of_level_0_is_at_level_minus_1(self):
+        # empty or not, a level-0 set's lower shadow lives one level down,
+        # as an upper shadow lives one level up
+        p = box(2, 2)
+        for a in (LevelSubset(p, 0), LevelSubset(p, 0, 0b1)):
+            shade = lower_shadow(p, a)
+            assert (shade.level, len(shade)) == (-1, 0)
+
     def test_top_element_has_empty_upper_shadow(self):
         p = box(3, 4)
         top = LevelSubset.of(p, [p.labels.index((2, 3))])
