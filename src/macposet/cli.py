@@ -23,30 +23,17 @@ from .ideals import ideal_intersection, pure_power_ideal, standard_monomial_pose
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
                        find_macaulay_order, is_additive, min_shadow_table)
 from .orders import order_from_lists, union_simplicial_order
-from .serialize import (build_report, fibermap_from_text, order_lists_from_text,
-                        poset_to_text, write_report)
+from .serialize import build_report, poset_to_text, write_report
 
 SEARCH_EXIT = {"found": 0, "none": 1, "budget-exceeded": 3}
 
 
-def _read_fibermap(path_):
-    with open(path_) as fh:
-        return fibermap_from_text(fh.read())
-
-
-def _read_order_lists(path_):
-    with open(path_) as fh:
-        return order_lists_from_text(fh.read())
-
-
 def _build(text):
-    ast = parse_expression(text)
-    return evaluate(ast, read_fibermap=_read_fibermap)
+    return evaluate(parse_expression(text))
 
 
 def _resolve_order(order_text, ev):
-    return resolve_order(parse_order(order_text), ev,
-                         read_order_lists=_read_order_lists)
+    return resolve_order(parse_order(order_text), ev)
 
 
 def _ascii_int(text):

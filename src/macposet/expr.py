@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from . import construct, ideals
 from .core import PosetError, RankedPoset, induced_subposet, validate_poset
 from .orders import lex_order, order_from_lists, twist_order, union_simplicial_order
+from .serialize import fibermap_from_text, order_lists_from_text
 
 
 class ParseError(ValueError):
@@ -299,12 +300,16 @@ def _eval_ideal(node: Node) -> ideals.MonomialIdeal:
     return ideals.ideal_from_generators(gens, names)
 
 
-def evaluate(node, read_fibermap=None) -> EvalResult:
-    """Build the poset an expression denotes.
+def _read(path_, parse):
+    """The file at ``path_``, read by ``parse``; a missing file raises
+    OSError, an input error."""
+    with open(path_) as fh:
+        return parse(fh.read())
 
-    ``read_fibermap`` loads an explicit fiber map file; injected by the
-    CLI layer so this module stays filesystem-free.
-    """
+
+def evaluate(node) -> EvalResult:
+    """Build the poset an expression denotes, reading the map file of an
+    explicit ``fiber`` from the filesystem."""
     if isinstance(node, Explicit):
         p = RankedPoset(node.ranks, node.covers, name="explicit")
         verdict = validate_poset(p)
@@ -328,19 +333,19 @@ def evaluate(node, read_fibermap=None) -> EvalResult:
         return EvalResult(ideals.standard_monomial_poset(ideal), "quotient",
                           meta={"ideal": ideal})
     if fn in ("union", "wedge", "diamond"):
-        children = [evaluate(a, read_fibermap) for a in node.args]
+        children = [evaluate(a) for a in node.args]
         op = {"union": construct.disjoint_union, "wedge": construct.wedge,
               "diamond": construct.diamond}[fn]
         res = op([c.poset for c in children])
         return EvalResult(res.poset, fn, result=res, children=children)
     if fn == "cart":
-        children = [evaluate(a, read_fibermap) for a in node.args]
+        children = [evaluate(a) for a in node.args]
         res = construct.cartesian_product(children[0].poset, children[1].poset)
         return EvalResult(res.poset, "cart", result=res, children=children)
     if fn == "fiber":
-        return _eval_fiber(node, read_fibermap)
+        return _eval_fiber(node)
     if fn in ("hat", "uhat", "bar", "ubar"):
-        child = evaluate(node.args[0], read_fibermap)
+        child = evaluate(node.args[0])
         which = "top" if fn in ("hat", "bar") else "bottom"
         if fn in ("hat", "uhat"):
             p = construct.adjoin_extreme(child.poset, which)
@@ -350,12 +355,10 @@ def evaluate(node, read_fibermap=None) -> EvalResult:
     raise PosetError(f"cannot evaluate {fn!r}")
 
 
-def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
-    children = [evaluate(a, read_fibermap) for a in node.args[:2]]
+def _eval_fiber(node: Node) -> EvalResult:
+    children = [evaluate(a) for a in node.args[:2]]
     if len(node.args) == 3:
-        if read_fibermap is None:
-            raise PosetError("no map-file reader available in this context")
-        triples = read_fibermap(node.args[2].path)
+        triples = _read(node.args[2].path, fibermap_from_text)
         pa, pb = children[0].poset, children[1].poset
         ids_a = [a for _, a, _ in triples]
         # the base is induced on these ids, so each must name its own element
@@ -390,7 +393,7 @@ def _eval_fiber(node: Node, read_fibermap) -> EvalResult:
 
 # ------------------------------------------------------------- order language
 
-def resolve_order(node: Node, ev: EvalResult, read_order_lists=None):
+def resolve_order(node: Node, ev: EvalResult):
     """Resolve an order expression against the structure of a built poset."""
     if node.fn == "lex":
         return lex_order(ev.poset, node.args)
@@ -407,12 +410,9 @@ def resolve_order(node: Node, ev: EvalResult, read_order_lists=None):
         if len(node.args) != len(ev.children):
             raise PosetError(f"us arity {len(node.args)} does not match "
                              f"operation arity {len(ev.children)}")
-        factor_orders = [resolve_order(sub, child, read_order_lists)
+        factor_orders = [resolve_order(sub, child)
                          for sub, child in zip(node.args, ev.children)]
         return union_simplicial_order(ev.result, factor_orders)
     if node.fn == "lists":
-        if read_order_lists is None:
-            raise PosetError("no order-list reader available in this context")
-        lists = read_order_lists(node.args[0].path)
-        return order_from_lists(ev.poset, lists)
+        return order_from_lists(ev.poset, _read(node.args[0].path, order_lists_from_text))
     raise PosetError(f"cannot resolve order {node.fn!r}")

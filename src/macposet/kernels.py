@@ -63,11 +63,11 @@ def _card_runs(bits: int):
 
 
 @functools.cache
-def _plan(n: int, w: int):
-    """What a level of n elements with w-word masks needs besides its
-    masks: lo_bits, the size dtype, the low and high cardinality orders
-    and run starts, or None where each half is reduced to its distinct
-    unions, and the (high card, low card) groups listed by q."""
+def _plan(n: int):
+    """What a level of n elements needs besides its masks: lo_bits, the
+    low and high cardinality orders and run starts, or None where each
+    half is reduced to its distinct unions, and the (high card, low
+    card) groups listed by q."""
     if n >= 17:
         # 12 low bits: at 2^9-2^11 columns numpy's broadcast OR costs
         # about 3x as much per element as at 2^12.  Only here do the
@@ -78,40 +78,23 @@ def _plan(n: int, w: int):
         lo_bits = (n + 1) // 2
         runs = (*_card_runs(lo_bits), *_card_runs(n - lo_bits))
     hi_bits = n - lo_bits
-    # a w-word size reaches 64 * w, which passes a uint8 from w = 4 on
-    size_t = np.min_scalar_type(64 * w)
     # group g = c * (lo_bits + 1) + j holds the subsets with c high and
     # j low elements, of cardinality q = c + j
     cs = [range(max(0, q - lo_bits), min(hi_bits, q) + 1) for q in range(n + 1)]
     diag = [c * lo_bits + q for q, r in enumerate(cs) for c in r]
     diag_starts = list(itertools.accumulate(map(len, cs[:-1]), initial=0))
-    return lo_bits, size_t, runs, *_frozen(np.array(diag), np.array(diag_starts))
-
-
-def _sizes(unions: np.ndarray, w: int, size_t) -> np.ndarray:
-    """Popcount of each union, summed over its words."""
-    sizes = np.bitwise_count(unions)
-    return sizes.sum(axis=-1, dtype=size_t) if w > 1 else sizes
+    return lo_bits, runs, *_frozen(np.array(diag), np.array(diag_starts))
 
 
 def _distinct(unions: np.ndarray, masks: np.ndarray):
     """A half's distinct unions sorted by tag, where each present tag's
-    run starts, and those tags.  ``unions`` is the half's OR table, 1-D
-    for one-word masks, and ``masks`` its (k, w) rows.  A union's tag is
-    the most of the half's elements whose union it is: all those whose
-    masks lie inside it."""
-    if unions.ndim == 1:
-        unions = np.sort(unions)
-        new = unions[1:] != unions[:-1]
-        masks = masks[:, 0]
-    else:
-        unions = unions[np.lexsort(unions.T)]
-        new = np.any(unions[1:] != unions[:-1], axis=1)
-    unions = unions[np.concatenate(([True], new))]
-    inside = (masks[:, None] & ~unions) == 0
-    if unions.ndim > 1:
-        inside = np.all(inside, axis=2)
-    tags = inside.sum(axis=0, dtype=np.uint8)
+    run starts, and those tags.  ``unions`` is the half's OR table and
+    ``masks`` its elements' masks.  A union's tag is the most of the
+    half's elements whose union it is: all those whose masks lie inside
+    it."""
+    unions = np.sort(unions)
+    unions = unions[np.concatenate(([True], unions[1:] != unions[:-1]))]
+    tags = ((masks[:, None] & ~unions) == 0).sum(axis=0, dtype=np.uint8)
     counts = np.bincount(tags)
     present = np.flatnonzero(counts)
     runs = (np.cumsum(counts) - counts)[present]
@@ -119,27 +102,25 @@ def _distinct(unions: np.ndarray, masks: np.ndarray):
     return unions[np.argsort(tags, kind="stable")], runs, present
 
 
-def level_min_shadows(masks: np.ndarray) -> np.ndarray:
+def level_min_shadows(masks) -> np.ndarray:
     """Per-cardinality minimum shadow sizes for one level.
 
-    ``masks`` is a (n, w) uint64 array of shadow bitmasks over the next
-    level.  Returns the minima, q = 0..n, as an int64 array of length
-    n+1.
+    ``masks`` holds the n shadow bitmasks over the next level, one
+    64-bit word each.  Returns the minima, q = 0..n, as an int64 array
+    of length n+1.
     """
-    masks = np.ascontiguousarray(masks, dtype=np.uint64)
-    if masks.ndim != 2:
-        raise ValueError("masks must be 2-D (n, words)")
-    n, w = masks.shape
-    lo_bits, size_t, runs, diag, diag_starts = _plan(n, w)
+    masks = np.asarray(masks, dtype=np.uint64)
+    if masks.ndim != 1:
+        raise ValueError("masks must be 1-D, one word per element")
+    n = len(masks)
+    lo_bits, runs, diag, diag_starts = _plan(n)
     # OR tables of the low and the high rows, doubled side by side
-    pairs = np.zeros((2, lo_bits, w), dtype=np.uint64)
-    pairs.reshape(-1, w)[:n] = masks
-    table = np.zeros((1 << lo_bits, 2, w), dtype=np.uint64)
+    pairs = np.zeros((2, lo_bits), dtype=np.uint64)
+    pairs.reshape(-1)[:n] = masks
+    table = np.zeros((1 << lo_bits, 2), dtype=np.uint64)
     for i in range(lo_bits):
         np.bitwise_or(table[:1 << i], pairs[:, i], out=table[1 << i:2 << i])
     lo, hi = table[:, 0], table[:1 << (n - lo_bits), 1]
-    if w == 1:
-        lo, hi = lo[:, 0], hi[:, 0]
     if runs is None:
         lo_s, starts, lo_tags = _distinct(lo, masks[:lo_bits])
         hi_s, hi_starts, hi_tags = _distinct(hi, masks[lo_bits:])
@@ -148,16 +129,17 @@ def level_min_shadows(masks: np.ndarray) -> np.ndarray:
         lo_s, hi_s = lo[order], hi[hi_order]
     hi_s = hi_s[:, None]
     rows = min(len(hi_s), max(1, BLOCK_SUBSETS // len(lo_s)))
-    group = np.empty((len(hi_s), len(starts)), dtype=size_t)
+    # a size is at most 64, below the uint8 sentinel of the tag table
+    group = np.empty((len(hi_s), len(starts)), dtype=np.uint8)
     for r0 in range(0, len(hi_s), rows):
         # the block's three passes: OR, popcount, minimum per low run
-        sizes = _sizes(hi_s[r0:r0 + rows] | lo_s, w, size_t)
+        sizes = np.bitwise_count(hi_s[r0:r0 + rows] | lo_s)
         group[r0:r0 + rows] = np.minimum.reduceat(sizes, starts, axis=1)
     best = np.minimum.reduceat(group, hi_starts, axis=0)
     if runs is None:
         # suffix minima over both tags: a pair tagged (c', j') bounds
         # every (c, j) below it
-        tagged = np.full((n - lo_bits + 1, lo_bits + 1), np.iinfo(size_t).max, size_t)
+        tagged = np.full((n - lo_bits + 1, lo_bits + 1), 255, np.uint8)
         tagged[hi_tags[:, None], lo_tags] = best
         flipped = np.minimum.accumulate(tagged[::-1, ::-1], axis=0)
         best = np.minimum.accumulate(flipped, axis=1)[::-1, ::-1]

@@ -14,8 +14,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .core import LevelSubset, PosetError, RankedPoset, Verdict, Witness
 from .orders import LevelOrderFamily, order_from_lists
@@ -57,15 +55,6 @@ def shadow_masks(p: RankedPoset, d: int) -> tuple:
     once per poset."""
     masks = p._shadow_masks()
     return masks[d] if 0 <= d < len(masks) else ()
-
-
-def _masks_as_array(masks):
-    """(n, words) uint64 array of int bitmasks, least significant word first."""
-    words = max(1, (max(masks).bit_length() + 63) // 64)
-    if words > 1:
-        masks = [[m >> s & 0xFFFFFFFFFFFFFFFF for s in range(0, 64 * words, 64)]
-                 for m in masks]
-    return np.array(masks, dtype=np.uint64).reshape(-1, words)
 
 
 def _components(masks):
@@ -116,7 +105,7 @@ def _level_row(masks: tuple[int, ...]) -> tuple[int, ...]:
             return row
     if not masks:
         return (0,)
-    return tuple(kernels.level_min_shadows(_masks_as_array(masks)).tolist())
+    return tuple(kernels.level_min_shadows(masks).tolist())
 
 
 def _first_minimiser(masks: tuple[int, ...], q: int, best: int) -> int:
@@ -139,12 +128,15 @@ def _first_minimiser(masks: tuple[int, ...], q: int, best: int) -> int:
 
 
 def _check_level_cap(p: RankedPoset, level_cap: int) -> None:
+    # a shadow mask has one bit per element of the level above, so the
+    # cap of 30 is what keeps every mask the kernel reads to one word
     if level_cap > 30:
         raise LevelCapExceeded("level cap above 30 is not supported")
-    for d, lv in enumerate(p.levels):
-        if len(lv) > level_cap:
-            raise LevelCapExceeded(f"level {d} has {len(lv)} elements, cap is {level_cap}; "
-                                   "raise --level-cap if this is intended")
+    if max(map(len, p.levels), default=0) <= level_cap:
+        return
+    d, lv = next((d, lv) for d, lv in enumerate(p.levels) if len(lv) > level_cap)
+    raise LevelCapExceeded(f"level {d} has {len(lv)} elements, cap is {level_cap}; "
+                           "raise --level-cap if this is intended")
 
 
 def _table(level_masks) -> MinShadowTable:

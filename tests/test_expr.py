@@ -1,3 +1,4 @@
+import json
 import pathlib
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import are_isomorphic, print_expression, print_order
 from macposet import (box, check_macaulay, ideal_from_generators, path, spider,
                       wedge)
+from macposet.cli import run_command
 from macposet.expr import (CALLS, MAX_NESTING, Explicit, FileRef, Mono, Node,
                            ParseError, evaluate, parse_expression,
                            parse_monomial, parse_order, resolve_order)
@@ -177,6 +179,40 @@ _ORDER_NODES = st.recursive(
     lambda kids: st.lists(kids, min_size=1, max_size=3).map(
         lambda a: Node("us", tuple(a))),
     max_leaves=6)
+
+
+class TestFiles:
+    """The library reads the map and order files the CLI reads."""
+
+    def test_library_reads_what_the_cli_reads(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("m.txt").write_text("macposet-fibermap 1\n# c a b\n2\n0 0 0\n1 1 1\n")
+        # box(2,3) with y before x at level 1: y's shadow is not minimal
+        pathlib.Path("o.txt").write_text(
+            "macorder 1\nlevel 0: 0\nlevel 1: 2 1\nlevel 2: 3 4\nlevel 3: 5\n")
+        fiber = 'fiber(box(2,2), box(2,2), "m.txt")'
+        p = evaluate(parse_expression(fiber)).poset
+        assert run_command(["show", fiber, "--report", "show.json"]) == 0
+        head = capsys.readouterr().out.splitlines()[:2]
+        assert head == [f"{p.name}: {p.n} elements, ranks 0..{p.max_rank}",
+                        "level sizes: " + " ".join(map(str, p.level_sizes()))]
+        ev = evaluate(parse_expression("box(2,3)"))
+        verdict = check_macaulay(ev.poset, resolve_order(parse_order('lists("o.txt")'), ev))
+        assert run_command(["check", "box(2,3)", "--order", 'lists("o.txt")',
+                            "--report", "check.json"]) == 1
+        report = json.loads(pathlib.Path("check.json").read_text())
+        assert (report["verdict"], report["witness"]) == (verdict.status,
+                                                          verdict.witness.to_json())
+
+    def test_missing_file_is_an_input_error(self, tmp_path):
+        fiber = f'fiber(box(2,2), box(2,2), "{tmp_path / "none.txt"}")'
+        with pytest.raises(OSError):
+            evaluate(parse_expression(fiber))
+        assert run_command(["show", fiber]) == 2
+        order = f'lists("{tmp_path / "none.txt"}")'
+        with pytest.raises(OSError):
+            resolve_order(parse_order(order), evaluate(parse_expression("box(2,2)")))
+        assert run_command(["check", "box(2,2)", "--order", order]) == 2
 
 
 class TestOrderExpressions:

@@ -148,10 +148,10 @@ class TestLevelRowMemo:
         # opposite orders; the rivals differ as positions do
         _level_row.cache_clear()
         ranks = [0, 0, 1, 1, 1]
-        for covers, masks, one_cover in (([(0, 2), (0, 3), (1, 4)], [[3], [4]], 1),
-                                         ([(0, 4), (1, 2), (1, 3)], [[4], [3]], 0)):
+        for covers, masks, one_cover in (([(0, 2), (0, 3), (1, 4)], [3, 4], 1),
+                                         ([(0, 4), (1, 2), (1, 3)], [4, 3], 0)):
             p = RankedPoset(ranks, covers)
-            mins = kernels.level_min_shadows(np.array(masks, dtype=np.uint64))
+            mins = kernels.level_min_shadows(masks)
             assert min_shadow_table(p).mins[0] == tuple(int(v) for v in mins)
             # the two-cover element first: the one-cover element beats it
             order = order_from_lists(p, [[1 - one_cover, one_cover], [2, 3, 4]])
@@ -176,7 +176,7 @@ class TestLevelRowMemo:
         t = min_shadow_table(p)
         assert kernel_calls == [1, 6, 12, 10, 12, 12, 10, 12, 6, 2]
         for d in range(p.max_rank + 1):
-            masks = macaulay._masks_as_array(macaulay.shadow_masks(p, d))
+            masks = macaulay.shadow_masks(p, d)
             assert t.mins[d] == tuple(kernels.level_min_shadows(masks).tolist())
 
     def test_warm_row_does_not_pass_the_cap(self):
@@ -186,11 +186,31 @@ class TestLevelRowMemo:
             min_shadow_table(p, level_cap=1)
 
 
+# one bottom covered by 31 elements: its shadow mask has 31 bits
+FAN_31 = ("explicit{32; 0" + " 1" * 31 + "; "
+          + ", ".join(f"0 {k}" for k in range(1, 32)) + "}")
+
+
+class TestLevelCapKeepsOneWord:
+    """The cap of 30 is what keeps a shadow mask to one kernel word: a
+    level of 31 elements is refused before any kernel call."""
+
+    @pytest.mark.parametrize("cap, message", [
+        ([], "level 1 has 31 elements, cap is 24"),
+        (["--level-cap", "30"], "level 1 has 31 elements, cap is 30"),
+        (["--level-cap", "31"], "level cap above 30 is not supported"),
+    ], ids=["default", "30", "31"])
+    def test_31_wide_level_is_refused(self, kernel_calls, capsys, cap, message):
+        assert run_command(["search-order", FAN_31] + cap) == 2
+        assert message in capsys.readouterr().err
+        assert kernel_calls == []
+
+
 def reference_min_shadows(masks):
     """Plain-Python twin of ``kernels.level_min_shadows``: walk every
     subset in ascending binary order and keep the first strict minimum
-    per cardinality.  Multi-word rows are joined into one int."""
-    words = [sum(int(x) << (64 * k) for k, x in enumerate(row)) for row in masks]
+    per cardinality."""
+    words = [int(m) for m in masks]
     n = len(words)
     mins = [0] + [None] * n
     argm = [0] * (n + 1)
@@ -205,21 +225,15 @@ def reference_min_shadows(masks):
     return mins, argm
 
 
-def joined(masks):
-    """The rows of an (n, w) mask array as ints, least significant word
-    first: the shadow masks ``_first_minimiser`` takes."""
-    return tuple(sum(int(x) << (64 * k) for k, x in enumerate(row)) for row in masks)
-
-
 def doubling_oracle(masks):
-    """Mins and first minimisers of an (n, w) mask array from a numpy
-    table of every subset's union, built by doubling in ascending
-    binary order."""
-    n, w = masks.shape
-    unions = np.zeros((1 << n, w), dtype=np.uint64)
+    """Mins and first minimisers of n one-word masks from a numpy table
+    of every subset's union, built by doubling in ascending binary
+    order."""
+    n = len(masks)
+    unions = np.zeros(1 << n, dtype=np.uint64)
     for i in range(n):
-        unions[1 << i:2 << i] = unions[:1 << i] | masks[i]
-    sizes = np.bitwise_count(unions).sum(axis=1)
+        unions[1 << i:2 << i] = unions[:1 << i] | np.uint64(masks[i])
+    sizes = np.bitwise_count(unions)
     cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     firsts = []
     for q in range(n + 1):
@@ -233,44 +247,48 @@ def assert_matches(masks, oracle=reference_min_shadows):
     rival against the oracle's mins and argmins."""
     mins, argm = oracle(masks)
     assert kernels.level_min_shadows(masks).tolist() == mins
-    words = joined(masks)
+    words = tuple(map(int, masks))
     assert [macaulay._first_minimiser(words, q, m) for q, m in enumerate(mins)] == argm
 
 
 class TestKernelBackends:
     def test_selected_backend_matches_reference(self):
-        # mins and rivals against a plain-Python enumeration: one- and
-        # two-word masks, n = 0, and levels wide enough that the kernel
-        # walks more than one block of subsets
+        # mins and rivals against a plain-Python enumeration: n = 0, and
+        # levels wide enough that the kernel walks more than one block of
+        # subsets
         wide = kernels.BLOCK_SUBSETS.bit_length()
         rng = np.random.default_rng(5)
-        levels = [rng.integers(0, 2**50, size=(n, w), dtype=np.uint64)
-                  for n, w in [(1, 1), (6, 1), (11, 1), (13, 2)]]
+        levels = [rng.integers(0, 2**50, size=n, dtype=np.uint64) for n in (1, 6, 11, 13)]
         # sparse masks over few bits, so sizes tie across blocks
-        levels += [rng.integers(0, 2**10, size=(wide, w), dtype=np.uint64)
-                   for w in (1, 2)]
+        levels.append(rng.integers(0, 2**10, size=wide, dtype=np.uint64))
         # all-zero masks: every q-subset ties at an empty shadow, so the
         # argmin is the low q bits, whichever block holds it
-        zeros = np.zeros((wide, 1), dtype=np.uint64)
+        zeros = np.zeros(wide, dtype=np.uint64)
         assert reference_min_shadows(zeros)[1] == [(1 << q) - 1 for q in range(wide + 1)]
-        for masks in levels + [zeros, np.zeros((0, 1), dtype=np.uint64)]:
+        for masks in levels + [zeros, np.zeros(0, dtype=np.uint64)]:
             assert_matches(masks)
 
+    def test_masks_are_one_word_each(self):
+        with pytest.raises(ValueError, match="1-D"):
+            kernels.level_min_shadows(np.zeros((3, 1), dtype=np.uint64))
+
     def test_wide_sizes_do_not_wrap(self):
-        # five full 64-bit words: a subset's shadow has up to 320 bits,
-        # so a size summed in uint8 would wrap (256 to 0) and win
+        # full-range words: a size reaches 64 and stays in its uint8,
+        # below the 255 that fills the tag table's absent tags; on both
+        # crossing paths
         full = 2**64 - 1
-        rows = [[full] * 4 + [0], [full] * 5, [full, 0, full, 0, 1],
-                [7, 0, 0, 0, 3], [full] * 3 + [0, 2**63], [1, 1, 1, 1, 1]]
-        masks = np.array(rows, dtype=np.uint64)
+        masks = np.array([full, 2**63, full >> 1, 7, 0, 1], dtype=np.uint64)
         assert_matches(masks)
-        assert kernels.level_min_shadows(masks)[6] == 320
+        assert kernels.level_min_shadows(masks)[6] == 64
+        masks = np.array([full] * 16 + [2**63, 0], dtype=np.uint64)
+        assert_matches(masks, doubling_oracle)
+        assert kernels.level_min_shadows(masks).tolist() == [0, 0] + [1] + [64] * 16
 
     @pytest.mark.parametrize("n", [17, 19, 21])
     def test_twelve_low_bits_match_full_enumeration(self, n):
         # from n = 17 on the low half keeps 12 bits; the oracle tables
         # every subset's union by doubling, in ascending binary order
-        masks = np.random.default_rng(n).integers(0, 2**8, size=(n, 1), dtype=np.uint64)
+        masks = np.random.default_rng(n).integers(0, 2**8, size=n, dtype=np.uint64)
         assert_matches(masks, doubling_oracle)
 
     def test_box_middle_level_matches_lex_shadows(self):
@@ -282,7 +300,7 @@ class TestKernelBackends:
         o = lex_order(p)
         d = 5
         assert len(p.level(d)) == 22
-        masks = macaulay._masks_as_array(macaulay.shadow_masks(p, d))
+        masks = macaulay.shadow_masks(p, d)
         sizes = [len(upper_shadow(p, initial_segment(o, d, q))) for q in range(23)]
         assert kernels.level_min_shadows(masks).tolist() == sizes
 
@@ -300,10 +318,7 @@ _mask_words = st.one_of(st.integers(0, 15), st.integers(0, 2**64 - 1))
 @st.composite
 def level_masks(draw):
     n = draw(st.integers(0, 10))
-    w = draw(st.sampled_from([1, 2]))
-    rows = draw(st.lists(st.lists(_mask_words, min_size=w, max_size=w),
-                         min_size=n, max_size=n))
-    return np.array(rows, dtype=np.uint64).reshape(n, w)
+    return np.array(draw(st.lists(_mask_words, min_size=n, max_size=n)), dtype=np.uint64)
 
 
 @st.composite
@@ -311,9 +326,7 @@ def wide_level_masks(draw):
     """Levels of 11 to 15 elements, so several high rows, and at 15 two
     blocks: rows repeat a few tie-heavy words, all-zero among them."""
     n = draw(st.integers(11, kernels.BLOCK_SUBSETS.bit_length()))
-    w = draw(st.sampled_from([1, 2]))
-    word_rows = st.lists(st.integers(0, 15), min_size=w, max_size=w)
-    pool = draw(st.lists(word_rows, min_size=1, max_size=4)) + [[0] * w]
+    pool = draw(st.lists(st.integers(0, 15), min_size=1, max_size=4)) + [0]
     rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     return np.array(rows, dtype=np.uint64)
 
@@ -325,9 +338,7 @@ def distinct_union_levels(draw):
     few-bit words, which tie, in rows drawn from a pool so that rows
     repeat, all-zero among them."""
     n = draw(st.integers(17, 20))
-    w = draw(st.sampled_from([1, 2]))
-    word_rows = st.lists(_mask_words, min_size=w, max_size=w)
-    pool = draw(st.lists(word_rows, min_size=1, max_size=n)) + [[0] * w]
+    pool = draw(st.lists(_mask_words, min_size=1, max_size=n)) + [0]
     rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     return np.array(rows, dtype=np.uint64)
 
@@ -338,12 +349,12 @@ def split_levels(draw):
     templates, each copy on cover bits of its own, with one-element
     components and empty masks, in a shuffled position order."""
     n = draw(st.integers(macaulay.SPLIT_MIN, 20))
-    template = st.lists(st.integers(1, 15), min_size=1, max_size=5)
+    template = st.lists(st.integers(1, 7), min_size=1, max_size=5)
     pool = draw(st.lists(template, min_size=1, max_size=3))
     parts = st.one_of(st.sampled_from(pool), st.just([0]), st.just([1]))
     masks = []
-    while len(masks) < n:  # 4 cover bits per copy, so up to 80 bits
-        masks += [m << 4 * len(masks) for m in draw(parts)]
+    while len(masks) < n:  # 3 cover bits per copy, so up to 60 bits
+        masks += [m << 3 * len(masks) for m in draw(parts)]
     return tuple(draw(st.permutations(masks[:n])))
 
 
@@ -371,9 +382,8 @@ class TestKernelProperties:
     def test_split_row_matches_kernel(self, masks):
         # the (min, +) join of component rows against the whole level,
         # and the rival, rebuilt through those rows, against the oracle
-        array = macaulay._masks_as_array(masks)
-        assert _level_row(masks) == tuple(kernels.level_min_shadows(array).tolist())
-        assert_matches(array, doubling_oracle)
+        assert _level_row(masks) == tuple(kernels.level_min_shadows(masks).tolist())
+        assert_matches(masks, doubling_oracle)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_ranked_posets())
