@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
-                        diamond, disjoint_union, path, remove_extreme, spider, wedge)
+                        diamond, disjoint_union, heart_cells, path,
+                        remove_extreme, spider, wedge)
 from .core import PosetError, RankedPoset
 from .expr import evaluate, parse_expression
 from .ideals import ideal_from_generators, standard_monomial_poset
@@ -191,19 +192,29 @@ def _heart_rows(bounds, budget, level_cap):
     """heart(a0, a1, b0, b1), every parameter in the side bound; where the
     predicate says Macaulay and the search is conclusive, the recommended
     order is checked too, and the row disagrees if it does not certify
-    the heart."""
+    the heart.
+
+    Nested rectangles give the same heart for several parameter tuples,
+    so rows are keyed on the heart's cells and the order choice (None
+    where the predicate fails, so the key fixes the predicate too).  The
+    first row with a key builds, searches and checks its heart; the rows
+    that repeat the key copy its fields.  This is exact: equal cells
+    make posets equal in all but their name, which no row reads."""
+    settled = {}
     for t in itertools.product(_span(bounds["side"]), repeat=4):
         pred = heart_predicate(*t)
-        hp = build_heart(*t)
-        row = {"params": list(t), "predicate": pred,
-               **_searched(hp, budget, level_cap, pred)}
-        if pred and row["agree"] is not None:
-            choice = heart_order_choice(*t)
-            order = resolve_heart_order(hp, choice)
-            row["recommended_ok"] = check_macaulay(hp, order, level_cap).ok
-            row["agree"] = row["agree"] and row["recommended_ok"]
-            row["recommended"] = choice.to_json()
-        yield row
+        choice = heart_order_choice(*t) if pred else None
+        key = (tuple(heart_cells(*t)), choice)
+        if key not in settled:
+            hp = build_heart(*t)
+            fields = _searched(hp, budget, level_cap, pred)
+            if pred and fields["agree"] is not None:
+                order = resolve_heart_order(hp, choice)
+                fields["recommended_ok"] = check_macaulay(hp, order, level_cap).ok
+                fields["agree"] = fields["agree"] and fields["recommended_ok"]
+                fields["recommended"] = choice.to_json()
+            settled[key] = fields
+        yield {"params": list(t), "predicate": pred, **settled[key]}
 
 
 def _diamond_rows(bounds, budget, level_cap):

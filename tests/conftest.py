@@ -13,7 +13,9 @@ ones are checked mask for mask and byte for byte; and the previous
 heart-row builders, ``reference_ranked_poset`` (eager ``down``),
 ``reference_monomial_poset``, ``reference_heart_cells``,
 ``reference_lex_order`` and ``reference_twist_order``, against which
-the current ones are checked field for field.
+the current ones are checked field for field; and
+``reference_heart_rows``, the previous heart grid, which settled every
+row afresh, against which the current one is checked byte for byte.
 
 Three groups of helpers live here because only the tests use them:
 ``are_isomorphic`` (with ``PosetIso``), the isomorphism oracle behind
@@ -37,6 +39,7 @@ from hypothesis import strategies as st
 from macposet import (InducedSubposet, LevelSubset, PosetError, RankedPoset,
                       Verdict, Witness, box, induced_subposet, path, spider,
                       wedge)
+from macposet import classify
 from macposet.construct import OperationResult, Provenance, _cover_pairs
 from macposet.expr import Explicit, FileRef, Mono
 from macposet.ideals import box_cells
@@ -465,6 +468,25 @@ def reference_twist_order(heart, a0: int, a1: int, b0: int, b1: int,
 
     return LevelOrderFamily(heart, tuple(tuple(sorted(lv, key=sort_key, reverse=True))
                                          for lv in heart.levels))
+
+
+def reference_heart_rows(bounds, budget, level_cap):
+    """The previous heart-grid rows, which built, searched and checked
+    the heart of every parameter tuple, kept as an oracle.  It reads
+    ``classify``'s names when called, so a test's monkeypatch of them
+    reaches both grids."""
+    for t in itertools.product(classify._span(bounds["side"]), repeat=4):
+        pred = classify.heart_predicate(*t)
+        hp = classify.build_heart(*t)
+        row = {"params": list(t), "predicate": pred,
+               **classify._searched(hp, budget, level_cap, pred)}
+        if pred and row["agree"] is not None:
+            choice = classify.heart_order_choice(*t)
+            order = classify.resolve_heart_order(hp, choice)
+            row["recommended_ok"] = classify.check_macaulay(hp, order, level_cap).ok
+            row["agree"] = row["agree"] and row["recommended_ok"]
+            row["recommended"] = choice.to_json()
+        yield row
 
 
 def reference_glue(ps, operation):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import pathlib
 import re
 
@@ -8,17 +9,20 @@ from macposet import (LevelSubset, PosetError, RankedPoset, box, check_macaulay,
                       disjoint_union, find_macaulay_order, lex_order,
                       twist_order, upper_shadow)
 from macposet import classify
-from macposet.classify import (CARTESIAN_TARGETS, FAMILIES, build_heart,
-                               conjecture_6_7_search, diamond_box_predicate,
-                               heart_order_choice, heart_predicate,
+from macposet.classify import (CARTESIAN_TARGETS, FAMILIES, GridReport,
+                               build_heart, conjecture_6_7_search,
+                               diamond_box_predicate, heart_order_choice,
+                               heart_predicate,
                                resolve_heart_order, staircase_ideal,
                                two_variable_quotients,
                                union_simplicial_equivalence_check,
                                verify_family)
+from macposet.construct import heart_cells
 from macposet.expr import evaluate, parse_expression
+from macposet.macaulay import DEFAULT_BUDGET, DEFAULT_LEVEL_CAP
 from macposet.orders import initial_segment
 
-from conftest import relabel_swap_xy
+from conftest import reference_heart_rows, relabel_swap_xy
 
 
 def swapped_macaulay_hearts():
@@ -312,11 +316,19 @@ class TestHarness:
         name, bounds = grid
         rep = (conjecture_6_7_search(**bounds) if name == "conjecture-6-7"
                else verify_family(name, bounds))
+        if name == "heart":
+            # a heart is searched once; the rows that repeat it copy its
+            # counters, so every row's own search must sum to the grid's
+            hearts = [build_heart(*r["params"]) for r in rep.rows]
+            assert len(made) == len({h.labels for h in hearts})
+            made = [find_macaulay_order(h).stats for h in hearts]
         assert made and rep.counters == {
             "search_nodes": sum(s.nodes for s in made),
             "subsets_enumerated": sum(s.subsets_enumerated for s in made)}
 
     def test_recommended_orders_go_through_check_macaulay(self, monkeypatch):
+        # one check per distinct (heart, recommended order); the rows
+        # that repeat one copy its verdict, which a fresh check confirms
         checked = []
         real = classify.check_macaulay
 
@@ -325,9 +337,45 @@ class TestHarness:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(classify, "check_macaulay", spy)
-        rep = verify_family("heart", {"side": (1, 2)})
+        rep = verify_family("heart", {"side": (1, 3)})
         rows = [r for r in rep.rows if "recommended_ok" in r]
-        assert rows and len(checked) == len(rows)
+        keys = {(tuple(heart_cells(*r["params"])), json.dumps(r["recommended"]))
+                for r in rows}
+        assert rows and len(checked) == len(keys) < len(rows)
+        for r in rows:
+            hp = build_heart(*r["params"])
+            order = resolve_heart_order(hp, heart_order_choice(*r["params"]))
+            assert r["recommended_ok"] == check_macaulay(hp, order).ok
+
+    @pytest.mark.parametrize("bounds,budget,lex", [
+        *[({"side": side}, budget, False)
+          for side in ((1, 3), (2, 5)) for budget in (None, 0, 3, 50)],
+        ({}, DEFAULT_BUDGET, False),
+        # lex with y > x fails heart(5,2,2,5), so that row disagrees
+        ({"side": (2, 5)}, DEFAULT_BUDGET, True),
+    ], ids=str)
+    def test_heart_grid_matches_reference(self, bounds, budget, lex, monkeypatch):
+        if lex:
+            monkeypatch.setattr(classify, "resolve_heart_order",
+                                lambda hp, choice: lex_order(hp, ("y", "x")))
+        ref = GridReport("heart", list(reference_heart_rows(
+            {**FAMILIES["heart"].bounds, **bounds}, budget, DEFAULT_LEVEL_CAP)))
+        rep = verify_family("heart", bounds, budget)
+        assert json.dumps(rep.to_json()) == json.dumps(ref.to_json())
+        assert ([5, 2, 2, 5] in [r["params"] for r in rep.disagreements]) == lex
+
+    def test_heart_grid_settles_each_distinct_heart_once(self, monkeypatch):
+        # 625 rows, 367 distinct (cells, order choice) keys
+        calls = {"build_heart": 0, "find_macaulay_order": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(classify, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(classify, name, spy)
+        rep = verify_family("heart")
+        assert len(rep.rows) == 625
+        assert calls == {"build_heart": 367, "find_macaulay_order": 367}
 
     def test_failing_recommended_order_disagrees(self, monkeypatch):
         # lex with y > x does not certify heart(5,2,2,5), which takes twist
