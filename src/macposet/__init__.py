@@ -5,9 +5,9 @@ __version__ = "1.0.0"
 from .core import (InducedSubposet, LevelSubset, PosetError, RankedPoset,
                    Verdict, Witness, induced_subposet, lower_shadow,
                    upper_shadow, validate_poset)
-from .construct import (OperationResult, Provenance, adjoin_extreme, box,
-                        cartesian_product, diamond, disjoint_union,
-                        fiber_product, path, remove_extreme, spider, wedge)
+from .construct import (Provenance, adjoin_extreme, box, cartesian_product,
+                        diamond, disjoint_union, fiber_product, path,
+                        remove_extreme, spider, wedge)
 from .ideals import (MonomialIdeal, divides, ideal_contains,
                      ideal_from_generators, ideal_intersection, ideal_sum,
                      inclusion_map, pure_power_ideal, quotient_is_finite,

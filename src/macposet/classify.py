@@ -231,7 +231,7 @@ def _diamond_rows(bounds, budget, level_cap):
                 pred = diamond_box_predicate(dp, dq)
                 res = diamond([box(*dp), box(*dq)])
                 yield {"params": [list(dp), list(dq)], "predicate": pred,
-                       **_searched(res.poset, budget, level_cap, pred)}
+                       **_searched(res, budget, level_cap, pred)}
 
 
 def _wedge_2d_rows(bounds, budget, level_cap):
@@ -243,7 +243,7 @@ def _wedge_2d_rows(bounds, budget, level_cap):
             pred = wedge_box_predicate("2d", t)
             res = wedge([box(m, n), box(m2, n2)])
             yield {"kind": "2d", "params": list(t), "predicate": pred,
-                   **_searched(res.poset, budget, level_cap, pred)}
+                   **_searched(res, budget, level_cap, pred)}
 
 
 def _wedge_path_rows(bounds, budget, level_cap):
@@ -255,7 +255,7 @@ def _wedge_path_rows(bounds, budget, level_cap):
                 pred = wedge_box_predicate("path", (n, m2, n2))
                 res = wedge([path(n - 1), box(m2, n2)])
                 yield {"kind": "path", "params": [n, m2, n2], "predicate": pred,
-                       **_searched(res.poset, budget, level_cap, pred)}
+                       **_searched(res, budget, level_cap, pred)}
 
 
 # ------------------------------------------------- union/wedge/diamond suite
@@ -287,12 +287,12 @@ def union_simplicial_equivalence_check(ps, budget=DEFAULT_BUDGET,
 
     forms = {
         "union-of-min-removed": status(
-            lambda: disjoint_union([remove_extreme(p, "bottom") for p in ps]).poset),
-        "wedge": status(lambda: wedge(ps).poset),
+            lambda: disjoint_union([remove_extreme(p, "bottom") for p in ps])),
+        "wedge": status(lambda: wedge(ps)),
         "diamond-of-hats": status(
-            lambda: diamond([adjoin_extreme(p, "top") for p in ps]).poset),
-        "union": status(lambda: disjoint_union(ps).poset),
-        "diamond": status(lambda: diamond(ps).poset),
+            lambda: diamond([adjoin_extreme(p, "top") for p in ps])),
+        "union": status(lambda: disjoint_union(ps)),
+        "diamond": status(lambda: diamond(ps)),
     }
     finished = {k: v for k, v in forms.items() if v in ("found", "none")}
     equiv = {finished[k] for k in ("union-of-min-removed", "wedge", "diamond-of-hats")
@@ -341,7 +341,7 @@ def _equivalence_rows(bounds, budget, level_cap):
     instances = [
         ("two-box(2,2)", [b22, b22]),
         ("two-box(2,3)", [box(2, 3), box(2, 3)]),
-        ("two-spider(1,2)", [spider(1, 2).poset, spider(1, 2).poset]),
+        ("two-spider(1,2)", [spider(1, 2), spider(1, 2)]),
         ("hat-uhat-box(2,2)", [adjoin_extreme(b22, "bottom"),
                                adjoin_extreme(b22, "top")]),
         ("path1-path2", [path(1), path(2)]),
@@ -505,17 +505,17 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
 
     for name, ps in quotients:
         base = _searched(ps, budget, level_cap)
-        if base["search"] != "found":
+        if base["search"] != "found" or not extra_steps:
             report.rows.append({"quotient": name, "slice": "base",
                                 "base": base["search"], "agree": None,
                                 "nodes": base["nodes"], "subsets": base["subsets"],
-                                "note": "not in conjecture scope"
-                                if base["search"] == "none"
-                                else "base search inconclusive"})
+                                "note": {"found": "no product rows at 0 steps",
+                                         "none": "not in conjecture scope"}.get(
+                                    base["search"], "base search inconclusive")})
             continue
         top = ps.max_rank
         for n in range(top + 1, top + 1 + extra_steps):
-            prod = cartesian_product(ps, path(n - 1)).poset
+            prod = cartesian_product(ps, path(n - 1))
             row = {"quotient": name, "slice": "conjecture67", "n": n,
                    "elements": prod.n, **_searched(prod, budget, level_cap, True)}
             row["counterexample"] = row["search"] == "none"

@@ -73,7 +73,7 @@ def _parse_set(text, poset):
 
 def cmd_build(args):
     ev = _build(args.expr)
-    text = poset_to_text(ev.poset, ev.result)
+    text = poset_to_text(ev.poset)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -278,10 +278,10 @@ def _reproduce_diamond_not_wedge(args):
         res = diamond(factors)
         fams = [_trivial_factor_order(f) for f in factors]
         us = union_simplicial_order(res, fams)
-        v = check_macaulay(res.poset, us, level_cap=args.level_cap)
+        v = check_macaulay(res, us, level_cap=args.level_cap)
         rows[f"diamond[{tag}]"] = v.status
         ok_any = ok_any or v.ok
-    wr = find_macaulay_order(wedge([hat, uhat]).poset, budget=args.budget,
+    wr = find_macaulay_order(wedge([hat, uhat]), budget=args.budget,
                              level_cap=args.level_cap)
     rows["wedge-search"] = wr.status
     rows["expected_pattern"] = ok_any and wr.status == "none"
@@ -295,10 +295,10 @@ def _trivial_factor_order(p):
 
 
 def _reproduce_spider_union_fails(args):
-    sp = spider(1, 2).poset
-    wr = find_macaulay_order(wedge([sp, sp]).poset, budget=args.budget,
+    sp = spider(1, 2)
+    wr = find_macaulay_order(wedge([sp, sp]), budget=args.budget,
                              level_cap=args.level_cap)
-    ur = find_macaulay_order(disjoint_union([sp, sp]).poset, budget=args.budget,
+    ur = find_macaulay_order(disjoint_union([sp, sp]), budget=args.budget,
                              level_cap=args.level_cap)
     print(f"spider(1,2) wedge spider(1,2): {wr.status}")
     print(f"spider(1,2) disjoint-union spider(1,2): {ur.status}")

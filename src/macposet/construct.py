@@ -1,7 +1,8 @@
 """Poset constructors and operations: paths, boxes, hearts, spiders,
 disjoint union, wedge, diamond, fiber and cartesian products, extreme-element
-transforms.  Every operation output carries provenance so downstream
-orders can tell which factor an element came from."""
+transforms.  Every gluing or product operation returns a poset whose
+``provenance`` records which factor each element came from, so
+downstream orders can tell."""
 
 from __future__ import annotations
 
@@ -16,23 +17,18 @@ from .ideals import box_cells, default_var_names, monomial_poset
 class Provenance:
     """Per-element origin records for an operation output.
 
+    ``operation`` is disjoint_union, wedge, diamond, fiber or cartesian.
     ``sources[i]`` is a tuple of (factor_index, source_id) pairs; glue
     points created by identifying factor extremes carry one pair per
     factor.  Fiber products additionally record the base-poset id with
     the sentinel factor index -2.
     """
 
+    operation: str
     sources: tuple
 
     def arity(self) -> int:
         return 1 + max(f for rec in self.sources for f, _ in rec if f >= 0)
-
-
-@dataclass(frozen=True)
-class OperationResult:
-    poset: RankedPoset
-    provenance: Provenance
-    operation: str  # disjoint_union | wedge | diamond | fiber | cartesian
 
 
 # paths and boxes are memoised on their arguments, since their posets
@@ -85,7 +81,7 @@ def build_heart(a0: int, a1: int, b0: int, b1: int) -> RankedPoset:
                           f"heart({a0},{a1},{b0},{b1})")
 
 
-def spider(*legs) -> OperationResult:
+def spider(*legs) -> RankedPoset:
     """Wedge of paths sharing their minimum."""
     if not legs or any(l < 1 for l in legs):
         raise PosetError("spider needs leg lengths >= 1")
@@ -102,7 +98,7 @@ GLUED = {"disjoint_union": ("union", ()), "wedge": ("wedge", ("minimum",)),
          "diamond": ("diamond", ("minimum", "maximum"))}
 
 
-def _glue(ps, operation: str, name=None) -> OperationResult:
+def _glue(ps, operation: str, name=None) -> RankedPoset:
     """Side-by-side copies of the factors, with the extremes that
     ``operation`` identifies glued into one element each: none for a
     disjoint union, the minima for a wedge (and a spider), the minima
@@ -140,21 +136,21 @@ def _glue(ps, operation: str, name=None) -> OperationResult:
         ranks.append(ps[k].rank[i])
     covers = [(ids[a], ids[b]) for p, ids in zip(ps, new_id) for a, b in _cover_pairs(p)]
     name = name or tag + "(" + ",".join(p.name or "?" for p in ps) + ")"
-    poset = RankedPoset(ranks, covers, name=name)
-    return OperationResult(poset, Provenance(tuple(sources)), operation)
+    return RankedPoset(ranks, covers, name=name,
+                       provenance=Provenance(operation, tuple(sources)))
 
 
-def disjoint_union(ps) -> OperationResult:
+def disjoint_union(ps) -> RankedPoset:
     """Side-by-side copies with no cross relations; ranks preserved."""
     return _glue(ps, "disjoint_union")
 
 
-def wedge(ps) -> OperationResult:
+def wedge(ps) -> RankedPoset:
     """Disjoint union with the unique factor minima identified."""
     return _glue(ps, "wedge")
 
 
-def diamond(ps) -> OperationResult:
+def diamond(ps) -> RankedPoset:
     """Disjoint union with minima identified and maxima identified."""
     return _glue(ps, "diamond")
 
@@ -183,7 +179,7 @@ def _validate_embedding(pc: RankedPoset, px: RankedPoset, inj: dict, which: str)
 
 
 def fiber_product(pa: RankedPoset, pb: RankedPoset, pc: RankedPoset,
-                  into_a: dict, into_b: dict) -> OperationResult:
+                  into_a: dict, into_b: dict) -> RankedPoset:
     """Glue pa and pb along rank-preserving embeddings of the base pc.
 
     Both images must be order-embedded down-sets, which every
@@ -224,14 +220,15 @@ def fiber_product(pa: RankedPoset, pb: RankedPoset, pc: RankedPoset,
             var_names = pa.var_names
 
     name = f"fiber({pa.name or '?'},{pb.name or '?'};{pc.name or '?'})"
-    poset = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
+    poset = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name,
+                        provenance=Provenance("fiber", tuple(sources)))
     verdict = validate_poset(poset)
     if not verdict.ok:
         raise PosetError(f"fiber product violates rank law: {verdict.witness.detail}")
-    return OperationResult(poset, Provenance(tuple(sources)), "fiber")
+    return poset
 
 
-def cartesian_product(p: RankedPoset, q: RankedPoset) -> OperationResult:
+def cartesian_product(p: RankedPoset, q: RankedPoset) -> RankedPoset:
     """Pairs ordered componentwise; covers step one coordinate, ranks
     add.  Element ids are the pairs in (rank sum, a, b) order."""
     # ids by (rank sum, a, b); idx is keyed on the pair code a * q.n + b
@@ -257,8 +254,8 @@ def cartesian_product(p: RankedPoset, q: RankedPoset) -> OperationResult:
         var_names = p.var_names + q.var_names
     sources = tuple(((0, a), (1, b)) for a, b in pairs)
     name = f"cart({p.name or '?'},{q.name or '?'})"
-    poset = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
-    return OperationResult(poset, Provenance(sources), "cartesian")
+    return RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name,
+                       provenance=Provenance("cartesian", sources))
 
 
 def adjoin_extreme(p: RankedPoset, which: str) -> RankedPoset:

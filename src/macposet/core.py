@@ -67,12 +67,17 @@ class RankedPoset:
     (orders, tables, witnesses) deterministic.  A level may be empty:
     removing a unique minimum, for instance, leaves the survivors at
     their old ranks.  Values are immutable after construction.
+
+    ``provenance`` is the ``construct.Provenance`` that a gluing or
+    product operation sets on its output, recording which factor each
+    element came from; it is None on every other poset.
     """
 
     __slots__ = ("n", "rank", "up", "_down", "levels", "labels", "var_names",
-                 "name", "pos_in_level", "_leq", "_shadow")
+                 "name", "provenance", "pos_in_level", "_leq", "_shadow")
 
-    def __init__(self, ranks, covers, labels=None, var_names=None, name=""):
+    def __init__(self, ranks, covers, labels=None, var_names=None, name="",
+                 provenance=None):
         self.rank = tuple(map(int, ranks))
         self.n = n = len(self.rank)
         if min(self.rank, default=0) < 0:
@@ -97,6 +102,7 @@ class RankedPoset:
         self.labels = tuple(map(tuple, labels)) if labels is not None else None
         self.var_names = tuple(var_names) if var_names is not None else None
         self.name = name
+        self.provenance = provenance
         self._down = None
         self._leq = None
         self._shadow = None

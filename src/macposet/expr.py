@@ -278,7 +278,6 @@ def _parse_explicit(toks: _Tokens) -> Explicit:
 class EvalResult:
     poset: RankedPoset
     kind: str
-    result: construct.OperationResult | None = None
     children: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
@@ -322,8 +321,7 @@ def evaluate(node) -> EvalResult:
     if fn == "box":
         return EvalResult(construct.box(*node.args), "box")
     if fn == "spider":
-        res = construct.spider(*node.args)
-        return EvalResult(res.poset, "spider", result=res)
+        return EvalResult(construct.spider(*node.args), "spider")
     if fn == "heart":
         a0, a1, b0, b1 = node.args
         return EvalResult(construct.build_heart(a0, a1, b0, b1), "heart",
@@ -336,12 +334,11 @@ def evaluate(node) -> EvalResult:
         children = [evaluate(a) for a in node.args]
         op = {"union": construct.disjoint_union, "wedge": construct.wedge,
               "diamond": construct.diamond}[fn]
-        res = op([c.poset for c in children])
-        return EvalResult(res.poset, fn, result=res, children=children)
+        return EvalResult(op([c.poset for c in children]), fn, children=children)
     if fn == "cart":
         children = [evaluate(a) for a in node.args]
-        res = construct.cartesian_product(children[0].poset, children[1].poset)
-        return EvalResult(res.poset, "cart", result=res, children=children)
+        p = construct.cartesian_product(children[0].poset, children[1].poset)
+        return EvalResult(p, "cart", children=children)
     if fn == "fiber":
         return _eval_fiber(node)
     if fn in ("hat", "uhat", "bar", "ubar"):
@@ -374,8 +371,8 @@ def _eval_fiber(node: Node) -> EvalResult:
         for c, a, b in triples:
             into_a[sub.new_of_old[a]] = a
             into_b[sub.new_of_old[a]] = b
-        res = construct.fiber_product(pa, pb, sub.poset, into_a, into_b)
-        return EvalResult(res.poset, "fiber", result=res, children=children)
+        return EvalResult(construct.fiber_product(pa, pb, sub.poset, into_a, into_b),
+                          "fiber", children=children)
     ia = children[0].meta.get("ideal")
     ib = children[1].meta.get("ideal")
     if ia is None or ib is None:
@@ -384,11 +381,11 @@ def _eval_fiber(node: Node) -> EvalResult:
     base = ideals.ideal_sum(ia, ib)
     pc = ideals.standard_monomial_poset(base)
     pa, pb = children[0].poset, children[1].poset
-    res = construct.fiber_product(
+    p = construct.fiber_product(
         pa, pb, pc,
         ideals.inclusion_map(ia, base, poset_i=pa, poset_j=pc),
         ideals.inclusion_map(ib, base, poset_i=pb, poset_j=pc))
-    return EvalResult(res.poset, "fiber", result=res, children=children)
+    return EvalResult(p, "fiber", children=children)
 
 
 # ------------------------------------------------------------- order language
@@ -405,14 +402,14 @@ def resolve_order(node: Node, ev: EvalResult):
             a0, a1, b0, b1 = b0, b1, a0, a1
         return twist_order(ev.poset, a0, a1, b0, b1)
     if node.fn == "us":
-        if ev.result is None or not ev.children:
+        if ev.poset.provenance is None or not ev.children:
             raise PosetError("us(...) applies to union/wedge/diamond expressions")
         if len(node.args) != len(ev.children):
             raise PosetError(f"us arity {len(node.args)} does not match "
                              f"operation arity {len(ev.children)}")
         factor_orders = [resolve_order(sub, child)
                          for sub, child in zip(node.args, ev.children)]
-        return union_simplicial_order(ev.result, factor_orders)
+        return union_simplicial_order(ev.poset, factor_orders)
     if node.fn == "lists":
         return order_from_lists(ev.poset, _read(node.args[0].path, order_lists_from_text))
     raise PosetError(f"cannot resolve order {node.fn!r}")

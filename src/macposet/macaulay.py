@@ -36,7 +36,7 @@ class LevelCapExceeded(PosetError):
 
 @dataclass(frozen=True)
 class MinShadowTable:
-    """entry(d, q) = exact minimum of |shadow(A)| over |A| = q at level d.
+    """mins[d][q] = exact minimum of |shadow(A)| over |A| = q at level d.
 
     ``subsets_enumerated`` is nominal: 2^n for each level of n elements,
     whether the level's row came from the memo, from its components'
@@ -45,9 +45,6 @@ class MinShadowTable:
 
     mins: tuple
     subsets_enumerated: int
-
-    def entry(self, d: int, q: int) -> int:
-        return self.mins[d][q]
 
 
 def shadow_masks(p: RankedPoset, d: int) -> tuple:
@@ -194,7 +191,7 @@ def check_macaulay(p: RankedPoset, o: LevelOrderFamily,
     _check_level_cap(p, level_cap)
     pos, level_masks = p.pos_in_level, p._shadow_masks()
     orders = [[pos[i] for i in o.descending(d)] for d in range(len(p.levels))]
-    mins = tuple(map(_level_row, level_masks))
+    mins = _table(level_masks).mins
     failure = _first_failure(level_masks, orders, mins)
     if failure is None:
         return Verdict.passing()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .construct import OperationResult
 from .core import LevelSubset, PosetError, RankedPoset
 
 
@@ -78,21 +77,22 @@ def _labels_read_by(p: RankedPoset, priority):
     return list(map(itemgetter(*map(names.index, priority)), p.labels))
 
 
-def union_simplicial_order(result: OperationResult, factor_orders) -> LevelOrderFamily:
-    """Within each level, later factors sit above earlier ones and each
-    factor keeps its own order; built inductively for any arity.
+def union_simplicial_order(p: RankedPoset, factor_orders) -> LevelOrderFamily:
+    """On a disjoint union, wedge or diamond ``p``, read through its
+    provenance: within each level, later factors sit above earlier ones
+    and each factor keeps its own order; built inductively for any arity.
 
     Merged glue points are normally alone in their level; if one ever
     shares a level it is placed last.
     """
-    if result.operation not in ("disjoint_union", "wedge", "diamond"):
-        raise PosetError(f"union simplicial order undefined for {result.operation}")
-    prov = result.provenance
+    prov = p.provenance
+    operation = getattr(prov, "operation", "a poset no operation built")
+    if operation not in ("disjoint_union", "wedge", "diamond"):
+        raise PosetError(f"union simplicial order undefined for {operation}")
     factor_orders = list(factor_orders)
     arity = prov.arity()
     if len(factor_orders) != arity:
         raise PosetError(f"need {arity} factor orders, got {len(factor_orders)}")
-    p = result.poset
 
     def sort_key(i):
         rec = prov.sources[i]

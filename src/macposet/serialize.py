@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .construct import OperationResult
 from .core import RankedPoset
 
 
@@ -43,7 +42,7 @@ class FormatError(ValueError):
         self.line = line
 
 
-def poset_to_text(p: RankedPoset, result: OperationResult | None = None) -> str:
+def poset_to_text(p: RankedPoset) -> str:
     out = ["macposet 1"]
     if p.name:
         out.append(f"name {p.name}")
@@ -55,9 +54,9 @@ def poset_to_text(p: RankedPoset, result: OperationResult | None = None) -> str:
     if p.labels is not None:
         out.append(f"labels {len(p.var_names)} " + " ".join(p.var_names))
         out.extend(" ".join(str(e) for e in lab) for lab in p.labels)
-    if result is not None:
-        out.append(f"provenance {result.operation} {p.n}")
-        for rec in result.provenance.sources:
+    if p.provenance is not None:
+        out.append(f"provenance {p.provenance.operation} {p.n}")
+        for rec in p.provenance.sources:
             out.append(" ".join(f"{f}:{s}" for f, s in rec))
     return "\n".join(out) + "\n"
 

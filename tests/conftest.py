@@ -40,7 +40,7 @@ from macposet import (InducedSubposet, LevelSubset, PosetError, RankedPoset,
                       Verdict, Witness, box, induced_subposet, path, spider,
                       wedge)
 from macposet import classify
-from macposet.construct import OperationResult, Provenance, _cover_pairs
+from macposet.construct import Provenance, _cover_pairs
 from macposet.expr import Explicit, FileRef, Mono
 from macposet.ideals import box_cells
 from macposet.macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, SearchResult,
@@ -339,7 +339,7 @@ def reference_is_additive(p: RankedPoset, o: LevelOrderFamily,
     return Verdict.passing()
 
 
-def reference_cartesian_product(p, q) -> OperationResult:
+def reference_cartesian_product(p, q) -> RankedPoset:
     """The cartesian product that sorted its pairs with a key function
     and indexed them in a dict keyed on the pair, kept as an oracle: the
     current one must give the same ids, covers, labels, name and
@@ -362,8 +362,8 @@ def reference_cartesian_product(p, q) -> OperationResult:
         var_names = p.var_names + q.var_names
     sources = tuple(((0, a), (1, b)) for a, b in pairs)
     name = f"cart({p.name or '?'},{q.name or '?'})"
-    poset = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
-    return OperationResult(poset, Provenance(sources), "cartesian")
+    return RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name,
+                       provenance=Provenance("cartesian", sources))
 
 
 def reference_ranked_poset(ranks, covers, labels=None, var_names=None, name=""):
@@ -497,7 +497,7 @@ def reference_glue(ps, operation):
             "diamond": _reference_diamond}[operation](ps)
 
 
-def _reference_union(ps) -> OperationResult:
+def _reference_union(ps) -> RankedPoset:
     ps = list(ps)
     covers, ranks, sources = [], [], []
     offset = 0
@@ -507,8 +507,8 @@ def _reference_union(ps) -> OperationResult:
         sources.extend(((k, i),) for i in range(p.n))
         offset += p.n
     name = "union(" + ",".join(p.name or "?" for p in ps) + ")"
-    poset = RankedPoset(ranks, covers, name=name)
-    return OperationResult(poset, Provenance(tuple(sources)), "disjoint_union")
+    return RankedPoset(ranks, covers, name=name,
+                       provenance=Provenance("disjoint_union", tuple(sources)))
 
 
 def _unique_min(p: RankedPoset, k: int) -> int:
@@ -525,7 +525,7 @@ def _unique_max(p: RankedPoset, k: int) -> int:
     return maxs[0]
 
 
-def _reference_wedge(ps) -> OperationResult:
+def _reference_wedge(ps) -> RankedPoset:
     ps = list(ps)
     mins = [_unique_min(p, k) for k, p in enumerate(ps)]
     glue_rank = ps[0].rank[mins[0]]
@@ -549,11 +549,11 @@ def _reference_wedge(ps) -> OperationResult:
                 nxt += 1
         covers.extend((new_id[(k, a)], new_id[(k, b)]) for a, b in _cover_pairs(p))
     name = "wedge(" + ",".join(p.name or "?" for p in ps) + ")"
-    poset = RankedPoset(ranks, covers, name=name)
-    return OperationResult(poset, Provenance(tuple(sources)), "wedge")
+    return RankedPoset(ranks, covers, name=name,
+                       provenance=Provenance("wedge", tuple(sources)))
 
 
-def _reference_diamond(ps) -> OperationResult:
+def _reference_diamond(ps) -> RankedPoset:
     ps = list(ps)
     mins = [_unique_min(p, k) for k, p in enumerate(ps)]
     maxs = [_unique_max(p, k) for k, p in enumerate(ps)]
@@ -591,8 +591,8 @@ def _reference_diamond(ps) -> OperationResult:
         new_id[(k, maxs[k])] = top
         covers.extend((new_id[(k, a)], new_id[(k, b)]) for a, b in _cover_pairs(p))
     name = "diamond(" + ",".join(p.name or "?" for p in ps) + ")"
-    poset = RankedPoset(ranks, covers, name=name)
-    return OperationResult(poset, Provenance(tuple(sources)), "diamond")
+    return RankedPoset(ranks, covers, name=name,
+                       provenance=Provenance("diamond", tuple(sources)))
 
 
 @dataclass(frozen=True)
@@ -699,16 +699,17 @@ def are_isomorphic(p: RankedPoset, q: RankedPoset) -> PosetIso | None:
     return None
 
 
-def restrict_to_factors(res: OperationResult, factor_indices) -> InducedSubposet:
-    """Induced subposet on the elements coming from the given factors.
+def restrict_to_factors(p: RankedPoset, factor_indices) -> InducedSubposet:
+    """Induced subposet of an operation output on the elements coming
+    from the given factors.
 
     Glue points whose sources meet the chosen factors are kept, so the
     restriction of a diamond to two factors is again their diamond.
     """
     wanted = set(factor_indices)
-    ids = [i for i, rec in enumerate(res.provenance.sources)
+    ids = [i for i, rec in enumerate(p.provenance.sources)
            if any(f in wanted for f, _ in rec)]
-    return induced_subposet(res.poset, ids)
+    return induced_subposet(p, ids)
 
 
 def restrict_order(o: LevelOrderFamily, sub: InducedSubposet) -> LevelOrderFamily:
@@ -756,8 +757,8 @@ def print_order(node) -> str:
 
 
 def read_poset_text(text):
-    """(poset, operation result or None) from ``serialize.poset_to_text``'s
-    output; it trusts its input, which only that writer makes."""
+    """The poset, provenance included, that ``serialize.poset_to_text``
+    wrote; it trusts its input, which only that writer makes."""
     lines = iter(text.splitlines())
     assert next(lines) == "macposet 1"
     line, name = next(lines), ""
@@ -767,19 +768,19 @@ def read_poset_text(text):
     ranks = [int(t) for t in next(lines).split()[1:]]
     covers = [tuple(int(t) for t in next(lines).split())
               for _ in range(int(next(lines).split()[1]))]
-    labels = var_names = op = None
+    labels = var_names = provenance = None
     for line in lines:
         head = line.split()
         if head[0] == "labels":
             var_names = tuple(head[2:])
             labels = [tuple(int(t) for t in next(lines).split()) for _ in range(n)]
         else:  # provenance OP N
-            op = head[1]
-            sources = tuple(tuple(tuple(int(t) for t in item.split(":"))
-                                  for item in next(lines).split())
-                            for _ in range(int(head[2])))
-    p = RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name)
-    return p, (OperationResult(p, Provenance(sources), op) if op else None)
+            provenance = Provenance(head[1], tuple(
+                tuple(tuple(int(t) for t in item.split(":"))
+                      for item in next(lines).split())
+                for _ in range(int(head[2]))))
+    return RankedPoset(ranks, covers, labels=labels, var_names=var_names, name=name,
+                       provenance=provenance)
 
 
 @pytest.fixture
@@ -788,7 +789,7 @@ def small_corpus():
         path(3),
         box(2, 2),
         box(2, 3),
-        spider(1, 2).poset,
-        spider(2, 2).poset,
-        wedge([box(2, 2), box(2, 2)]).poset,
+        spider(1, 2),
+        spider(2, 2),
+        wedge([box(2, 2), box(2, 2)]),
     ]

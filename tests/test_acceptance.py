@@ -157,11 +157,11 @@ def test_criterion_08_section3_equivalence_suite():
         for op in (disjoint_union, wedge, diamond):
             res = op([b, b])
             fam = union_simplicial_order(res, [o, o])
-            ok &= check_macaulay(res.poset, fam).ok
+            ok &= check_macaulay(res, fam).ok
     # spider(1,2): wedge square has an order, union square has none
-    sp = spider(1, 2).poset
-    ok &= find_macaulay_order(wedge([sp, sp]).poset).status == "found"
-    ok &= find_macaulay_order(disjoint_union([sp, sp]).poset).status == "none"
+    sp = spider(1, 2)
+    ok &= find_macaulay_order(wedge([sp, sp])).status == "found"
+    ok &= find_macaulay_order(disjoint_union([sp, sp])).status == "none"
     # diamond-not-wedge: hat(2x2) and uhat(2x2)
     b = box(2, 2)
     hat, uhat = adjoin_extreme(b, "top"), adjoin_extreme(b, "bottom")
@@ -173,9 +173,9 @@ def test_criterion_08_section3_equivalence_suite():
         for f in factors:
             fams.append(order_from_lists(
                 f, [list(f.level(d)) for d in range(f.max_rank + 1)]))
-        us_ok |= check_macaulay(res.poset, union_simplicial_order(res, fams)).ok
+        us_ok |= check_macaulay(res, union_simplicial_order(res, fams)).ok
     ok &= us_ok
-    ok &= find_macaulay_order(wedge([hat, uhat]).poset).status == "none"
+    ok &= find_macaulay_order(wedge([hat, uhat])).status == "none"
     # hat preservation across the random corpus
     hats = [r for r in verify_family("union-wedge-diamond-equiv").rows
             if "poset" in r]

@@ -235,13 +235,12 @@ class TestInitialSegmentsGeneralLemma:
             assert a0 > b0 and b1 > a1 and a0 >= b1 and a0 + a1 >= b0 + b1
             P = box(a0, a1)
             Q = box(b1, b0)
-            res = disjoint_union([P, Q])  # Q's elements sit on top
-            M = res.poset
+            M = disjoint_union([P, Q])  # Q's elements sit on top
             po = lex_order(P, ("y", "x"))
             qo = lex_order(Q, ("y", "x"))
             from macposet import union_simplicial_order
-            fam = union_simplicial_order(res, [po, qo])
-            prov = res.provenance.sources
+            fam = union_simplicial_order(M, [po, qo])
+            prov = M.provenance.sources
             of_p = {s: i for i, rec in enumerate(prov)
                     for f, s in rec if f == 0}
             of_q = {s: i for i, rec in enumerate(prov)
@@ -300,6 +299,8 @@ class TestHarness:
         ("union-wedge-diamond-equiv", {}),
         ("cartesian-counterexamples", {}),
         ("conjecture-6-7", {"max_exp": 2}),
+        pytest.param(("conjecture-6-7", {"max_exp": 2, "extra_steps": 0}),
+                     id="conjecture-6-7-no-steps"),
     ], ids=lambda grid: grid[0])
     def test_counters_sum_every_search(self, grid, monkeypatch):
         # every search a grid makes, a memo hit and a found base of the
@@ -450,6 +451,14 @@ class TestConjectureScan:
                                     include_special=False)
         assert not rep.inconclusive
         assert not [r for r in rep.rows if r.get("counterexample")]
+
+    def test_zero_steps_reports_each_found_base(self):
+        # with no product row to ride on, a found base's search is a row
+        rep = conjecture_6_7_search(max_exp=2, extra_steps=0,
+                                    include_special=False)
+        assert [(r["slice"], r["base"], r["agree"]) for r in rep.rows] == [
+            ("base", "found", None)] * 5
+        assert rep.all_agree and not rep.inconclusive
 
     def test_special_quotient_regression(self):
         rep = conjecture_6_7_search(max_exp=2, extra_steps=1,

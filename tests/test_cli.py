@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -570,6 +571,26 @@ class TestVerifyFamilyBounds:
         assert "key=lo:hi" in one_error_line(capsys)
 
 
+# each operation kind's `build` expression and the sha256 of its stdout;
+# ``{map}`` is a file holding FIBER_MAP_CHAIN
+BUILD_PINNED = {
+    "union": ("union(box(2,2), path(1))",
+              "29b551d9af9a25a36a02d0e2d4a58c82a65d2f7bfc28fac119fc11b1a27b2ba9"),
+    "wedge": ("wedge(box(2,2), box(2,3))",
+              "a5fc25a26fbcc14408d838a40dc5fc76a5ef38b1cbafeca58bec60659c1a5921"),
+    "diamond": ("diamond(box(2,2), box(2,2))",
+                "4c2605411831e0b8231c3268c1e7e3d2f95f99eb09c70ff0f78c2a357ec1206d"),
+    "spider": ("spider(1,2,3)",
+               "c10306374eec8c3904d1f400a387206bd5463a06c94e1261135a6ce9a24114d8"),
+    "cart": ("cart(poset(ideal(x^2, y)), poset(ideal(z^2)))",
+             "6d6349ffeef0c1e54212a72124e76d16ef7c04caf6d150f1bbc790252606fd78"),
+    "fiber-ideals": ("fiber(poset(ideal(x^2, y^3)), poset(ideal(x^3, y^2)))",
+                     "a8ca8725f73df161f5b5d5fef4c4ab043b8d0ece8e176ad3853aa781668f4d51"),
+    "fiber-map": ('fiber(box(2,2), box(2,3), "{map}")',
+                  "d73f71d21c690d15c29b09975b2f14c556b2f3c245bea113a40225d331546f8b"),
+}
+
+
 class TestReports:
     def test_report_written(self, tmp_path):
         out = tmp_path / "r.json"
@@ -585,7 +606,16 @@ class TestReports:
         out = tmp_path / "p.poset"
         assert run(["build", "wedge(box(2,2), box(2,3))", "--out", str(out)]) == 0
         res = wedge([box(2, 2), box(2, 3)])
-        assert out.read_text() == poset_to_text(res.poset, res)
+        assert out.read_text() == poset_to_text(res)
+
+    @pytest.mark.parametrize("kind", list(BUILD_PINNED))
+    def test_build_output_is_pinned(self, kind, tmp_path, capsys):
+        # the file form of each operation kind, its provenance lines included
+        m = tmp_path / "m.txt"
+        m.write_text(FIBER_MAP_CHAIN)
+        expression, digest = BUILD_PINNED[kind]
+        assert run(["build", expression.format(map=m)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_order_lists_file(self, tmp_path):
         f = tmp_path / "o.txt"

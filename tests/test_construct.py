@@ -13,9 +13,8 @@ from macposet import (PosetError, RankedPoset, box, cartesian_product,
                       lex_order, path, pure_power_ideal, spider, twist_order,
                       validate_poset, wedge)
 from macposet.cli import REPRODUCE, run_command
-from macposet.construct import (BUILD_CACHE, GLUED, OperationResult,
-                                adjoin_extreme, build_heart, heart_cells,
-                                remove_extreme)
+from macposet.construct import (BUILD_CACHE, GLUED, adjoin_extreme,
+                                build_heart, heart_cells, remove_extreme)
 from macposet.core import induced_subposet
 from macposet.expr import evaluate, parse_expression
 from macposet.ideals import (box_cells, inclusion_map, monomial_poset,
@@ -36,17 +35,16 @@ class TestConstructors:
         assert are_isomorphic(box(2), path(1)) is not None
 
     def test_box_is_product_of_paths(self):
-        prod = cartesian_product(path(2), path(3)).poset
+        prod = cartesian_product(path(2), path(3))
         assert are_isomorphic(prod, box(3, 4)) is not None
-        prod3 = cartesian_product(cartesian_product(path(1), path(1)).poset,
-                                  path(2)).poset
+        prod3 = cartesian_product(cartesian_product(path(1), path(1)), path(2))
         assert are_isomorphic(prod3, box(2, 2, 3)) is not None
 
     def test_spider(self):
-        s = spider(1, 1).poset
+        s = spider(1, 1)
         assert s.n == 3 and s.level_sizes() == (1, 2)
-        assert spider(2, 2, 2).poset.level_sizes() == (1, 3, 3)
-        assert are_isomorphic(spider(3).poset, path(3)) is not None
+        assert spider(2, 2, 2).level_sizes() == (1, 3, 3)
+        assert are_isomorphic(spider(3), path(3)) is not None
 
 
 class TestBuildMemo:
@@ -82,56 +80,56 @@ class TestBuildMemo:
 class TestDisjointUnion:
     def test_two_paths(self):
         res = disjoint_union([path(1), path(1)])
-        assert res.poset.n == 4
-        assert res.poset.level_sizes() == (2, 2)
+        assert res.n == 4
+        assert res.level_sizes() == (2, 2)
 
     def test_level_sizes_add(self):
         res = disjoint_union([box(2, 2), box(2, 3)])
-        assert res.poset.level_sizes() == tuple(
+        assert res.level_sizes() == tuple(
             a + b for a, b in zip((1, 2, 1, 0), (1, 2, 2, 1)))
 
     def test_underline_wedge_is_union_of_underlines(self):
-        ps = [box(2, 2), spider(2, 2).poset]
-        lhs = remove_extreme(wedge(ps).poset, "bottom")
-        rhs = disjoint_union([remove_extreme(p, "bottom") for p in ps]).poset
+        ps = [box(2, 2), spider(2, 2)]
+        lhs = remove_extreme(wedge(ps), "bottom")
+        rhs = disjoint_union([remove_extreme(p, "bottom") for p in ps])
         assert are_isomorphic(lhs, rhs) is not None
 
 
 class TestWedge:
     def test_paths(self):
         res = wedge([path(1), path(2)])
-        assert res.poset.n == 4
-        assert res.poset.level_sizes() == (1, 2, 1)
+        assert res.n == 4
+        assert res.level_sizes() == (1, 2, 1)
 
     def test_single_factor_identity(self):
         p = box(2, 3)
         res = wedge([p])
-        assert are_isomorphic(res.poset, p) is not None
+        assert are_isomorphic(res, p) is not None
 
     def test_wedge_of_paths_is_spider(self):
-        assert are_isomorphic(wedge([path(1), path(2), path(2)]).poset,
-                              spider(1, 2, 2).poset) is not None
+        assert are_isomorphic(wedge([path(1), path(2), path(2)]),
+                              spider(1, 2, 2)) is not None
 
     def test_rejects_multiple_minima(self):
-        two_min = disjoint_union([path(1), path(1)]).poset
+        two_min = disjoint_union([path(1), path(1)])
         with pytest.raises(PosetError, match="factor 0 has 2 minimal"):
             wedge([two_min, path(1)])
 
     def test_glue_rank_subtraction(self):
         res = wedge([box(2, 2), box(2, 2), box(2, 2)])
-        assert res.poset.level_sizes() == (1, 6, 3)  # 3 - (n-1) at rank 0
+        assert res.level_sizes() == (1, 6, 3)  # 3 - (n-1) at rank 0
 
 
 class TestDiamond:
     def test_diamond_poset(self):
         res = diamond([path(1), path(1)])
-        assert res.poset.n == 2  # both extremes merged: 2+2-2
+        assert res.n == 2  # both extremes merged: 2+2-2
         res = diamond([path(2), path(2)])
-        assert res.poset.level_sizes() == (1, 2, 1)
+        assert res.level_sizes() == (1, 2, 1)
 
     def test_discrete_torus(self):
         res = diamond([path(3), path(3)])
-        assert res.poset.level_sizes() == (1, 2, 2, 1)
+        assert res.level_sizes() == (1, 2, 2, 1)
 
     def test_mismatched_top_ranks_rejected(self):
         with pytest.raises(PosetError, match="maximum has rank"):
@@ -143,7 +141,7 @@ class TestDiamond:
 
     def test_top_and_bottom_counts(self):
         res = diamond([box(2, 3), box(2, 3)])
-        assert res.poset.level_sizes() == (1, 4, 4, 1)
+        assert res.level_sizes() == (1, 4, 4, 1)
 
     def test_mismatched_bottom_ranks_rejected(self):
         # the bottom-removed path(3) has its minimum at rank 1
@@ -181,7 +179,7 @@ def glued_text(build):
         res = build()
     except PosetError:
         return PosetError
-    return poset_to_text(res.poset, res)
+    return poset_to_text(res)
 
 
 class TestGlueMatchesReference:
@@ -192,7 +190,7 @@ class TestGlueMatchesReference:
 
     def test_union_of_no_factors_is_empty(self):
         res = disjoint_union([])
-        assert res.poset.n == 0 and res.poset.name == "union()"
+        assert res.n == 0 and res.name == "union()"
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(glue_factors(), st.sampled_from(sorted(GLUED)))
@@ -206,10 +204,10 @@ class TestGlueMatchesReference:
     def test_spider_is_the_renamed_wedge_of_paths(self, legs):
         res = spider(*legs)
         ref = reference_glue([path(l) for l in legs], "wedge")
-        renamed = RankedPoset(ref.poset.rank, construct._cover_pairs(ref.poset),
-                              name="spider(" + ",".join(map(str, legs)) + ")")
-        want = OperationResult(renamed, ref.provenance, ref.operation)
-        assert poset_to_text(res.poset, res) == poset_to_text(renamed, want)
+        renamed = RankedPoset(ref.rank, construct._cover_pairs(ref),
+                              name="spider(" + ",".join(map(str, legs)) + ")",
+                              provenance=ref.provenance)
+        assert poset_to_text(res) == poset_to_text(renamed)
 
 
 @st.composite
@@ -243,11 +241,10 @@ class TestFiber:
     @given(fiber_inputs())
     def test_covers_are_rank_one_pairs_of_the_glued_order(self, inputs):
         pa, pb, pc, into_a, into_b = inputs
-        res = fiber_product(pa, pb, pc, into_a, into_b)
-        p = res.poset
+        p = fiber_product(pa, pb, pc, into_a, into_b)
         # each glued element's id in pa and in pb, where it has one
-        in_a = [dict(rec).get(0) for rec in res.provenance.sources]
-        in_b = [dict(rec).get(1) for rec in res.provenance.sources]
+        in_a = [dict(rec).get(0) for rec in p.provenance.sources]
+        in_b = [dict(rec).get(1) for rec in p.provenance.sources]
         leq = [[(in_a[x] is not None and in_a[y] is not None
                  and pa.leq(in_a[x], in_a[y]))
                 or (in_b[x] is not None and in_b[y] is not None
@@ -267,14 +264,14 @@ class TestFiber:
             res = fiber_product(pa, pb, star,
                                 {0: pa.minimal_elements()[0]},
                                 {0: pb.minimal_elements()[0]})
-            assert are_isomorphic(res.poset, wedge([pa, pb]).poset) is not None
+            assert are_isomorphic(res, wedge([pa, pb])) is not None
 
     def test_two_paths_over_a_stem(self):
         # |A| + |B| - |C| = 3 + 3 - 2 = 4: a V on a stem
         pa, pb, pc = path(2), path(2), path(1)
         res = fiber_product(pa, pb, pc, {0: 0, 1: 1}, {0: 0, 1: 1})
-        assert res.poset.n == 4
-        assert res.poset.level_sizes() == (1, 1, 2)
+        assert res.n == 4
+        assert res.level_sizes() == (1, 1, 2)
 
     def test_heart_level_size_identity(self):
         a0, a1, b0, b1 = 4, 2, 2, 5
@@ -287,8 +284,8 @@ class TestFiber:
                            pure_power_ideal((c0, c1), ("x", "y")),
                            poset_i=pb, poset_j=pc)
         res = fiber_product(pa, pb, pc, ia, ib)
-        for d in range(res.poset.max_rank + 1):
-            assert len(res.poset.level(d)) == (
+        for d in range(res.max_rank + 1):
+            assert len(res.level(d)) == (
                 len(pa.level(d)) + len(pb.level(d)) - len(pc.level(d)))
 
     def test_invalid_injection_rejected(self):
@@ -337,7 +334,7 @@ class TestMonomialPosets:
             ib = inclusion_map(pure_power_ideal((b0, b1), xy),
                                pure_power_ideal((c0, c1), xy),
                                poset_i=pb, poset_j=pc)
-            want = fiber_product(pa, pb, pc, ia, ib).poset
+            want = fiber_product(pa, pb, pc, ia, ib)
             got = build_heart(a0, a1, b0, b1)
             assert ((got.rank, got.up, got.labels, got.var_names)
                     == (want.rank, want.up, want.labels, want.var_names)), (a0, a1, b0, b1)
@@ -392,23 +389,23 @@ class TestCartesian:
     def test_matches_reference_product(self, p, q):
         # ids, ranks, covers, labels, name and provenance all show in the file form
         res, ref = cartesian_product(p, q), reference_cartesian_product(p, q)
-        assert poset_to_text(res.poset, res) == poset_to_text(ref.poset, ref)
+        assert poset_to_text(res) == poset_to_text(ref)
 
     def test_identity_factor(self):
         p = box(2, 3)
-        assert are_isomorphic(cartesian_product(p, path(0)).poset, p) is not None
+        assert are_isomorphic(cartesian_product(p, path(0)), p) is not None
 
     def test_rank_and_updegree_laws(self):
         res = cartesian_product(box(2, 2), path(2))
         p, q = box(2, 2), path(2)
         for k, rec in enumerate(res.provenance.sources):
             (_, a), (_, b) = rec
-            assert res.poset.rank[k] == p.rank[a] + q.rank[b]
-            assert len(res.poset.up[k]) == len(p.up[a]) + len(q.up[b])
+            assert res.rank[k] == p.rank[a] + q.rank[b]
+            assert len(res.up[k]) == len(p.up[a]) + len(q.up[b])
 
     def test_path_times_y_has_8_elements(self):
-        y = adjoin_extreme(spider(1, 1).poset, "bottom")
-        assert cartesian_product(path(1), y).poset.n == 8
+        y = adjoin_extreme(spider(1, 1), "bottom")
+        assert cartesian_product(path(1), y).n == 8
 
 
 class TestExtremes:
@@ -417,7 +414,7 @@ class TestExtremes:
         assert p.n == 5 and p.max_rank == 3
 
     def test_adjoin_bottom_makes_y(self):
-        y = adjoin_extreme(spider(1, 1).poset, "bottom")
+        y = adjoin_extreme(spider(1, 1), "bottom")
         assert y.level_sizes() == (1, 1, 2)
         assert validate_poset(y).ok
 
@@ -427,8 +424,8 @@ class TestExtremes:
 
     def test_diamond_of_hats_is_hat_of_wedge(self):
         ps = [box(2, 2), box(2, 2)]
-        lhs = diamond([adjoin_extreme(p, "top") for p in ps]).poset
-        rhs = adjoin_extreme(wedge(ps).poset, "top")
+        lhs = diamond([adjoin_extreme(p, "top") for p in ps])
+        rhs = adjoin_extreme(wedge(ps), "top")
         assert are_isomorphic(lhs, rhs) is not None
 
     def test_hat_overline_identities(self, small_corpus):
@@ -449,32 +446,32 @@ class TestExtremes:
 
     def test_remove_top_of_union_rejected(self):
         with pytest.raises(PosetError, match="2 top extremes"):
-            remove_extreme(disjoint_union([path(1), path(1)]).poset, "top")
+            remove_extreme(disjoint_union([path(1), path(1)]), "top")
 
     def test_adjoin_top_mixed_ranks_rejected(self):
         with pytest.raises(PosetError, match="mixed ranks"):
-            adjoin_extreme(spider(1, 2).poset, "top")
+            adjoin_extreme(spider(1, 2), "top")
 
 
 class TestProvenanceAndValidation:
     def test_all_outputs_validate(self, small_corpus):
         outputs = [
-            disjoint_union(small_corpus[:3]).poset,
-            wedge([box(2, 2), box(2, 3)]).poset,
-            diamond([box(2, 3), box(2, 3)]).poset,
-            cartesian_product(box(2, 2), path(2)).poset,
+            disjoint_union(small_corpus[:3]),
+            wedge([box(2, 2), box(2, 3)]),
+            diamond([box(2, 3), box(2, 3)]),
+            cartesian_product(box(2, 2), path(2)),
         ]
         for p in outputs:
             assert validate_poset(p).ok
 
     def test_provenance_covers_every_element(self):
         res = diamond([box(2, 2), box(2, 2)])
-        assert len(res.provenance.sources) == res.poset.n
+        assert len(res.provenance.sources) == res.n
         merged = [i for i, rec in enumerate(res.provenance.sources) if len(rec) > 1]
         assert len(merged) == 2  # glued bottom and top
 
     def test_restrict_to_factors_of_diamond(self):
         res = diamond([box(2, 2)] * 3)
         sub = restrict_to_factors(res, [1, 2])
-        expect = diamond([box(2, 2)] * 2).poset
+        expect = diamond([box(2, 2)] * 2)
         assert are_isomorphic(sub.poset, expect) is not None

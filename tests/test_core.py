@@ -201,9 +201,8 @@ class TestShadows:
                     assert b in up and a in dn
 
     def test_shadow_splits_over_union_components(self):
-        res = disjoint_union([box(2, 2), box(2, 3)])
-        p = res.poset
-        comp0 = [i for i, rec in enumerate(res.provenance.sources) if rec[0][0] == 0]
+        p = disjoint_union([box(2, 2), box(2, 3)])
+        comp0 = [i for i, rec in enumerate(p.provenance.sources) if rec[0][0] == 0]
         for d in range(p.max_rank + 1):
             ids = [i for i in p.level(d)]
             if not ids:
@@ -239,7 +238,7 @@ class TestIsomorphism:
 
     def test_same_sizes_not_isomorphic(self):
         # Y vs path junction: 1,1,2 levels vs spider(1,2) has levels 1,2,1
-        y = adjoin_extreme(spider(1, 1).poset, "bottom")
+        y = adjoin_extreme(spider(1, 1), "bottom")
         other = RankedPoset([0, 1, 2, 2], [(0, 1), (1, 2), (1, 3), (0, 1)])
         assert are_isomorphic(y, other) is not None  # same shape here
         chain_plus = RankedPoset([0, 1, 2, 2], [(0, 1), (1, 2)])
@@ -248,7 +247,7 @@ class TestIsomorphism:
     def test_overline_hat_roundtrip(self):
         # spider(1,2) itself has maxima at mixed ranks, so hat is undefined
         # there; a spider with equal legs exercises the same identity
-        p = spider(2, 2).poset
+        p = spider(2, 2)
         again = remove_extreme(adjoin_extreme(p, "top"), "top")
         assert are_isomorphic(p, again) is not None
 

@@ -138,7 +138,7 @@ class TestEvaluation:
 
     def test_operations(self):
         ev = evaluate(parse_expression("wedge(path(1), path(2))"))
-        assert are_isomorphic(ev.poset, spider(1, 2).poset) is not None
+        assert are_isomorphic(ev.poset, spider(1, 2)) is not None
         ev = evaluate(parse_expression("cart(path(2), path(3))"))
         assert are_isomorphic(ev.poset, box(3, 4)) is not None
 

@@ -58,7 +58,7 @@ class TestMinShadowTable:
     def test_argmin_is_first_in_ascending_order(self):
         # the table keeps mins only; _first_minimiser, which gives a
         # min-shadow-beaten witness its rival, finds the first minimiser
-        p = wedge([box(2, 2), box(2, 3)]).poset
+        p = wedge([box(2, 2), box(2, 3)])
         t = min_shadow_table(p)
         for d in range(p.max_rank + 1):
             masks = []
@@ -85,7 +85,7 @@ class TestMinShadowTable:
                 assert macaulay._first_minimiser(tuple(masks), q, best) == first
 
     def test_level_cap(self):
-        wide = disjoint_union([path(0)] * 25).poset
+        wide = disjoint_union([path(0)] * 25)
         with pytest.raises(LevelCapExceeded, match="raise --level-cap"):
             min_shadow_table(wide, level_cap=24)
         t = min_shadow_table(wide, level_cap=25)
@@ -171,7 +171,7 @@ class TestLevelRowMemo:
     def test_wedge_of_equal_boxes_needs_no_wide_call(self, kernel_calls):
         # levels 3-6 are 20 and 24 wide, two equal halves each; the
         # halves, re-indexed over their own covers, share one call
-        p = wedge([box(4, 4, 4), box(4, 4, 4)]).poset
+        p = wedge([box(4, 4, 4), box(4, 4, 4)])
         assert list(map(len, p.levels)) == [1, 6, 12, 20, 24, 24, 20, 12, 6, 2]
         t = min_shadow_table(p)
         assert kernel_calls == [1, 6, 12, 10, 12, 12, 10, 12, 6, 2]
@@ -499,17 +499,17 @@ class TestFindOrder:
         assert find_macaulay_order(heart_example_poset()).status == "none"
 
     def test_prop61_product_none(self):
-        y = adjoin_extreme(spider(1, 1).poset, "bottom")
-        prod = cartesian_product(path(1), y).poset
+        y = adjoin_extreme(spider(1, 1), "bottom")
+        prod = cartesian_product(path(1), y)
         assert find_macaulay_order(prod).status == "none"
 
     def test_budget_exceeded_status(self):
-        p = diamond([box(2, 3), box(3, 2)]).poset
+        p = diamond([box(2, 3), box(3, 2)])
         r = find_macaulay_order(p, budget=3)
         assert r.status == "budget-exceeded" and r.order is None
 
     def test_found_order_is_certified(self):
-        p = wedge([box(2, 2), box(2, 3)]).poset
+        p = wedge([box(2, 2), box(2, 3)])
         r = find_macaulay_order(p)
         assert r.status == "found"
         assert check_macaulay(p, r.order).ok
@@ -520,13 +520,13 @@ class TestFindOrder:
         corpus = [
             path(3),
             box(2, 2),
-            spider(1, 2).poset,
-            disjoint_union([spider(1, 2).poset, spider(1, 2).poset]).poset,
-            wedge([path(1), path(2), path(2)]).poset,
-            diamond([path(2), path(2), path(2)]).poset,
-            adjoin_extreme(spider(1, 1).poset, "bottom"),
-            cartesian_product(path(1), adjoin_extreme(spider(1, 1).poset,
-                                                      "bottom")).poset,
+            spider(1, 2),
+            disjoint_union([spider(1, 2), spider(1, 2)]),
+            wedge([path(1), path(2), path(2)]),
+            diamond([path(2), path(2), path(2)]),
+            adjoin_extreme(spider(1, 1), "bottom"),
+            cartesian_product(path(1), adjoin_extreme(spider(1, 1),
+                                                      "bottom")),
             heart_example_poset(),
         ]
         for p in corpus:
@@ -535,7 +535,7 @@ class TestFindOrder:
             assert got == brute_order_exists(p), p.name
 
     def test_deterministic_output(self):
-        p = wedge([box(2, 3), box(2, 3)]).poset
+        p = wedge([box(2, 3), box(2, 3)])
         r1 = find_macaulay_order(p)
         r2 = find_macaulay_order(p)
         assert r1.order.per_level == r2.order.per_level
@@ -572,7 +572,7 @@ class TestSearchPinned:
         assert (r.status, r.stats.nodes) == ("budget-exceeded", 6)
 
     def test_wedge_of_cubes(self):
-        r = find_macaulay_order(wedge([box(4, 4, 4), box(4, 4, 4)]).poset)
+        r = find_macaulay_order(wedge([box(4, 4, 4), box(4, 4, 4)]))
         assert (r.status, r.stats.nodes) == ("found", 127)
 
     def test_deep_path_has_no_depth_limit(self):
@@ -735,7 +735,7 @@ class TestLazyOrder:
     ``TestSearchMemo.test_memo_matches_the_search_body``."""
 
     def test_found_order_is_built_once_on_first_read(self, orders_built):
-        p = wedge([box(2, 2), box(2, 3)]).poset
+        p = wedge([box(2, 2), box(2, 3)])
         r = find_macaulay_order(p)
         assert r.status == "found" and orders_built == []
         order = r.order
@@ -744,7 +744,7 @@ class TestLazyOrder:
 
     @pytest.mark.parametrize("p, budget, status", [
         (heart_example_poset(), macaulay.DEFAULT_BUDGET, "none"),
-        (diamond([box(2, 3), box(3, 2)]).poset, 3, "budget-exceeded")])
+        (diamond([box(2, 3), box(3, 2)]), 3, "budget-exceeded")])
     def test_no_order_reads_none(self, p, budget, status, orders_built):
         r = find_macaulay_order(p, budget)
         assert (r.status, r.order, r.order) == (status, None, None)
@@ -992,7 +992,7 @@ class TestAdditive:
         assert is_additive(b, lex_order(b)).ok
 
     def test_spider_12_not_additive(self):
-        p = spider(1, 2).poset
+        p = spider(1, 2)
         r = find_macaulay_order(p)
         assert r.status == "found"
         v = is_additive(p, r.order)
@@ -1036,28 +1036,28 @@ class TestSectionThreeSuite:
             for op in (disjoint_union, wedge, diamond):
                 res = op([b, b])
                 fam = union_simplicial_order(res, [o, o])
-                assert check_macaulay(res.poset, fam).ok, (dims, op.__name__)
+                assert check_macaulay(res, fam).ok, (dims, op.__name__)
 
     def test_clements_converse_on_non_additive_poset(self):
-        p = spider(1, 2).poset
-        assert find_macaulay_order(disjoint_union([p, p]).poset).status == "none"
+        p = spider(1, 2)
+        assert find_macaulay_order(disjoint_union([p, p])).status == "none"
 
     def test_equivalence_of_three_forms(self):
         # underline-union, wedge, diamond-of-hats agree whenever defined
         instances = [
             [box(2, 2), box(2, 2)],
             [box(2, 3), box(2, 3)],
-            [spider(2, 2).poset, box(2, 2)],
+            [spider(2, 2), box(2, 2)],
             [adjoin_extreme(box(2, 2), "bottom"), adjoin_extreme(box(2, 2), "top")],
         ]
         for ps in instances:
             unions = find_macaulay_order(
-                disjoint_union([remove_extreme(p, "bottom") for p in ps]).poset)
-            wedges = find_macaulay_order(wedge(ps).poset)
+                disjoint_union([remove_extreme(p, "bottom") for p in ps]))
+            wedges = find_macaulay_order(wedge(ps))
             assert unions.status == wedges.status
             try:
                 hats = [adjoin_extreme(p, "top") for p in ps]
-                dia = diamond(hats).poset
+                dia = diamond(hats)
             except PosetError:
                 continue
             assert find_macaulay_order(dia).status == wedges.status
@@ -1067,19 +1067,19 @@ class TestSectionThreeSuite:
         rank = {"none": 0, "found": 1}
         instances = [
             [box(2, 2), box(2, 2)],
-            [spider(1, 2).poset, spider(1, 2).poset],
+            [spider(1, 2), spider(1, 2)],
             [adjoin_extreme(box(2, 2), "bottom"), adjoin_extreme(box(2, 2), "top")],
             [box(2, 3), box(3, 2)],
         ]
         for ps in instances:
             seq = []
-            seq.append(find_macaulay_order(disjoint_union(ps).poset).status)
+            seq.append(find_macaulay_order(disjoint_union(ps)).status)
             try:
-                seq.append(find_macaulay_order(wedge(ps).poset).status)
+                seq.append(find_macaulay_order(wedge(ps)).status)
             except PosetError:
                 seq.append(None)
             try:
-                seq.append(find_macaulay_order(diamond(ps).poset).status)
+                seq.append(find_macaulay_order(diamond(ps)).status)
             except PosetError:
                 seq.append(None)
             known = [s for s in seq if s is not None]
@@ -1090,8 +1090,8 @@ class TestSectionThreeSuite:
         # heart(5,2,2,5) has a unique max; the heart-example poset does
         # not (x^3 and x^2 y^2 are both maximal), so hat is undefined there
         from macposet.classify import build_heart
-        for p in [box(2, 2), spider(2, 2).poset, build_heart(5, 2, 2, 5),
-                  diamond([path(3), path(3)]).poset]:
+        for p in [box(2, 2), spider(2, 2), build_heart(5, 2, 2, 5),
+                  diamond([path(3), path(3)])]:
             base = find_macaulay_order(p).status
             hatted = find_macaulay_order(adjoin_extreme(p, "top")).status
             assert base == hatted
@@ -1103,7 +1103,7 @@ class TestSectionThreeSuite:
         res = wedge([b1, b2])
         o = lex_order(b1)
         fam = union_simplicial_order(res, [o, o])
-        assert check_macaulay(res.poset, fam).ok
+        assert check_macaulay(res, fam).ok
         prov = res.provenance.sources
         level1 = fam.descending(1)
         prefix_factors = {prov[i][0][0] for i in level1[:len(b2.level(1))]}
@@ -1111,7 +1111,7 @@ class TestSectionThreeSuite:
         for factor in (0, 1):
             ids = [i for i, rec in enumerate(prov)
                    if any(f == factor for f, _ in rec)]
-            sub = induced_subposet(res.poset, ids)
+            sub = induced_subposet(res, ids)
             rfam = restrict_order(fam, sub)
             assert check_macaulay(sub.poset, rfam).ok
 
@@ -1120,7 +1120,7 @@ class TestSectionThreeSuite:
         res = diamond([b, b, b])
         o = lex_order(b)
         fam = union_simplicial_order(res, [o, o, o])
-        assert check_macaulay(res.poset, fam).ok
+        assert check_macaulay(res, fam).ok
         sub = restrict_to_factors(res, [1, 2])
         rfam = restrict_order(fam, sub)
         assert check_macaulay(sub.poset, rfam).ok

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_twist_order, restrict_order
-from macposet import (PosetError, RankedPoset, box, disjoint_union,
-                      induced_subposet, lex_order, order_from_lists, path,
-                      spider, twist_order, union_simplicial_order, wedge)
+from macposet import (PosetError, RankedPoset, box, cartesian_product,
+                      disjoint_union, induced_subposet, lex_order,
+                      order_from_lists, path, spider, twist_order,
+                      union_simplicial_order, wedge)
 from macposet.construct import _cover_pairs
 from macposet.classify import build_heart
 from macposet.orders import final_segment, initial_segment
@@ -64,6 +65,15 @@ class TestLexOrder:
 
 
 class TestUnionSimplicialOrder:
+    @pytest.mark.parametrize("p, what", [
+        (box(2, 2), "a poset no operation built"),
+        (cartesian_product(box(2, 2), box(2, 2)), "cartesian")],
+        ids=["box", "cart"])
+    def test_needs_a_glued_poset(self, p, what):
+        o = lex_order(box(2, 2))
+        with pytest.raises(PosetError, match=f"undefined for {what}$"):
+            union_simplicial_order(p, [o, o])
+
     def test_two_copies_of_box(self):
         b = box(2, 2)
         res = disjoint_union([b, b])
@@ -108,7 +118,7 @@ class TestUnionSimplicialOrder:
         for d in range(b.max_rank + 1):
             for k, i in enumerate(o.descending(d)):
                 opos[i] = k
-        for d in range(res.poset.max_rank + 1):
+        for d in range(res.max_rank + 1):
             row = fam.descending(d)
             for a_pos in range(len(row)):
                 for b_pos in range(a_pos + 1, len(row)):
@@ -248,7 +258,7 @@ class TestRestrictOrder:
         fam = union_simplicial_order(res, [o, o])
         ids_q = [i for i, rec in enumerate(res.provenance.sources)
                  if any(f == 1 for f, _ in rec)]
-        sub = induced_subposet(res.poset, ids_q)
+        sub = induced_subposet(res, ids_q)
         rfam = restrict_order(fam, sub)
         # the restriction is the factor's own order under the id mapping
         back = {sub.new_of_old[i]: res.provenance.sources[i]

@@ -12,33 +12,33 @@ from conftest import read_poset_text, small_ranked_posets
 class TestPosetRoundTrip:
     def test_box_identical_ids(self):
         p = box(3, 4)
-        q, res = read_poset_text(poset_to_text(p))
-        assert res is None
+        q = read_poset_text(poset_to_text(p))
+        assert q.provenance is None
         assert q.n == p.n and q.rank == p.rank and q.up == p.up
         assert q.labels == p.labels and q.var_names == p.var_names
         assert q.name == p.name
 
     def test_operation_result_keeps_provenance(self):
         res = wedge([box(2, 2), box(2, 3)])
-        text = poset_to_text(res.poset, res)
-        q, back = read_poset_text(text)
-        assert back is not None
-        assert back.operation == res.operation
-        assert back.provenance.sources == res.provenance.sources
-        assert q.up == res.poset.up
+        text = poset_to_text(res)
+        q = read_poset_text(text)
+        assert q.provenance is not None
+        assert q.provenance.operation == res.provenance.operation
+        assert q.provenance.sources == res.provenance.sources
+        assert q.up == res.up
 
     def test_unlabeled(self):
         from macposet import path
         p = path(3)
-        q, _ = read_poset_text(poset_to_text(p))
+        q = read_poset_text(poset_to_text(p))
         assert q.labels is None and q.up == p.up
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(small_ranked_posets())
     def test_round_trip_property(self, p):
         text = poset_to_text(p)
-        q, res = read_poset_text(text)
-        assert res is None
+        q = read_poset_text(text)
+        assert q.provenance is None
         assert q.rank == p.rank and q.up == p.up
         assert poset_to_text(q) == text
 

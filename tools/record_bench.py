@@ -17,9 +17,7 @@ uniformly random one-word masks, whose unions saturate: median and
 quartiles over every timed call, from a fresh interpreter per tree and
 round.  ``kernel_by_width_three_covers``: the same on masks of three
 cover bits each over an n-wide next level, whose unions repeat as a box
-level's do.  Every tree times the same masks: the untimed first call
-picks their shape, a 1-D array if the tree's kernel takes one, else the
-(n, 1) column of a kernel that reads one row of words per element.
+level's do.  Every tree times the same 1-D masks.
 
 ``work_by_workload``: the work of one pass of each workload at the
 first seed, run as perfbench/worker.py runs it, in a fresh interpreter
@@ -84,8 +82,7 @@ SEEDS = tuple(range(1101, 1111))
 KERNEL_WIDTHS = tuple(range(4, 25, 4))
 KERNEL_ROUNDS = 3
 # timed in a fresh interpreter: about 0.1 s of calls per width, after
-# one untimed call, which picks the masks' shape; the masks depend only
-# on the width and argv[1]:
+# one untimed call; the masks depend only on the width and argv[1]:
 # "random" masks are uniformly random 64-bit words, whose unions
 # saturate, and "covers" masks each have three cover bits over an
 # n-wide next level, whose unions repeat as a box level's do
@@ -101,11 +98,7 @@ for n in map(int, sys.argv[2:]):
     else:
         masks = np.array([sum(1 << int(b) for b in rng.choice(n, 3, replace=False))
                           for _ in range(n)], dtype=np.uint64)
-    try:
-        kernels.level_min_shadows(masks)
-    except ValueError:
-        masks = masks[:, None]
-        kernels.level_min_shadows(masks)
+    kernels.level_min_shadows(masks)
     times = []
     while sum(times) < 0.1 or len(times) < 5:
         t0 = time.perf_counter()
