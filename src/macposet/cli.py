@@ -4,6 +4,12 @@ Exit codes: 0 = ok / all agree, 1 = violation or disagreement found
 (scientifically meaningful), 2 = usage or input error, 3 = node budget
 exceeded (inconclusive), 4 = internal error (a defect in macposet, never
 a verdict).
+
+A command prints its lines and returns its exit code, the report's
+input text and the report fields it sets.  ``run_command`` alone turns
+the exit code into the report's verdict, and ``VERDICTS`` is that
+contract: each command's verdict on exit 0 and exit 1, with exit 3
+always ``budget-exceeded``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,17 @@ from .orders import order_from_lists, union_simplicial_order
 from .serialize import build_report, poset_to_text, write_report
 
 SEARCH_EXIT = {"found": 0, "none": 1, "budget-exceeded": 3}
+
+# each command's report verdict on exit 0 and on exit 1; on exit 3 it is
+# "budget-exceeded", and exits 2 and 4 write no report
+VERDICTS = {
+    "build": ("ok",), "show": ("ok",), "shadow": ("ok",),
+    "check": ("ok", "violation"), "additive": ("ok", "violation"),
+    "search-order": ("found", "none"),
+    "verify-family": ("agree", "disagree"),
+    "conjecture67": ("no-counterexample", "counterexample"),
+    "reproduce": ("ok", "violation"),
+}
 
 
 def _build(text):
@@ -72,22 +89,17 @@ def _parse_set(text, poset):
 # ------------------------------------------------------------------- commands
 
 def cmd_build(args):
-    ev = _build(args.expr)
-    text = poset_to_text(ev.poset)
+    text = poset_to_text(_build(args.expr).poset)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         print(text, end="")
-    report = build_report("build", args.expr,
-                          verdict="ok",
-                          timings={"search_nodes": 0, "subsets_enumerated": 0})
-    return 0, report
+    return 0, args.expr, {}
 
 
 def cmd_show(args):
-    ev = _build(args.expr)
-    p = ev.poset
+    p = _build(args.expr).poset
     print(f"{p.name or 'poset'}: {p.n} elements, ranks 0..{p.max_rank}")
     print("level sizes: " + " ".join(str(s) for s in p.level_sizes()))
     for d in range(p.max_rank + 1):
@@ -97,26 +109,18 @@ def cmd_show(args):
     for a in range(p.n):
         for b in p.up[a]:
             print(f"  {p.element_name(a)} < {p.element_name(b)}")
-    report = build_report("show", args.expr, verdict="ok",
-                          grid={"level_sizes": list(p.level_sizes())},
-                          timings={"search_nodes": 0, "subsets_enumerated": 0})
-    return 0, report
+    return 0, args.expr, {"grid": {"level_sizes": list(p.level_sizes())}}
 
 
 def cmd_shadow(args):
-    ev = _build(args.expr)
-    p = ev.poset
-    ids = _parse_set(args.set, p)
-    sub = LevelSubset.of(p, ids)
+    p = _build(args.expr).poset
+    sub = LevelSubset.of(p, _parse_set(args.set, p))
     shade = lower_shadow(p, sub) if args.lower else upper_shadow(p, sub)
     names = [p.element_name(i) for i in shade.ids()]
     print(("lower" if args.lower else "upper") + " shadow: "
           + (", ".join(names) if names else "(empty)"))
-    report = build_report("shadow", f"{args.expr} --set {args.set}",
-                          verdict="ok",
-                          grid={"shadow": names, "size": len(names)},
-                          timings={"search_nodes": 0, "subsets_enumerated": 0})
-    return 0, report
+    return 0, f"{args.expr} --set {args.set}", {
+        "grid": {"shadow": names, "size": len(names)}}
 
 
 def cmd_order_verdict(args):
@@ -134,32 +138,27 @@ def cmd_order_verdict(args):
         print(f"ok: {ok_message}")
     else:
         print(f"violation: {verdict.witness.detail}")
-    report = build_report(args.command, f"{args.expr} --order {args.order}",
-                          verdict=verdict.status,
-                          witness=verdict.witness.to_json() if verdict.witness else None,
-                          timings={"search_nodes": 0,
-                                   "subsets_enumerated": table.subsets_enumerated})
-    return (0 if verdict.ok else 1), report
+    return (0 if verdict.ok else 1), f"{args.expr} --order {args.order}", {
+        "witness": verdict.witness.to_json() if verdict.witness else None,
+        "timings": {"search_nodes": 0,
+                    "subsets_enumerated": table.subsets_enumerated}}
 
 
 def cmd_search_order(args):
-    ev = _build(args.expr)
-    sr = find_macaulay_order(ev.poset, budget=args.budget,
-                             level_cap=args.level_cap)
-    grid = None
+    p = _build(args.expr).poset
+    sr = find_macaulay_order(p, budget=args.budget, level_cap=args.level_cap)
+    fields = {"timings": sr.stats.to_json()}
     if sr.status == "found":
         print("found a Macaulay order:")
         for d, lst in enumerate(sr.order.per_level):
-            names = " > ".join(ev.poset.element_name(i) for i in lst)
+            names = " > ".join(p.element_name(i) for i in lst)
             print(f"  level {d}: {names}")
-        grid = {"order": sr.order.to_lists()}
+        fields["grid"] = {"order": sr.order.to_lists()}
     elif sr.status == "none":
         print("no Macaulay order exists (search space exhausted)")
     else:
         print("inconclusive: node budget exceeded")
-    return SEARCH_EXIT[sr.status], build_report(
-        "search-order", args.expr, verdict=sr.status, grid=grid,
-        timings=sr.stats.to_json())
+    return SEARCH_EXIT[sr.status], args.expr, fields
 
 
 def _parse_bounds(pairs):
@@ -177,57 +176,43 @@ def _parse_bounds(pairs):
     return bounds
 
 
-def _grid_code(rep):
-    """Every grid's exit code: 1 if a row disagrees, else 3 if a row is
-    inconclusive, else 0."""
-    return 1 if rep.disagreements else 3 if rep.inconclusive else 0
-
-
-def _grid_outcome(rep):
-    """Print a grid's one-line summary; return its exit code."""
-    print(f"{rep.family}: {len(rep.rows)} rows, "
-          f"{len(rep.disagreements)} disagreements, "
+def _grid(args, family=None, **options):
+    """Run a family's grid, or the conjecture 6.7 scan when ``family`` is
+    None, within ``args``' budget and level cap.  Print its summary line
+    and, unless it is a family grid run by ``reproduce``, its flagged
+    rows.  Return its exit code (1 if a row disagrees, else 3 if a row
+    is inconclusive, else 0) and its report fields."""
+    limits = {"budget": args.budget, "level_cap": args.level_cap}
+    if family is None:
+        rep = classify.conjecture_6_7_search(**options, **limits)
+        title, noun = "conjecture 6.7 scan", "counterexample"
+        flagged = [r for r in rep.rows if r.get("counterexample")]
+    else:
+        rep = classify.verify_family(family, **options, **limits)
+        title, noun, flagged = rep.family, "disagreement", rep.disagreements
+    print(f"{title}: {len(rep.rows)} rows, {len(flagged)} {noun}s, "
           f"{len(rep.inconclusive)} inconclusive")
-    return _grid_code(rep)
+    if family is None or args.command == "verify-family":
+        for row in flagged:
+            print(f"  {noun.upper()}: {row}")
+    code = 1 if rep.disagreements else 3 if rep.inconclusive else 0
+    return code, {"grid": rep.to_json(), "timings": rep.counters}
 
 
 def cmd_verify_family(args):
-    rep = classify.verify_family(args.family, _parse_bounds(args.bound),
-                                 budget=args.budget, level_cap=args.level_cap)
-    code = _grid_outcome(rep)
-    for d in rep.disagreements:
-        print(f"  DISAGREEMENT: {d}")
-    report = build_report("verify-family", args.family,
-                          verdict={0: "agree", 1: "disagree", 3: "budget-exceeded"}[code],
-                          grid=rep.to_json(), timings=rep.counters)
-    return code, report
+    code, fields = _grid(args, args.family, bounds=_parse_bounds(args.bound))
+    return code, args.family, fields
 
 
 def cmd_conjecture67(args):
-    rep = classify.conjecture_6_7_search(
-        max_exp=args.max_exp, extra_steps=args.steps,
-        include_special=not args.skip_special,
-        budget=args.budget, level_cap=args.level_cap)
-    hits = _conj67_outcome(rep)
-    code = _grid_code(rep)
-    return code, build_report(
-        "conjecture67", f"max_exp={args.max_exp} steps={args.steps}",
-        verdict="budget-exceeded" if code == 3
-        else "counterexample" if hits else "no-counterexample",
-        grid=rep.to_json(), timings=rep.counters)
-
-
-def _conj67_outcome(rep):
-    """Print a conjecture 6.7 scan's hits; return them."""
-    hits = [r for r in rep.rows if r.get("counterexample")]
-    print(f"conjecture 6.7 scan: {len(rep.rows)} rows, "
-          f"{len(hits)} counterexamples, {len(rep.inconclusive)} inconclusive")
-    for h in hits:
-        print(f"  COUNTEREXAMPLE: {h}")
-    return hits
+    code, fields = _grid(args, max_exp=args.max_exp, extra_steps=args.steps,
+                         include_special=not args.skip_special)
+    return code, f"max_exp={args.max_exp} steps={args.steps}", fields
 
 
 # ------------------------------------------------------------------ reproduce
+#
+# A target prints its lines and returns its exit code and report fields.
 
 def _reproduce_heart_example(args):
     i1 = pure_power_ideal((4, 1), ("x", "y"))
@@ -242,7 +227,7 @@ def _reproduce_heart_example(args):
     print(f"search verdict: {sr.status}")
     grid = {"intersection_generators": gens, "elements": p.n,
             "level_sizes": list(p.level_sizes()), "search": sr.status}
-    return SEARCH_EXIT[sr.status], grid, sr.stats.to_json()
+    return SEARCH_EXIT[sr.status], {"grid": grid, "timings": sr.stats.to_json()}
 
 
 def _reproduce_twist_figure(args):
@@ -255,7 +240,7 @@ def _reproduce_twist_figure(args):
     print(f"heart(5,2,2,5) with lex order (recorded, not asserted): {v_lex.status}")
     grid = {"twist": v_twist.status, "lex": v_lex.status,
             "lex_witness": v_lex.witness.to_json() if v_lex.witness else None}
-    return (0 if v_twist.ok else 1), grid, {"search_nodes": 0, "subsets_enumerated": 0}
+    return (0 if v_twist.ok else 1), {"grid": grid}
 
 
 def _search_target(label, expression, args):
@@ -263,7 +248,7 @@ def _search_target(label, expression, args):
     sr = find_macaulay_order(poset, budget=args.budget, level_cap=args.level_cap)
     print(f"{label}: {poset.n} elements, search verdict: {sr.status}")
     grid = {"elements": poset.n, "search": sr.status}
-    return SEARCH_EXIT[sr.status], grid, sr.stats.to_json()
+    return SEARCH_EXIT[sr.status], {"grid": grid, "timings": sr.stats.to_json()}
 
 
 def _reproduce_diamond_not_wedge(args):
@@ -276,7 +261,7 @@ def _reproduce_diamond_not_wedge(args):
     ok_any = False
     for tag, factors in (("hat,uhat", [hat, uhat]), ("uhat,hat", [uhat, hat])):
         res = diamond(factors)
-        fams = [_trivial_factor_order(f) for f in factors]
+        fams = [order_from_lists(f, f.levels) for f in factors]
         us = union_simplicial_order(res, fams)
         v = check_macaulay(res, us, level_cap=args.level_cap)
         rows[f"diamond[{tag}]"] = v.status
@@ -287,11 +272,7 @@ def _reproduce_diamond_not_wedge(args):
     rows["expected_pattern"] = ok_any and wr.status == "none"
     for k, v in rows.items():
         print(f"{k}: {v}")
-    return SEARCH_EXIT[wr.status], rows, wr.stats.to_json()
-
-
-def _trivial_factor_order(p):
-    return order_from_lists(p, [list(p.level(d)) for d in range(p.max_rank + 1)])
+    return SEARCH_EXIT[wr.status], {"grid": rows, "timings": wr.stats.to_json()}
 
 
 def _reproduce_spider_union_fails(args):
@@ -304,25 +285,12 @@ def _reproduce_spider_union_fails(args):
     print(f"spider(1,2) disjoint-union spider(1,2): {ur.status}")
     grid = {"wedge": wr.status, "union": ur.status,
             "expected_pattern": wr.status == "found" and ur.status == "none"}
-    nodes = wr.stats.nodes + ur.stats.nodes
     code = 3 if "budget-exceeded" in (wr.status, ur.status) else (
         1 if ur.status == "none" else 0)
-    return code, grid, {"search_nodes": nodes,
-                        "subsets_enumerated": wr.stats.subsets_enumerated
-                        + ur.stats.subsets_enumerated}
-
-
-def _grid_target(family, args):
-    rep = classify.verify_family(family, budget=args.budget,
-                                 level_cap=args.level_cap)
-    return _grid_outcome(rep), rep.to_json(), rep.counters
-
-
-def _reproduce_conj67(args):
-    rep = classify.conjecture_6_7_search(budget=args.budget,
-                                         level_cap=args.level_cap)
-    _conj67_outcome(rep)
-    return _grid_code(rep), rep.to_json(), rep.counters
+    return code, {"grid": grid, "timings": {
+        "search_nodes": wr.stats.nodes + ur.stats.nodes,
+        "subsets_enumerated": wr.stats.subsets_enumerated
+        + ur.stats.subsets_enumerated}}
 
 
 REPRODUCE = {
@@ -332,9 +300,9 @@ REPRODUCE = {
        for target, (_, label, expression, _) in classify.CARTESIAN_TARGETS.items()},
     "diamond-not-wedge": _reproduce_diamond_not_wedge,
     "spider-union-fails": _reproduce_spider_union_fails,
-    **{target: functools.partial(_grid_target, family)
+    **{target: functools.partial(_grid, family=family)
        for target, family in classify.GRID_TARGETS.items()},
-    "conj67-scan": _reproduce_conj67,
+    "conj67-scan": _grid,
 }
 
 
@@ -342,11 +310,8 @@ def cmd_reproduce(args):
     if args.name not in REPRODUCE:
         raise PosetError(f"unknown reproduce target {args.name!r}; known: "
                          + ", ".join(sorted(REPRODUCE)))
-    code, grid, timings = REPRODUCE[args.name](args)
-    verdict = {0: "ok", 1: "violation", 3: "budget-exceeded"}[code]
-    report = build_report("reproduce", args.name, verdict=verdict,
-                          grid=grid, timings=timings)
-    return code, report
+    code, fields = REPRODUCE[args.name](args)
+    return code, args.name, fields
 
 
 # ----------------------------------------------------------------- entrypoint
@@ -445,9 +410,12 @@ def run_command(argv) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        code, report = args.fn(args)
+        code, input_text, fields = args.fn(args)
         if args.report:
-            write_report(report, args.report)
+            verdict = ("budget-exceeded" if code == 3
+                       else VERDICTS[args.command][code])
+            write_report(build_report(args.command, input_text, verdict, **fields),
+                         args.report)
     except (OSError, ValueError) as e:  # the input errors subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,25 +1,26 @@
 """File formats and report emission.
 
 ``build`` writes poset files, line-oriented text (diff-able golden
-files); macposet reads none back::
+files); macposet reads none back.  ``build "wedge(path(1), path(1))"``
+writes::
 
     macposet 1
-    name box(2,2)
-    elements 4
-    ranks 0 1 1 2
-    covers 4
+    name wedge(path(1),path(1))
+    elements 3
+    ranks 0 1 1
+    covers 2
     0 1
     0 2
-    1 3
-    2 3
-    labels 2 x y
-    0 0
-    1 0
-    0 1
-    1 1
-    provenance wedge 2
+    provenance wedge 3
     0:0 1:0
     0:1
+    1:1
+
+A ``covers`` line is ``i j``: j covers i.  An operation's result ends
+with ``provenance <op> <elements>`` and one record per element, the
+``factor:element`` pairs it came from.  A poset with monomial labels
+(``box``, ``poset(ideal(...))``) has ``labels <k> <variables>`` before
+that, then one row of k exponents per element.
 
 Reports are a single JSON document with deterministic byte layout:
 sorted keys, fixed separators, integers only, one trailing newline.
@@ -115,13 +116,16 @@ def fibermap_from_text(text: str):
 
 def build_report(command: str, input_text: str, verdict=None, witness=None,
                  grid=None, timings=None) -> dict:
+    """A report; its ``timings`` are zero work counters unless given."""
+    if timings is None:
+        timings = {"search_nodes": 0, "subsets_enumerated": 0}
     return {
         "command": command,
         "input": input_text,
         "verdict": verdict,
         "witness": witness,
         "grid": grid,
-        "timings": timings or {},
+        "timings": timings,
         "version": __version__,
     }
 

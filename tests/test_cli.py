@@ -1,6 +1,11 @@
+import argparse
+import functools
 import hashlib
+import importlib.util
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macposet import box, cli, validate_poset, wedge
+from macposet import box, classify, cli, validate_poset, wedge
 from macposet.classify import CARTESIAN_TARGETS, FAMILIES, GRID_TARGETS
 from macposet.cli import REPRODUCE, run_command
 from macposet.expr import CALLS, MAX_NESTING
 from macposet.macaulay import _level_row, _search
 from macposet.serialize import poset_to_text
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -331,6 +339,20 @@ class TestExitCodes:
         assert run(["show", expr]) == 2
         err = one_error_line(capsys)
         assert " argument " in err and "(at position " in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["show", "path(1,2)"], "path takes 1 arguments (at position 7)"),
+        (["show", "path(1, 2)"], "path takes 1 arguments (at position 8)"),
+        (["check", "cart(path(1),path(1),path(1))", "--order", "lex(x,y)"],
+         "cart takes 2 arguments (at position 21)"),
+        (["show", "poset(ideal(2))"],
+         "only the monomial 1 may be a bare integer (at position 12)"),
+    ])
+    def test_surplus_argument_and_bare_integer_are_input_errors(
+            self, argv, message, capsys):
+        # the position is the surplus argument's or the bare integer's
+        assert run(argv) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
 
     # without the limit, `show` evaluated up to 493 deep and crashed
     # past that; the limit refuses both alike
@@ -666,6 +688,94 @@ class TestReports:
         assert run(["show", f'fiber(box(2,2), box(2,2), "{m}")']) == 0
 
 
+class TestFlaggedRows:
+    """verify-family and the conjecture 6.7 scan print their flagged rows;
+    a family grid run by reproduce prints only its summary line."""
+
+    HEART_ROW = {"params": [1, 1, 1, 1], "predicate": False, "search": "found",
+                 "nodes": 1, "subsets": 2, "agree": False}
+
+    @pytest.fixture
+    def flipped_heart_predicate(self, monkeypatch):
+        real = classify.heart_predicate
+        monkeypatch.setattr(classify, "heart_predicate", lambda *t: not real(*t))
+
+    @staticmethod
+    def rig_searches(monkeypatch, expect, status):
+        """Searches of grid rows that expect ``expect`` report ``status``
+        and disagree."""
+        real = classify._searched
+
+        def searched(poset, budget, level_cap, expected=None):
+            row = real(poset, budget, level_cap, expected)
+            if expected is expect:
+                row.update(search=status, agree=False)
+            return row
+
+        monkeypatch.setattr(classify, "_searched", searched)
+
+    def test_verify_family_prints_its_disagreement(
+            self, flipped_heart_predicate, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify-family", "heart", "--bound", "side=1:1",
+                    "--report", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "heart: 1 rows, 1 disagreements, 0 inconclusive\n"
+            f"  DISAGREEMENT: {self.HEART_ROW}\n")
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "disagree"
+        assert doc["grid"]["disagreements"] == [self.HEART_ROW]
+
+    def test_reproduced_grid_prints_only_its_summary(
+            self, flipped_heart_predicate, monkeypatch, tmp_path, capsys):
+        heart = classify.FAMILIES["heart"]
+        monkeypatch.setitem(classify.FAMILIES, "heart",
+                            heart._replace(bounds={"side": (1, 1)}))
+        out = tmp_path / "r.json"
+        assert run(["reproduce", "thmC-grid", "--report", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "heart: 1 rows, 1 disagreements, 0 inconclusive\n")
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "violation"
+        assert doc["grid"]["disagreements"] == [self.HEART_ROW]
+
+    @pytest.mark.parametrize("argv", [
+        ["conjecture67", "--max-exp", "1", "--steps", "1", "--skip-special"],
+        ["reproduce", "conj67-scan"]])
+    def test_scan_prints_its_counterexample(self, argv, monkeypatch, tmp_path,
+                                            capsys):
+        self.rig_searches(monkeypatch, True, "none")
+        # the scan reproduce runs, cut to the one-element quotient
+        monkeypatch.setattr(classify, "conjecture_6_7_search", functools.partial(
+            classify.conjecture_6_7_search, max_exp=1, extra_steps=1,
+            include_special=False))
+        out = tmp_path / "r.json"
+        assert run(argv + ["--report", str(out)]) == 1
+        row = {"quotient": "staircase1", "slice": "conjecture67", "n": 1,
+               "elements": 1, "search": "none", "nodes": 2, "subsets": 4,
+               "agree": False, "counterexample": True}
+        assert capsys.readouterr().out == (
+            "conjecture 6.7 scan: 1 rows, 1 counterexamples, 0 inconclusive\n"
+            f"  COUNTEREXAMPLE: {row}\n")
+        verdict = "counterexample" if argv[0] == "conjecture67" else "violation"
+        assert json.loads(out.read_text())["verdict"] == verdict
+
+    def test_scan_disagreeing_without_a_counterexample_reports_one(
+            self, monkeypatch, tmp_path, capsys):
+        # only the regression row disagrees, by finding an order: exit 1,
+        # so the verdict is the scan's exit-1 word
+        self.rig_searches(monkeypatch, False, "found")
+        out = tmp_path / "r.json"
+        assert run(["conjecture67", "--max-exp", "1", "--steps", "1",
+                    "--report", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "conjecture 6.7 scan: 3 rows, 0 counterexamples, 0 inconclusive\n")
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "counterexample"
+        assert [r["slice"] for r in doc["grid"]["disagreements"]] == [
+            "conj66-regression"]
+
+
 class TestDeterminism:
     FAST_TARGETS = ["heart-example", "twist-figure", "prop61-product",
                     "prop61-ring-product", "conj66-counterexample",
@@ -698,3 +808,31 @@ class TestSubprocess:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.0.0"
+
+
+class TestDocsMatchCode:
+    README = (ROOT / "README.md").read_text()
+
+    def test_reproduce_targets_are_listed_alike(self):
+        listed = self.README.split("\nTargets: ", 1)[1].split("\n\n", 1)[0]
+        readme = re.findall(r"`([^`]+)`", listed)
+        spec = importlib.util.spec_from_file_location(
+            "workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert len(readme) == len(set(readme)) == 12
+        assert readme == list(workloads.REPRODUCE_TARGETS)
+        assert set(readme) == set(REPRODUCE)
+
+    def test_readme_verdict_table_is_verdicts(self):
+        head = "| command | exit 0 | exit 1 |\n| --- | --- | --- |\n"
+        table = self.README.split(head, 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for line in table.splitlines():
+            commands, *words = (cell.strip() for cell in line.strip("|").split("|"))
+            for command in re.findall(r"`([^`]+)`", commands):
+                documented[command] = tuple(w.strip("`") for w in words if w != "—")
+        assert documented == cli.VERDICTS
+        subcommands = next(a for a in cli.build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        assert set(cli.VERDICTS) == set(subcommands.choices)

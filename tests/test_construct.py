@@ -295,6 +295,13 @@ class TestFiber:
         with pytest.raises(PosetError, match="not injective"):
             fiber_product(pa, pa, path(1), {0: 0, 1: 0}, {0: 0, 1: 1})
 
+    def test_non_embedding_rejected(self):
+        # 0 < 1 in the base, but their images sit in different components
+        pa = disjoint_union([path(1), path(1)])
+        with pytest.raises(PosetError,
+                           match=r"^into_a: not an order embedding at \(0,1\)$"):
+            fiber_product(pa, path(1), path(1), {0: 0, 1: 3}, {0: 0, 1: 1})
+
     def test_non_downset_image_rejected(self):
         from macposet import RankedPoset
         pa = path(2)

@@ -63,6 +63,12 @@ class TestLexOrder:
         with pytest.raises(PosetError, match="labels"):
             lex_order(path(2))
 
+    def test_duplicate_labels_rejected(self):
+        p = RankedPoset([0, 1, 1], [(0, 1), (0, 2)], labels=[(0,), (1,), (1,)],
+                        var_names=("x",))
+        with pytest.raises(PosetError, match="^duplicate labels within level 1$"):
+            lex_order(p)
+
 
 class TestUnionSimplicialOrder:
     @pytest.mark.parametrize("p, what", [
