@@ -179,22 +179,25 @@ def _parse_bounds(pairs):
 def _grid(args, family=None, **options):
     """Run a family's grid, or the conjecture 6.7 scan when ``family`` is
     None, within ``args``' budget and level cap.  Print its summary line
-    and, unless it is a family grid run by ``reproduce``, its flagged
-    rows.  Return its exit code (1 if a row disagrees, else 3 if a row
-    is inconclusive, else 0) and its report fields."""
+    (a scan counts its counterexamples, a grid its disagreements) and,
+    unless it is a family grid run by ``reproduce``, every disagreeing
+    row, a counterexample labelled as one.  Return its exit code (1 if a
+    row disagrees, else 3 if a row is inconclusive, else 0) and its
+    report fields."""
     limits = {"budget": args.budget, "level_cap": args.level_cap}
     if family is None:
         rep = classify.conjecture_6_7_search(**options, **limits)
         title, noun = "conjecture 6.7 scan", "counterexample"
-        flagged = [r for r in rep.rows if r.get("counterexample")]
+        counted = [r for r in rep.rows if r.get("counterexample")]
     else:
         rep = classify.verify_family(family, **options, **limits)
-        title, noun, flagged = rep.family, "disagreement", rep.disagreements
-    print(f"{title}: {len(rep.rows)} rows, {len(flagged)} {noun}s, "
+        title, noun, counted = rep.family, "disagreement", rep.disagreements
+    print(f"{title}: {len(rep.rows)} rows, {len(counted)} {noun}s, "
           f"{len(rep.inconclusive)} inconclusive")
     if family is None or args.command == "verify-family":
-        for row in flagged:
-            print(f"  {noun.upper()}: {row}")
+        for row in rep.disagreements:
+            label = "COUNTEREXAMPLE" if row.get("counterexample") else "DISAGREEMENT"
+            print(f"  {label}: {row}")
     code = 1 if rep.disagreements else 3 if rep.inconclusive else 0
     return code, {"grid": rep.to_json(), "timings": rep.counters}
 

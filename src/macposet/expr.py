@@ -22,13 +22,18 @@ monomials, with the same kind checks and the same nesting limit
 (``MAX_NESTING``).  It enters a call only where its result kind is asked
 for, so ``hat(lex(x))`` is an error at ``lex``, and rejects an argument
 of the wrong kind at its position; ``parse_monomial`` reads a monomial
-with the same grammar.  ``evaluate`` rejects an ``explicit`` literal
+with the same grammar.
+
+``evaluate`` returns a built poset with the node it was built from (every
+node, ``explicit`` included, answers ``.fn``) and its poset arguments'
+results, so ``twist`` and ``fiber`` read a heart's parameters and a
+quotient's ideal from the tree.  It rejects an ``explicit`` literal
 whose covers break the rank law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import construct, ideals
 from .core import PosetError, RankedPoset, induced_subposet, validate_poset
@@ -60,6 +65,7 @@ class FileRef:
 
 @dataclass(frozen=True)
 class Explicit:
+    fn = "explicit"  # a class attribute, so every node answers .fn
     count: int
     ranks: tuple
     covers: tuple
@@ -276,10 +282,12 @@ def _parse_explicit(toks: _Tokens) -> Explicit:
 
 @dataclass
 class EvalResult:
+    """A built poset with the node it was built from and the results of
+    that node's poset arguments, in order; ``twist`` reads a heart's
+    parameters from the node, and ``fiber`` a quotient's ideal."""
     poset: RankedPoset
-    kind: str
-    children: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    node: Node | Explicit
+    children: list
 
 
 def _exponents(mono: Mono) -> dict:
@@ -314,49 +322,35 @@ def evaluate(node) -> EvalResult:
         verdict = validate_poset(p)
         if not verdict.ok:
             raise PosetError(f"explicit literal: {verdict.witness.detail}")
-        return EvalResult(p, "explicit")
-    fn = node.fn
-    if fn == "path":
-        return EvalResult(construct.path(node.args[0]), "path")
-    if fn == "box":
-        return EvalResult(construct.box(*node.args), "box")
-    if fn == "spider":
-        return EvalResult(construct.spider(*node.args), "spider")
-    if fn == "heart":
-        a0, a1, b0, b1 = node.args
-        return EvalResult(construct.build_heart(a0, a1, b0, b1), "heart",
-                          meta={"params": (a0, a1, b0, b1)})
+        return EvalResult(p, node, [])
+    fn, args = node.fn, node.args
+    children = [evaluate(a) for a in args
+                if isinstance(a, (Node, Explicit)) and a.fn != "ideal"]
+    posets = [c.poset for c in children]
     if fn == "poset":
-        ideal = _eval_ideal(node.args[0])
-        return EvalResult(ideals.standard_monomial_poset(ideal), "quotient",
-                          meta={"ideal": ideal})
-    if fn in ("union", "wedge", "diamond"):
-        children = [evaluate(a) for a in node.args]
-        op = {"union": construct.disjoint_union, "wedge": construct.wedge,
-              "diamond": construct.diamond}[fn]
-        return EvalResult(op([c.poset for c in children]), fn, children=children)
-    if fn == "cart":
-        children = [evaluate(a) for a in node.args]
-        p = construct.cartesian_product(children[0].poset, children[1].poset)
-        return EvalResult(p, "cart", children=children)
-    if fn == "fiber":
-        return _eval_fiber(node)
-    if fn in ("hat", "uhat", "bar", "ubar"):
-        child = evaluate(node.args[0])
-        which = "top" if fn in ("hat", "bar") else "bottom"
-        if fn in ("hat", "uhat"):
-            p = construct.adjoin_extreme(child.poset, which)
-        else:
-            p = construct.remove_extreme(child.poset, which)
-        return EvalResult(p, fn, children=[child])
-    raise PosetError(f"cannot evaluate {fn!r}")
+        p = ideals.standard_monomial_poset(_eval_ideal(args[0]))
+    elif fn == "fiber":
+        p = _fiber(args, children)
+    elif fn in ("hat", "uhat", "bar", "ubar"):
+        op = construct.adjoin_extreme if fn in ("hat", "uhat") else construct.remove_extreme
+        p = op(posets[0], "top" if fn in ("hat", "bar") else "bottom")
+    elif fn in ("union", "wedge", "diamond"):
+        p = {"union": construct.disjoint_union, "wedge": construct.wedge,
+             "diamond": construct.diamond}[fn](posets)
+    elif fn == "cart":
+        p = construct.cartesian_product(*posets)
+    else:
+        p = {"path": construct.path, "box": construct.box, "spider": construct.spider,
+             "heart": construct.build_heart}[fn](*args)
+    return EvalResult(p, node, children)
 
 
-def _eval_fiber(node: Node) -> EvalResult:
-    children = [evaluate(a) for a in node.args[:2]]
-    if len(node.args) == 3:
-        triples = _read(node.args[2].path, fibermap_from_text)
-        pa, pb = children[0].poset, children[1].poset
+def _fiber(args, children) -> RankedPoset:
+    """The fiber product of two built factors, glued over the base of
+    the map file ``args[2]`` or, with no file, of the ideal sum."""
+    pa, pb = (c.poset for c in children)
+    if len(args) == 3:
+        triples = _read(args[2].path, fibermap_from_text)
         ids_a = [a for _, a, _ in triples]
         # the base is induced on these ids, so each must name its own element
         for a in ids_a:
@@ -366,26 +360,19 @@ def _eval_fiber(node: Node) -> EvalResult:
         if len(set(ids_a)) != len(ids_a):
             raise PosetError("fiber map: factor-a ids are not distinct")
         sub = induced_subposet(pa, ids_a)
-        into_a = {}
-        into_b = {}
-        for c, a, b in triples:
-            into_a[sub.new_of_old[a]] = a
-            into_b[sub.new_of_old[a]] = b
-        return EvalResult(construct.fiber_product(pa, pb, sub.poset, into_a, into_b),
-                          "fiber", children=children)
-    ia = children[0].meta.get("ideal")
-    ib = children[1].meta.get("ideal")
-    if ia is None or ib is None:
-        raise PosetError("fiber over ideal containment needs poset(ideal(...)) "
-                         "factors; otherwise pass an explicit map file")
-    base = ideals.ideal_sum(ia, ib)
-    pc = ideals.standard_monomial_poset(base)
-    pa, pb = children[0].poset, children[1].poset
-    p = construct.fiber_product(
-        pa, pb, pc,
-        ideals.inclusion_map(ia, base, poset_i=pa, poset_j=pc),
-        ideals.inclusion_map(ib, base, poset_i=pb, poset_j=pc))
-    return EvalResult(p, "fiber", children=children)
+        pc = sub.poset
+        into_a = {sub.new_of_old[a]: a for _, a, _ in triples}
+        into_b = {sub.new_of_old[a]: b for _, a, b in triples}
+    else:
+        if any(c.node.fn != "poset" for c in children):
+            raise PosetError("fiber over ideal containment needs poset(ideal(...)) "
+                             "factors; otherwise pass an explicit map file")
+        ia, ib = (_eval_ideal(c.node.args[0]) for c in children)
+        base = ideals.ideal_sum(ia, ib)
+        pc = ideals.standard_monomial_poset(base)
+        into_a = ideals.inclusion_map(ia, base, poset_i=pa, poset_j=pc)
+        into_b = ideals.inclusion_map(ib, base, poset_i=pb, poset_j=pc)
+    return construct.fiber_product(pa, pb, pc, into_a, into_b)
 
 
 # ------------------------------------------------------------- order language
@@ -395,9 +382,9 @@ def resolve_order(node: Node, ev: EvalResult):
     if node.fn == "lex":
         return lex_order(ev.poset, node.args)
     if node.fn == "twist":
-        if ev.kind != "heart":
+        if ev.node.fn != "heart":
             raise PosetError("twist order applies to heart(...) expressions")
-        a0, a1, b0, b1 = ev.meta["params"]
+        a0, a1, b0, b1 = ev.node.args
         if b1 < a1:  # relabel the factors; the poset is unchanged
             a0, a1, b0, b1 = b0, b1, a0, a1
         return twist_order(ev.poset, a0, a1, b0, b1)

@@ -126,21 +126,20 @@ def ideal_contains(i: MonomialIdeal, j: MonomialIdeal) -> bool:
 
 def quotient_is_finite(i: MonomialIdeal) -> bool:
     """True iff for every variable some generator is a pure power of it."""
-    for v in range(i.arity):
-        if not any(all(e == 0 for k, e in enumerate(g) if k != v)
-                   for g in i.generators):
-            return False
-    return True
+    return None not in _pure_power_caps(i)
 
 
-def _pure_power_caps(i: MonomialIdeal):
+def _pure_power_caps(i: MonomialIdeal) -> list:
+    """Each variable's exponent in the generator that is a pure power of
+    it (generators are an antichain, so there is at most one), None
+    where there is none; the unit ideal caps every variable at 0."""
     caps = [None] * i.arity
     for g in i.generators:
         nz = [k for k, e in enumerate(g) if e > 0]
-        if len(nz) <= 1:
-            v = nz[0] if nz else 0
-            if caps[v] is None or g[v] < caps[v]:
-                caps[v] = g[v]
+        if not nz:
+            return [0] * i.arity
+        if len(nz) == 1:
+            caps[nz[0]] = g[nz[0]]
     return caps
 
 
@@ -179,9 +178,10 @@ def monomial_poset(cells, var_names, name) -> RankedPoset:
 def standard_monomial_poset(i: MonomialIdeal, name="") -> RankedPoset:
     """Divisibility poset of the monomials outside a finite-quotient ideal,
     listed as :func:`box_cells` lists them."""
-    if not quotient_is_finite(i):
+    caps = _pure_power_caps(i)
+    if None in caps:
         raise PosetError(f"quotient of {i} is not finite")
-    cells = [] if i.member((0,) * i.arity) else box_cells(_pure_power_caps(i), i)
+    cells = [] if i.member((0,) * i.arity) else box_cells(caps, i)
     return monomial_poset(cells, i.var_names, name or f"poset{i}")
 
 

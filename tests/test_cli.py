@@ -763,17 +763,21 @@ class TestFlaggedRows:
     def test_scan_disagreeing_without_a_counterexample_reports_one(
             self, monkeypatch, tmp_path, capsys):
         # only the regression row disagrees, by finding an order: exit 1,
-        # so the verdict is the scan's exit-1 word
+        # so the verdict is the scan's exit-1 word, and stdout prints the
+        # row that says why
         self.rig_searches(monkeypatch, False, "found")
         out = tmp_path / "r.json"
         assert run(["conjecture67", "--max-exp", "1", "--steps", "1",
                     "--report", str(out)]) == 1
+        row = {"quotient": "special(y3,y2z,yz2,z3)", "slice": "conj66-regression",
+               "n": 2, "elements": 12, "search": "found", "nodes": 12,
+               "subsets": 50, "agree": False}
         assert capsys.readouterr().out == (
-            "conjecture 6.7 scan: 3 rows, 0 counterexamples, 0 inconclusive\n")
+            "conjecture 6.7 scan: 3 rows, 0 counterexamples, 0 inconclusive\n"
+            f"  DISAGREEMENT: {row}\n")
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "counterexample"
-        assert [r["slice"] for r in doc["grid"]["disagreements"]] == [
-            "conj66-regression"]
+        assert doc["grid"]["disagreements"] == [row]
 
 
 class TestDeterminism:
@@ -823,6 +827,15 @@ class TestDocsMatchCode:
         assert len(readme) == len(set(readme)) == 12
         assert readme == list(workloads.REPRODUCE_TARGETS)
         assert set(readme) == set(REPRODUCE)
+
+    def test_grammar_names_the_calls(self):
+        def names(rule):
+            text = self.README.split(f"\n{rule}", 1)[1].split(";", 1)[0]
+            return set(re.findall(r'"([a-z]\w*)"', text))
+        assert names("name      =") == {fn for fn, (kind, *_) in CALLS.items()
+                                        if kind in ("poset", "ideal")}
+        assert names("order     =") == {fn for fn, (kind, *_) in CALLS.items()
+                                        if kind == "order"}
 
     def test_readme_verdict_table_is_verdicts(self):
         head = "| command | exit 0 | exit 1 |\n| --- | --- | --- |\n"

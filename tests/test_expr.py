@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import are_isomorphic, print_expression, print_order
 from macposet import (box, check_macaulay, ideal_from_generators, path, spider,
-                      wedge)
+                      standard_monomial_poset, wedge)
 from macposet.cli import run_command
 from macposet.expr import (CALLS, MAX_NESTING, Explicit, FileRef, Mono, Node,
                            ParseError, evaluate, parse_expression,
@@ -150,7 +150,8 @@ class TestEvaluation:
         ev = evaluate(parse_expression("poset(ideal(y^2*x, x*x^2, y*y, x*y))"))
         # variables in the order first written: (y, x)
         want = ideal_from_generators([(2, 1), (0, 3), (2, 0), (1, 1)], ("y", "x"))
-        assert ev.meta["ideal"] == want
+        assert ev.poset.var_names == ("y", "x")
+        assert ev.poset.labels == standard_monomial_poset(want).labels
 
     def test_ideal_rejects_non_identifier_names(self):
         from macposet import PosetError
@@ -167,6 +168,15 @@ class TestEvaluation:
         from macposet import PosetError
         with pytest.raises(PosetError, match="ideal containment"):
             evaluate(parse_expression("fiber(path(2), path(2))"))
+
+    @pytest.mark.parametrize("factor", ["explicit{1; 0;}", "hat(poset(ideal(x)))"])
+    def test_fiber_needs_quotient_nodes(self, factor, capsys):
+        # a factor with no ideal of its own is an input error, however
+        # its node is built
+        assert run_command(["show", f"fiber({factor}, poset(ideal(x)))"]) == 2
+        assert capsys.readouterr().err == (
+            "error: fiber over ideal containment needs poset(ideal(...)) factors; "
+            "otherwise pass an explicit map file\n")
 
 
 # order ASTs; a variable may share its name with a call
@@ -241,6 +251,15 @@ class TestOrderExpressions:
         ev = evaluate(parse_expression("heart(2,5,5,2)"))
         fam = resolve_order(parse_order("twist"), ev)
         assert check_macaulay(ev.poset, fam).ok
+
+    def test_nested_twist_reads_each_heart(self, tmp_path):
+        # each factor's twist reads its own heart's parameters, in both
+        # factor orders
+        report = tmp_path / "r.json"
+        assert run_command(["check", "wedge(heart(5,2,2,5), heart(2,5,5,2))",
+                            "--order", "us(twist, twist)",
+                            "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["verdict"] == "ok"
 
     def test_us_resolution_and_arity(self):
         ev = evaluate(parse_expression("wedge(box(2,2), box(2,2))"))

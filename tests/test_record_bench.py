@@ -1,10 +1,16 @@
-"""The work meter of tools/record_bench.py on this repository's tree."""
+"""The benchmark's tooling on this repository's tree: the work meter of
+tools/record_bench.py and the replay of found orders in
+perfbench/worker.py."""
 
 import importlib.util
+import json
 import pathlib
 import shutil
+import sys
 
 import pytest
+
+from macposet.cli import run_command
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -44,3 +50,18 @@ def test_work_meter_names_a_missing_function(tmp_path):
         fh.write("\ndel _search\n")
     with pytest.raises(SystemExit, match=r"macaulay\._search, which is missing"):
         record_bench.work(tmp_path, "wide-levels")
+
+
+def test_replay_checks_a_found_order(monkeypatch, tmp_path):
+    """The benchmark's replay of a search-order report accepts the order
+    the search found and refuses it with one level reversed."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # worker.py prepends its dir
+    worker = load(ROOT / "perfbench" / "worker.py")
+    argv = ["search-order", worker.workloads.random_instance(7, 0)]
+    report = tmp_path / "r.json"
+    assert run_command(argv + ["--report", str(report)]) == 0
+    found = report.read_bytes()
+    assert worker.replay_found(argv, found)
+    doc = json.loads(found)
+    doc["grid"]["order"][1].reverse()
+    assert not worker.replay_found(argv, json.dumps(doc).encode())
