@@ -14,7 +14,7 @@ from .construct import (adjoin_extreme, box, build_heart, cartesian_product,
                         remove_extreme, spider, wedge)
 from .core import PosetError, RankedPoset
 from .expr import evaluate, parse_expression
-from .ideals import ideal_from_generators, standard_monomial_poset
+from .ideals import monomial_poset
 from .macaulay import (DEFAULT_BUDGET, DEFAULT_LEVEL_CAP, check_macaulay,
                        find_macaulay_order)
 from .orders import LevelOrderFamily, lex_order, twist_order
@@ -451,12 +451,11 @@ def verify_family(family: str, bounds: dict | None = None,
 # ----------------------------------------------------------- conjecture scan
 
 def two_variable_quotients(max_exp: int):
-    """All finite 2-variable monomial quotients with pure powers <= max_exp.
-
-    Staircases are partitions with at most max_exp parts, each at most
-    max_exp: column i of the diagram keeps h_i standard monomials.  They
-    are yielded one at a time, each followed by its extensions by one
-    more part, smallest new part first.
+    """All finite 2-variable monomial quotients with pure powers <= max_exp,
+    as staircases: partitions with at most max_exp parts, each at most
+    max_exp, column i keeping the h_i cells x^i y^j (j < h_i), which are
+    the standard monomials of the ideal of the staircase's corners.  Each
+    is yielded, then its extensions by one more part, smallest new first.
     """
     stack = [(h,) for h in range(max_exp, 0, -1)]
     while stack:
@@ -466,16 +465,12 @@ def two_variable_quotients(max_exp: int):
             stack.extend(heights + (h,) for h in range(heights[-1], 0, -1))
 
 
-def staircase_ideal(heights):
-    """Ideal whose standard monomials are {x^i y^j : j < heights[i]}."""
-    a = len(heights)
-    gens = [(a, 0)]
-    prev = None
-    for i, h in enumerate(heights):
-        if prev is None or h < prev:
-            gens.append((i, h))
-        prev = h
-    return ideal_from_generators(gens, ("x", "y"))
+def staircase_poset(heights) -> RankedPoset:
+    """Divisibility poset of {x^i y^j : j < heights[i]}, the standard monomials
+    of the ideal of the staircase's corners, in ``box_cells`` order."""
+    cells = [(i, j) for i, h in enumerate(heights) for j in range(h)]
+    return monomial_poset(sorted(cells[::-1], key=sum), ("x", "y"),
+                          "staircase" + "".join(map(str, heights)))
 
 
 def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
@@ -484,18 +479,19 @@ def conjecture_6_7_search(max_exp: int = 4, extra_steps: int = 3,
                           level_cap: int = DEFAULT_LEVEL_CAP) -> GridReport:
     """Scan products of Macaulay quotient posets with paths.
 
-    For each quotient S with an order and each n above S's top degree,
-    the product with a path of n elements is searched; a Macaulay S
-    whose product lacks an order would be a counterexample and is
-    flagged as one.  The special 3-generator quotient from the known
-    n = top-degree counterexample is included, along with a regression
-    row confirming that known failure (not a counterexample: there
-    n is not above the top degree).
+    Each quotient S is a staircase, built by :func:`staircase_poset` from
+    its cells, the standard monomials of the ideal generated by its
+    corners, in ``box_cells`` order.  For each S with an order and each
+    n above S's top degree, the product with a path of n elements is
+    searched; a Macaulay S whose product lacks an order would be a
+    counterexample and is flagged as one.  The special 3-generator
+    quotient from the known n = top-degree counterexample is included,
+    along with a regression row confirming that known failure (not a
+    counterexample: there n is not above the top degree).
     """
     report = GridReport("conjecture-6-7")
-    quotients = (("staircase" + "".join(str(h) for h in hs),
-                  standard_monomial_poset(staircase_ideal(hs)))
-                 for hs in two_variable_quotients(max_exp))
+    quotients = ((ps.name, ps) for ps in map(staircase_poset,
+                                             two_variable_quotients(max_exp)))
     if include_special:
         # the quotient of the known counterexample, and that product
         special = evaluate(parse_expression(

@@ -327,6 +327,8 @@ def evaluate(node) -> EvalResult:
     children = [evaluate(a) for a in args
                 if isinstance(a, (Node, Explicit)) and a.fn != "ideal"]
     posets = [c.poset for c in children]
+    # the builder tables below are built per call: perfbench's tracer rebinds
+    # module attributes, so a table built at import would keep unwrapped ones
     if fn == "poset":
         p = ideals.standard_monomial_poset(_eval_ideal(args[0]))
     elif fn == "fiber":
@@ -389,7 +391,7 @@ def resolve_order(node: Node, ev: EvalResult):
             a0, a1, b0, b1 = b0, b1, a0, a1
         return twist_order(ev.poset, a0, a1, b0, b1)
     if node.fn == "us":
-        if ev.poset.provenance is None or not ev.children:
+        if ev.node.fn not in ("union", "wedge", "diamond"):
             raise PosetError("us(...) applies to union/wedge/diamond expressions")
         if len(node.args) != len(ev.children):
             raise PosetError(f"us arity {len(node.args)} does not match "

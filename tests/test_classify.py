@@ -6,14 +6,15 @@ import re
 import pytest
 
 from macposet import (LevelSubset, PosetError, RankedPoset, box, check_macaulay,
-                      disjoint_union, find_macaulay_order, lex_order,
-                      twist_order, upper_shadow)
+                      disjoint_union, find_macaulay_order, ideal_from_generators,
+                      lex_order, standard_monomial_poset, twist_order,
+                      upper_shadow)
 from macposet import classify
 from macposet.classify import (CARTESIAN_TARGETS, FAMILIES, GridReport,
                                build_heart, conjecture_6_7_search,
                                diamond_box_predicate, heart_order_choice,
                                heart_predicate,
-                               resolve_heart_order, staircase_ideal,
+                               resolve_heart_order, staircase_poset,
                                two_variable_quotients,
                                union_simplicial_equivalence_check,
                                verify_family)
@@ -437,14 +438,19 @@ class TestConjectureScan:
         first = list(itertools.islice(two_variable_quotients(1100), 1101))
         assert first[-2] == (1,) * 1100 and first[-1] == (2,)
 
-    def test_staircase_ideal_roundtrip(self):
-        from macposet import standard_monomial_poset
-        for hs in two_variable_quotients(3):
-            p = standard_monomial_poset(staircase_ideal(hs))
-            heights = [0] * len(hs)
-            for (i, j) in p.labels:
-                heights[i] = max(heights[i], j + 1)
-            assert tuple(heights) == hs
+    def test_staircase_poset_matches_corner_ideal(self):
+        # the reference: the quotient by the ideal of the staircase's
+        # corners, built through the ideal route
+        def corner_ideal(hs):
+            corners = [(i, h) for i, h in enumerate(hs) if i == 0 or h < hs[i - 1]]
+            return ideal_from_generators([(len(hs), 0)] + corners, ("x", "y"))
+
+        for max_exp in range(1, 6):
+            for hs in two_variable_quotients(max_exp):
+                got = staircase_poset(hs)
+                want = standard_monomial_poset(corner_ideal(hs))
+                for attr in ("rank", "up", "labels", "var_names", "levels"):
+                    assert getattr(got, attr) == getattr(want, attr), (hs, attr)
 
     def test_small_scan(self):
         rep = conjecture_6_7_search(max_exp=2, extra_steps=2,

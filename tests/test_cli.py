@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macposet import box, classify, cli, validate_poset, wedge
+from macposet import RankedPoset, box, classify, cli, validate_poset, wedge
 from macposet.classify import CARTESIAN_TARGETS, FAMILIES, GRID_TARGETS
 from macposet.cli import REPRODUCE, run_command
 from macposet.expr import CALLS, MAX_NESTING
@@ -836,6 +836,16 @@ class TestDocsMatchCode:
                                         if kind in ("poset", "ideal")}
         assert names("order     =") == {fn for fn, (kind, *_) in CALLS.items()
                                         if kind == "order"}
+
+    def test_library_layout_names_resolve(self):
+        head = "| module | contents |\n| --- | --- |\n"
+        table = self.README.split(head, 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `(macposet\.\w+)` \| (.*) \|$", table, re.M)
+        assert len(rows) == len(table.splitlines()) == 10
+        for module, contents in rows:
+            home = importlib.import_module(module)
+            for name in re.findall(r"`(\w+)`", contents):
+                assert hasattr(home, name) or hasattr(RankedPoset, name), (module, name)
 
     def test_readme_verdict_table_is_verdicts(self):
         head = "| command | exit 0 | exit 1 |\n| --- | --- | --- |\n"

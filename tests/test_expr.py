@@ -269,6 +269,31 @@ class TestOrderExpressions:
         with pytest.raises(PosetError, match="arity"):
             resolve_order(parse_order("us(lex(x,y))"), ev)
 
+    @pytest.mark.parametrize("fn", ["union", "diamond"])  # wedge: the test above
+    def test_us_resolves_on_union_and_diamond(self, fn):
+        ev = evaluate(parse_expression(f"{fn}(box(2,2), box(2,2))"))
+        fam = resolve_order(parse_order("us(lex(x,y), lex(x,y))"), ev)
+        assert check_macaulay(ev.poset, fam).ok
+
+    @pytest.mark.parametrize("expression, order", [
+        ("cart(box(2,2), box(2,2))", "us(lex(x,y))"),
+        ("cart(box(2,2), box(2,2))", "us(lex(x,y), lex(x,y))"),
+        ("fiber(poset(ideal(x^2,y^2)), poset(ideal(x^2,y^3)))", "us(lex(x,y), lex(x,y))"),
+        ('fiber(box(2,2), box(2,2), "m.txt")', "us(lex(x,y), lex(x,y))"),
+        ("box(2,2)", "us(lex(x,y))"),
+        ("spider(1,1)", "us(lex(x,y), lex(x,y))"),
+    ])
+    def test_us_rejected_outside_union_wedge_diamond(self, expression, order,
+                                                     tmp_path, monkeypatch, capsys):
+        # cart and fiber carry provenance and factors too, but no
+        # union simplicial order, whatever the arity
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("m.txt").write_text("macposet-fibermap 1\n2\n0 0 0\n1 1 1\n")
+        assert run_command(["check", expression, "--order", order]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", "error: us(...) applies to union/wedge/diamond expressions\n")
+
     def test_twist_rejected_outside_hearts(self):
         from macposet import PosetError
         ev = evaluate(parse_expression("box(3,4)"))

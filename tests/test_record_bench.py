@@ -65,3 +65,42 @@ def test_replay_checks_a_found_order(monkeypatch, tmp_path):
     doc = json.loads(found)
     doc["grid"]["order"][1].reverse()
     assert not worker.replay_found(argv, json.dumps(doc).encode())
+
+
+def test_tracer_sees_every_builder():
+    """perfbench's tracer wraps the builders ``evaluate`` calls, so a
+    traced ``show`` counts every construction call; a builder table built
+    at import would keep the unwrapped functions and count too few."""
+    layers = load(ROOT / "perfbench" / "layers.py")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        assert run_command([
+            "show", "union(path(1), box(2,2), spider(1), heart(1,1,1,1), "
+            "hat(path(0)), ubar(box(2,2)), cart(path(0), path(0)), "
+            "wedge(path(1), path(1)), diamond(path(1), path(1)), "
+            "fiber(poset(ideal(x^2, y)), poset(ideal(x, y^2))))"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["construct.calls"] == 23
+
+
+def test_tracer_layers_name_package_functions():
+    """Which of the tracer's ``LAYERS`` names the package defines; the
+    rest are skipped by ``Tracer.install``."""
+    layers = load(ROOT / "perfbench" / "layers.py")
+    named = [(mod, name) for _, mod, names in layers.LAYERS for name in names]
+    missing = {f"{mod}.{name}" for mod, name in named if not callable(
+        getattr(importlib.import_module("macposet." + mod), name, None))}
+    assert len(named) == 72 and len(named) - len(missing) == 52
+    assert missing == {
+        "expr.print_expression", "expr.print_order",
+        "construct.relabel_swap_xy", "construct.restrict_to_factors",
+        "ideals.standard_monomials_by_degree", "ideals.parse_monomial",
+        "orders.heart_label_set", "orders.restrict_order",
+        "classify.verify_heart_grid", "classify.verify_diamond_grid",
+        "classify.verify_wedge_grid", "classify.hat_preservation_report",
+        "classify.equivalence_suite", "classify.y_poset",
+        "classify.ring_product_factor", "classify.conj66_quotient_ideal",
+        "classify.cartesian_counterexamples", "classify.staircase_ideal",
+        "serialize.poset_from_text", "serialize.order_lists_to_text"}
